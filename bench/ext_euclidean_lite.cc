@@ -31,7 +31,9 @@
 #include "bench_common.h"
 #include "common/prng.h"
 #include "common/timer.h"
-#include "euclidean/nn_search.h"
+#include "core/pipeline.h"
+#include "core/query_search.h"
+#include "lsh/gaussian_source.h"
 
 using namespace bayeslsh;
 using namespace bayeslsh::bench;
@@ -57,8 +59,8 @@ Dataset MakeWalkPoints(uint32_t count, uint32_t dim, double radius,
   return std::move(builder).Build();
 }
 
-double JoinRecall(const std::vector<DistancePair>& output,
-                  const std::vector<DistancePair>& truth) {
+double JoinRecall(const std::vector<ScoredPair>& output,
+                  const std::vector<ScoredPair>& truth) {
   if (truth.empty()) return 1.0;
   std::set<std::pair<uint32_t, uint32_t>> out_keys;
   for (const auto& p : output) out_keys.insert({p.a, p.b});
@@ -66,6 +68,33 @@ double JoinRecall(const std::vector<DistancePair>& output,
   for (const auto& p : truth) found += out_keys.count({p.a, p.b});
   return static_cast<double>(found) / truth.size();
 }
+
+// Every pair within the radius (ScoredPair::sim is the negated distance).
+std::vector<ScoredPair> BruteForceRadiusPairs(const Dataset& data,
+                                              double radius) {
+  return BruteForceJoin(data, -radius, Measure::kEuclidean);
+}
+
+// The radius join: p-stable banding, then exact distances for every
+// candidate (kExact) or for the survivors of posterior pruning at ε
+// (kBayesLshLite). Gaussians come from the §4.3 quantized tables.
+PipelineResult RadiusJoin(const Dataset& data, double radius,
+                          VerifierKind verifier, double epsilon,
+                          GaussianSourceCache* gaussians) {
+  PipelineConfig cfg;
+  cfg.measure = Measure::kEuclidean;
+  cfg.generator = GeneratorKind::kLsh;
+  cfg.verifier = verifier;
+  cfg.threshold = radius;
+  cfg.bayes.epsilon = epsilon;
+  cfg.seed = BenchSeed();
+  cfg.gaussian_cache = gaussians;
+  return RunPipeline(data, cfg);
+}
+
+// Quantized tables deep enough for the banding hashes and the 128-hash
+// pruning budget at radius 1.
+constexpr uint32_t kStoredHashes = 128;
 
 }  // namespace
 
@@ -82,8 +111,9 @@ int main() {
   PrintRule(80);
   for (const uint32_t dim : {16u, 64u, 256u}) {
     const Dataset data = MakeWalkPoints(count, dim, radius, BenchSeed());
+    GaussianSourceCache gaussians(dim, kStoredHashes);
     WallTimer bf_timer;
-    const auto truth = BruteForceRadiusJoin(data, radius);
+    const auto truth = BruteForceRadiusPairs(data, radius);
     const double bf_secs = bf_timer.Seconds();
     const uint64_t n = data.num_vectors();
     std::printf("%-18s %6u %10.3f %12s %14llu %9.1f%%\n", "brute force",
@@ -91,54 +121,51 @@ int main() {
                 static_cast<unsigned long long>(n * (n - 1) / 2), 100.0);
 
     for (const bool prune : {false, true}) {
-      EuclideanSearchConfig cfg;
-      cfg.radius = radius;
-      cfg.seed = BenchSeed();
-      if (!prune) cfg.max_prune_hashes = 0;
-      EuclideanSearchStats stats;
-      WallTimer timer;
-      const auto result = EuclideanRadiusJoin(data, cfg, &stats);
+      const PipelineResult result = RadiusJoin(
+          data, radius,
+          prune ? VerifierKind::kBayesLshLite : VerifierKind::kExact, 0.03,
+          &gaussians);
       std::printf("%-18s %6u %10.3f %12llu %14llu %9.1f%%\n",
                   prune ? "E2LSH+Bayes prune" : "E2LSH (no prune)", dim,
-                  timer.Seconds(),
-                  static_cast<unsigned long long>(stats.candidates),
-                  static_cast<unsigned long long>(stats.exact_computed),
-                  100.0 * JoinRecall(result, truth));
+                  result.total_seconds,
+                  static_cast<unsigned long long>(result.candidates),
+                  static_cast<unsigned long long>(
+                      prune ? result.vstats.exact_computed
+                            : result.candidates),
+                  100.0 * JoinRecall(result.pairs, truth));
     }
   }
 
   const Dataset data = MakeWalkPoints(count, 64, radius, BenchSeed());
+  GaussianSourceCache gaussians(64, kStoredHashes);
 
   PrintHeader("Recall parameter ε: pruning aggressiveness "
               "(dim 64, E2LSH+Bayes prune)");
   {
-    const auto truth = BruteForceRadiusJoin(data, radius);
+    const auto truth = BruteForceRadiusPairs(data, radius);
     std::printf("%-10s %10s %14s %14s %10s\n", "epsilon", "seconds",
                 "pruned", "exact dists", "recall");
     PrintRule(64);
     for (const double eps : {0.01, 0.03, 0.05, 0.09, 0.20}) {
-      EuclideanSearchConfig cfg;
-      cfg.radius = radius;
-      cfg.epsilon = eps;
-      cfg.seed = BenchSeed();
-      EuclideanSearchStats stats;
-      WallTimer timer;
-      const auto result = EuclideanRadiusJoin(data, cfg, &stats);
+      const PipelineResult result = RadiusJoin(
+          data, radius, VerifierKind::kBayesLshLite, eps, &gaussians);
       std::printf("%-10.2f %10.3f %14llu %14llu %9.1f%%\n", eps,
-                  timer.Seconds(),
-                  static_cast<unsigned long long>(stats.pruned),
-                  static_cast<unsigned long long>(stats.exact_computed),
-                  100.0 * JoinRecall(result, truth));
+                  result.total_seconds,
+                  static_cast<unsigned long long>(result.vstats.pruned),
+                  static_cast<unsigned long long>(
+                      result.vstats.exact_computed),
+                  100.0 * JoinRecall(result.pairs, truth));
     }
   }
 
   PrintHeader("Query mode: indexed radius queries (dim 64, radius 1.0)");
   {
-    EuclideanSearchConfig cfg;
-    cfg.radius = radius;
+    QuerySearchConfig cfg;
+    cfg.measure = Measure::kEuclidean;
+    cfg.threshold = radius;
     cfg.seed = BenchSeed();
     WallTimer build_timer;
-    const EuclideanNnSearcher searcher(&data, cfg);
+    const QuerySearcher searcher(&data, cfg);
     const double build_secs = build_timer.Seconds();
 
     Xoshiro256StarStar rng(BenchSeed());
@@ -148,16 +175,17 @@ int main() {
     for (uint32_t q = 0; q < kQueries; ++q) {
       const uint32_t base =
           static_cast<uint32_t>(rng.NextBounded(data.num_vectors()));
-      const auto matches = searcher.RadiusQuery(data.Row(base));
-      EuclideanSearchStats stats;
-      (void)searcher.RadiusQuery(data.Row(base), &stats);
-      exact += stats.exact_computed;
+      const auto matches = searcher.Query(data.Row(base));
+      QueryStats stats;
+      (void)searcher.Query(data.Row(base), &stats);
+      // Every candidate the posterior does not prune is measured exactly.
+      exact += stats.candidates - stats.pruned;
       cands += stats.candidates;
       // Truth for this query.
       for (uint32_t i = 0; i < data.num_vectors(); ++i) {
         const double d =
             SparseEuclideanDistance(data.Row(base), data.Row(i));
-        if (d <= cfg.radius) {
+        if (d <= radius) {
           ++truth_total;
           for (const auto& m : matches) {
             if (m.id == i) {

@@ -16,13 +16,14 @@
 //      span-spherical law) vs Kulis & Grauman's subset-CLT at t = 0.7.
 //   3. Anchor-count sweep: recall and time vs p (span quality economics).
 
+#include <algorithm>
 #include <cstdio>
 #include <vector>
 
 #include "bench_common.h"
 #include "common/prng.h"
 #include "common/timer.h"
-#include "kernel/kernel_search.h"
+#include "core/pipeline.h"
 #include "kernel/kernels.h"
 
 using namespace bayeslsh;
@@ -63,6 +64,38 @@ double RecallOf(const std::vector<ScoredPair>& output,
   return Recall(output, truth);
 }
 
+// One KLSH join over `data` under the bench's RBF kernel.
+PipelineResult KernelJoin(const Dataset& data, double t, VerifierKind verifier,
+                          uint32_t anchors,
+                          KlshDirection direction =
+                              KlshDirection::kGaussianNystrom) {
+  PipelineConfig cfg;
+  cfg.measure = Measure::kKernelCosine;
+  cfg.generator = GeneratorKind::kLsh;
+  cfg.verifier = verifier;
+  cfg.threshold = t;
+  cfg.kernel = {.tag = KernelTag::kRbf, .gamma = kRbfGamma};
+  cfg.klsh.num_anchors = anchors;
+  cfg.klsh.direction = direction;
+  cfg.seed = BenchSeed();
+  return RunPipeline(data, cfg);
+}
+
+// Kernel evaluations a join spends: every object's anchor kernel row
+// (computed once, shared by the banding and verification hashes), plus,
+// when the verifier scores exactly, every object's self-kernel and one
+// cross evaluation per exactly scored candidate.
+double KernelEvals(const PipelineResult& res, uint64_t n, uint32_t anchors,
+                   VerifierKind verifier) {
+  double evals = static_cast<double>(n) * std::min<uint64_t>(anchors, n);
+  if (verifier == VerifierKind::kExact) {
+    evals += static_cast<double>(n + res.candidates);
+  } else if (verifier == VerifierKind::kBayesLshLite) {
+    evals += static_cast<double>(n + res.vstats.exact_computed);
+  }
+  return evals;
+}
+
 }  // namespace
 
 int main() {
@@ -89,31 +122,24 @@ int main() {
                 "exact kernel join", t, bf_seconds,
                 static_cast<double>(n) * (n - 1) / 2 + n, "-", 100.0, "-");
 
-    for (const KernelVerifier v :
-         {KernelVerifier::kExact, KernelVerifier::kBayesLsh,
-          KernelVerifier::kBayesLshLite}) {
-      KernelAllPairsConfig cfg;
-      cfg.threshold = t;
-      cfg.verifier = v;
-      cfg.klsh.num_anchors = 128;
-      cfg.seed = BenchSeed();
-      const auto res = KernelAllPairs(data, kernel, cfg);
+    for (const VerifierKind v :
+         {VerifierKind::kExact, VerifierKind::kBayesLsh,
+          VerifierKind::kBayesLshLite}) {
+      const auto res = KernelJoin(data, t, v, 128);
       double mean_err = 0.0;
-      if (!res.pairs.empty() && v == KernelVerifier::kBayesLsh) {
+      if (!res.pairs.empty() && v == VerifierKind::kBayesLsh) {
         for (const auto& p : res.pairs) {
           mean_err += std::abs(
               p.sim - KernelCosine(kernel, data.Row(p.a), data.Row(p.b)));
         }
         mean_err /= static_cast<double>(res.pairs.size());
       }
-      const char* name = v == KernelVerifier::kExact ? "KLSH+exact"
-                         : v == KernelVerifier::kBayesLsh
+      const char* name = v == VerifierKind::kExact ? "KLSH+exact"
+                         : v == VerifierKind::kBayesLsh
                              ? "KLSH+BayesLSH"
                              : "KLSH+BayesLSH-Lite";
       std::printf("%-22s %6.1f %10.3f %12.2e %12llu %9.1f%% %10.4f\n", name,
-                  t, res.total_seconds,
-                  static_cast<double>(res.hash_kernel_evals +
-                                      res.exact_kernel_evals),
+                  t, res.total_seconds, KernelEvals(res, n, 128, v),
                   static_cast<unsigned long long>(res.candidates),
                   100.0 * RecallOf(res.pairs, truth), mean_err);
     }
@@ -129,12 +155,8 @@ int main() {
     PrintRule(70);
     for (const KlshDirection dir :
          {KlshDirection::kGaussianNystrom, KlshDirection::kSubsetClt}) {
-      KernelAllPairsConfig cfg;
-      cfg.threshold = 0.7;
-      cfg.klsh.num_anchors = 128;
-      cfg.klsh.direction = dir;
-      cfg.seed = BenchSeed();
-      const auto res = KernelAllPairs(data, kernel, cfg);
+      const auto res =
+          KernelJoin(data, 0.7, VerifierKind::kBayesLsh, 128, dir);
       double mean_err = 0.0;
       for (const auto& p : res.pairs) {
         mean_err += std::abs(
@@ -159,11 +181,7 @@ int main() {
                 "kernel evals", "recall", "mean err");
     PrintRule(62);
     for (const uint32_t p : {32u, 64u, 128u, 256u}) {
-      KernelAllPairsConfig cfg;
-      cfg.threshold = 0.7;
-      cfg.klsh.num_anchors = p;
-      cfg.seed = BenchSeed();
-      const auto res = KernelAllPairs(data, kernel, cfg);
+      const auto res = KernelJoin(data, 0.7, VerifierKind::kBayesLsh, p);
       double mean_err = 0.0;
       for (const auto& pr : res.pairs) {
         mean_err += std::abs(
@@ -172,8 +190,8 @@ int main() {
       if (!res.pairs.empty()) mean_err /= static_cast<double>(res.pairs.size());
       std::printf("%-10u %10.3f %14.2e %9.1f%% %10.4f\n", p,
                   res.total_seconds,
-                  static_cast<double>(res.hash_kernel_evals +
-                                      res.exact_kernel_evals),
+                  KernelEvals(res, data.num_vectors(), p,
+                              VerifierKind::kBayesLsh),
                   100.0 * RecallOf(res.pairs, truth), mean_err);
     }
   }
@@ -196,14 +214,9 @@ int main() {
       const double bf_secs = bf.Seconds();
       const double exact_evals =
           static_cast<double>(n) * (n - 1) / 2 + static_cast<double>(n);
-      KernelAllPairsConfig cfg;
-      cfg.threshold = 0.7;
-      cfg.verifier = KernelVerifier::kBayesLshLite;
-      cfg.klsh.num_anchors = 128;
-      cfg.seed = BenchSeed();
-      const auto res = KernelAllPairs(d, kernel, cfg);
-      const double klsh_evals = static_cast<double>(res.hash_kernel_evals +
-                                                    res.exact_kernel_evals);
+      const auto res = KernelJoin(d, 0.7, VerifierKind::kBayesLshLite, 128);
+      const double klsh_evals =
+          KernelEvals(res, n, 128, VerifierKind::kBayesLshLite);
       std::printf("%-10llu %14.2e %14.2e %9.1fx %12.3f %12.3f\n",
                   static_cast<unsigned long long>(n), exact_evals, klsh_evals,
                   exact_evals / klsh_evals, bf_secs, res.total_seconds);

@@ -23,8 +23,7 @@
 
 #include "bench_common.h"
 #include "common/timer.h"
-#include "core/bayes_lsh.h"
-#include "lsh/icws_hasher.h"
+#include "core/pipeline.h"
 
 using namespace bayeslsh;
 using namespace bayeslsh::bench;
@@ -93,9 +92,9 @@ int main() {
   }
 
   // Section 2: pipelines vs threshold. Ground truth computed once at the
-  // lowest threshold and filtered; candidates generated once per threshold
-  // and shared by all three verifiers (their "seconds" include the shared
-  // generation cost).
+  // lowest threshold and filtered; each verifier runs its own pipeline
+  // (same seed, hence the same candidates), its "seconds" including
+  // candidate generation.
   WallTimer exact_timer;
   const auto truth_all = ExactWeightedJoin(data, 0.3);
   const double exact_secs = exact_timer.Seconds();
@@ -111,53 +110,34 @@ int main() {
     std::printf("%-22s %6.1f %10.3f %12s %9.1f%% %10s\n",
                 "exact weighted join", t, exact_secs, "-", 100.0, "-");
 
-    WallTimer gen_timer;
-    IcwsSignatureStore gen_store(&data, IcwsHasher(BenchSeed() ^ 0x9e));
-    LshBandingParams banding;
-    const CandidateList cands = IcwsLshCandidates(&gen_store, t, banding);
-    const double gen_secs = gen_timer.Seconds();
-
-    for (const int mode : {0, 1, 2}) {  // 0 exact-verify, 1 bayes, 2 lite.
-      WallTimer timer;
-      std::vector<ScoredPair> out;
+    for (const VerifierKind v :
+         {VerifierKind::kExact, VerifierKind::kBayesLsh,
+          VerifierKind::kBayesLshLite}) {
+      PipelineConfig cfg;
+      cfg.measure = Measure::kWeightedJaccard;
+      cfg.generator = GeneratorKind::kLsh;
+      cfg.verifier = v;
+      cfg.threshold = t;
+      cfg.bayes.hashes_per_round = 16;
+      cfg.bayes.max_hashes = 2048;
+      cfg.lite_max_hashes = 64;
+      cfg.seed = BenchSeed();
+      const PipelineResult res = RunPipeline(data, cfg);
       double mean_err = 0.0;
-      if (mode == 0) {
-        for (const auto& [a, b] : cands.pairs) {
-          const double s =
-              WeightedJaccardSimilarity(data.Row(a), data.Row(b));
-          if (s >= t) out.push_back({a, b, s});
+      if (v == VerifierKind::kBayesLsh && !res.pairs.empty()) {
+        for (const auto& p : res.pairs) {
+          mean_err += std::abs(p.sim - WeightedJaccardSimilarity(
+                                           data.Row(p.a), data.Row(p.b)));
         }
-      } else {
-        const JaccardPosterior model(t);
-        IcwsSignatureStore store(&data, IcwsHasher(BenchSeed() ^ 0xe5));
-        BayesLshParams params;
-        params.hashes_per_round = 16;
-        params.max_hashes = 2048;
-        if (mode == 1) {
-          out = BayesLshVerify(model, &store, cands.pairs, params, nullptr);
-          uint64_t n_err = 0;
-          for (const auto& p : out) {
-            mean_err += std::abs(p.sim - WeightedJaccardSimilarity(
-                                             data.Row(p.a), data.Row(p.b)));
-            ++n_err;
-          }
-          if (n_err > 0) mean_err /= static_cast<double>(n_err);
-        } else {
-          out = BayesLshLiteVerify<JaccardPosterior, IcwsSignatureStore>(
-              model, &store, cands.pairs, /*max_prune_hashes=*/64,
-              [&data](uint32_t a, uint32_t b) {
-                return WeightedJaccardSimilarity(data.Row(a), data.Row(b));
-              },
-              t, params, nullptr);
-        }
+        mean_err /= static_cast<double>(res.pairs.size());
       }
-      const char* name = mode == 0   ? "ICWS+exact"
-                         : mode == 1 ? "ICWS+BayesLSH"
-                                     : "ICWS+BayesLSH-Lite";
+      const char* name = v == VerifierKind::kExact      ? "ICWS+exact"
+                         : v == VerifierKind::kBayesLsh ? "ICWS+BayesLSH"
+                                                        : "ICWS+BayesLSH-Lite";
       std::printf("%-22s %6.1f %10.3f %12llu %9.1f%% %10.4f\n", name, t,
-                  gen_secs + timer.Seconds(),
-                  static_cast<unsigned long long>(cands.size()),
-                  100.0 * Recall(out, truth), mean_err);
+                  res.total_seconds,
+                  static_cast<unsigned long long>(res.candidates),
+                  100.0 * Recall(res.pairs, truth), mean_err);
     }
   }
   return 0;

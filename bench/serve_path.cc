@@ -21,7 +21,7 @@
 //                every invocation paid before persistence
 //
 // The query batch reuses collection rows (guaranteed matches) plus held-out
-// rows. A final "serve/measures" section runs the serving-only measures
+// rows. A final "serve/measures" section runs the paper's §6 measures
 // (wjaccard, klsh, euclidean) through the same trajectory — see
 // RunServingMeasures. Usage: serve_path [--threads N] [--json PATH].
 
@@ -193,8 +193,8 @@ void RunMeasure(Measure measure, PaperDataset which, double threshold,
   }
 }
 
-// The serving-only measures (wjaccard / klsh / euclidean have no allpairs
-// pipeline) ride the same build / save / load / warm-serve trajectory over
+// The §6 measures (wjaccard / klsh / euclidean) ride the same
+// build / save / load / warm-serve trajectory over
 // one shared weighted dataset, as section "serve/measures" with the phase
 // name prefixed by the measure ("wjaccard/warm_serve"). The *_serve phases
 // fill queries/qps, so the smoke trend gate (scripts/bench_trend.py) tracks

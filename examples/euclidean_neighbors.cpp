@@ -10,6 +10,7 @@
 //   cmake -B build -G Ninja && cmake --build build
 //   ./build/examples/euclidean_neighbors
 
+#include <algorithm>
 #include <cstdio>
 #include <vector>
 
@@ -37,43 +38,52 @@ int main() {
   }
   const Dataset embeddings = std::move(builder).Build();
 
-  // 2. Build the index. The bucket width, band count, and the pruning
-  //    schedule all derive from the radius; epsilon bounds the probability
-  //    that a true neighbour is pruned.
-  EuclideanSearchConfig cfg;
-  cfg.radius = kRadius;
-  cfg.epsilon = 0.03;
+  // 2. Build the index. The bucket width (2 x radius), band count, and the
+  //    pruning schedule all derive from the radius; epsilon bounds the
+  //    probability that a true neighbour is pruned. Scores are negated
+  //    distances (larger is closer).
+  QuerySearchConfig cfg;
+  cfg.measure = Measure::kEuclidean;
+  cfg.threshold = kRadius;
+  cfg.bayes.epsilon = 0.03;
   cfg.seed = 7;
-  const EuclideanNnSearcher index(&embeddings, cfg);
+  const QuerySearcher index(&embeddings, cfg);
   std::printf(
       "index: %u bands x %u hashes, bucket width %.2f, %u embeddings\n\n",
-      index.num_bands(), index.hashes_per_band(), index.bucket_width(),
+      index.num_bands(), index.hashes_per_band(), 2.0 * kRadius,
       embeddings.num_vectors());
 
-  // 3. Query: the 5 nearest neighbours of a few probe embeddings.
+  // 3. Query: the 5 nearest neighbours of a few probe embeddings. Every
+  //    candidate the posterior does not prune gets an exact distance.
   for (const uint32_t probe : {100u, 2500u, 4900u}) {
-    EuclideanSearchStats stats;
-    const auto top = index.KnnQuery(embeddings.Row(probe), 5, &stats);
+    QueryStats stats;
+    const auto top = index.QueryTopK(embeddings.Row(probe), 5, &stats);
     std::printf(
         "probe %4u: %llu candidates, %llu pruned, %llu exact distances\n",
         probe, static_cast<unsigned long long>(stats.candidates),
         static_cast<unsigned long long>(stats.pruned),
-        static_cast<unsigned long long>(stats.exact_computed));
+        static_cast<unsigned long long>(stats.candidates - stats.pruned));
     for (const auto& m : top) {
-      std::printf("    id %4u  distance %.4f\n", m.id, m.distance);
+      std::printf("    id %4u  distance %.4f\n", m.id, -m.sim);
     }
   }
 
   // 4. The same machinery as a self-join: every pair of embeddings within
   //    the radius (deduplication candidates, say).
-  EuclideanSearchStats join_stats;
-  const auto pairs = EuclideanRadiusJoin(embeddings, cfg, &join_stats);
+  PipelineConfig join;
+  join.measure = Measure::kEuclidean;
+  join.generator = GeneratorKind::kLsh;
+  join.verifier = VerifierKind::kBayesLshLite;
+  join.threshold = kRadius;
+  join.bayes.epsilon = 0.03;
+  join.seed = 7;
+  const PipelineResult result = RunPipeline(embeddings, join);
   std::printf(
       "\nself-join: %llu candidates -> %zu pairs within radius %.1f "
       "(%.1f%% of candidates pruned before exact verification)\n",
-      static_cast<unsigned long long>(join_stats.candidates), pairs.size(),
-      kRadius,
-      100.0 * join_stats.pruned /
-          std::max<uint64_t>(1, join_stats.candidates));
+      static_cast<unsigned long long>(result.candidates),
+      result.pairs.size(), kRadius,
+      100.0 * result.vstats.pruned /
+          std::max<uint64_t>(1, result.candidates));
   return 0;
 }

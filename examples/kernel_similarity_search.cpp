@@ -50,20 +50,26 @@ int main() {
   //    prunes with cheap hash comparisons and reports *exact* kernel
   //    cosines for survivors, sidestepping the KLSH span-projection bias
   //    that pure hash-based estimates inherit.
-  KernelAllPairsConfig cfg;
+  PipelineConfig cfg;
+  cfg.measure = Measure::kKernelCosine;
+  cfg.generator = GeneratorKind::kLsh;
+  cfg.verifier = VerifierKind::kBayesLshLite;
   cfg.threshold = 0.7;
-  cfg.verifier = KernelVerifier::kBayesLshLite;
+  cfg.kernel = {.tag = KernelTag::kRbf, .gamma = 0.036};
   cfg.klsh.num_anchors = 128;  // More anchors = tighter collision law.
   cfg.seed = 7;
 
-  const KernelAllPairsResult result =
-      KernelAllPairs(descriptors, kernel, cfg);
+  const PipelineResult result = RunPipeline(descriptors, cfg);
 
+  // Kernel evaluations spent: every object's anchor kernel row (shared by
+  // the banding and verification hashes), every object's self-kernel, and
+  // one cross evaluation per candidate that survived pruning.
   const uint64_t n = descriptors.num_vectors();
   const double exact_join_evals =
       static_cast<double>(n) * (n - 1) / 2 + static_cast<double>(n);
-  const double spent = static_cast<double>(result.hash_kernel_evals +
-                                           result.exact_kernel_evals);
+  const double spent = static_cast<double>(
+      n * std::min<uint64_t>(cfg.klsh.num_anchors, n) + n +
+      result.vstats.exact_computed);
   std::printf(
       "KLSH+BayesLSH-Lite: %llu candidates -> %zu matching pairs in %.3f s\n"
       "kernel evaluations: %.2e (exact all-pairs join would need %.2e, "

@@ -112,16 +112,13 @@
 #include "lsh/signature_store.h"         // IWYU pragma: export
 #include "lsh/srp_hasher.h"              // IWYU pragma: export
 
-// Kernelized similarity search (paper §6 future work).
+// Kernel functions and the KLSH hash family (paper §6 future work).
 #include "kernel/dense_matrix.h"         // IWYU pragma: export
-#include "kernel/kernel_query.h"         // IWYU pragma: export
-#include "kernel/kernel_search.h"        // IWYU pragma: export
 #include "kernel/kernels.h"              // IWYU pragma: export
 #include "kernel/klsh.h"                 // IWYU pragma: export
 
-// Euclidean nearest-neighbour retrieval (paper §6 future work).
+// The p-stable hash family and distance posterior (paper §6 future work).
 #include "euclidean/distance_posterior.h"  // IWYU pragma: export
-#include "euclidean/nn_search.h"           // IWYU pragma: export
 #include "euclidean/pstable_hasher.h"      // IWYU pragma: export
 
 // Candidate generation.
@@ -140,6 +137,7 @@
 #include "core/dynamic_index.h"          // IWYU pragma: export
 #include "core/index_io.h"               // IWYU pragma: export
 #include "core/jaccard_posterior.h"      // IWYU pragma: export
+#include "core/measure_table.h"          // IWYU pragma: export
 #include "core/metrics.h"                // IWYU pragma: export
 #include "core/pipeline.h"               // IWYU pragma: export
 #include "core/query_search.h"           // IWYU pragma: export

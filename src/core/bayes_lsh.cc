@@ -1,11 +1,9 @@
 // Explicit instantiations of the BayesLSH engines for the built-in
 // (posterior model, signature store) combinations. The template definitions
-// live in core/bayes_lsh_impl.h so that other modules (e.g. kernel/) can
-// instantiate the engines for their own stores.
+// live in core/bayes_lsh_impl.h so that other callers can instantiate the
+// engines for their own stores.
 
 #include "core/bayes_lsh_impl.h"
-
-#include "lsh/icws_hasher.h"
 
 namespace bayeslsh {
 
@@ -39,19 +37,6 @@ BayesLshVerify<BbitMinwisePosterior, BbitSignatureStore>(
 template std::vector<ScoredPair>
 BayesLshLiteVerify<BbitMinwisePosterior, BbitSignatureStore>(
     const BbitMinwisePosterior&, BbitSignatureStore*,
-    const std::vector<std::pair<uint32_t, uint32_t>>&, uint32_t,
-    const std::function<double(uint32_t, uint32_t)>&, double,
-    const BayesLshParams&, VerifyStats*);
-// Weighted Jaccard rides the plain Jaccard posterior (the ICWS collision
-// probability is exactly J_w) over the ICWS store.
-template std::vector<ScoredPair>
-BayesLshVerify<JaccardPosterior, IcwsSignatureStore>(
-    const JaccardPosterior&, IcwsSignatureStore*,
-    const std::vector<std::pair<uint32_t, uint32_t>>&, const BayesLshParams&,
-    VerifyStats*);
-template std::vector<ScoredPair>
-BayesLshLiteVerify<JaccardPosterior, IcwsSignatureStore>(
-    const JaccardPosterior&, IcwsSignatureStore*,
     const std::vector<std::pair<uint32_t, uint32_t>>&, uint32_t,
     const std::function<double(uint32_t, uint32_t)>&, double,
     const BayesLshParams&, VerifyStats*);

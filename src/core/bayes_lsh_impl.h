@@ -2,11 +2,11 @@
 // in core/bayes_lsh.h.
 //
 // The engines are generic over (PosteriorModel, Store); translation units
-// that pair them with a new store type include this header and add an
-// explicit instantiation (see core/bayes_lsh.cc for the built-in sparse
-// combinations and kernel/kernel_search.cc for the KLSH one). Keeping the
+// that pair them with a new model or store type include this header (see
+// core/bayes_lsh.cc for the explicit built-in instantiations; the parallel
+// verifiers of core/parallel_verify.h instantiate the rest). Keeping the
 // definitions out of core/bayes_lsh.h keeps rebuilds of the public header
-// cheap and the instantiation set explicit.
+// cheap.
 //
 // The per-pair loops live in internal::BayesVerifyPairRange /
 // internal::LiteVerifyPairRange, generic over a `match(a, b, from, to)`

@@ -48,14 +48,14 @@ std::vector<ScoredPair> ShardedVerify(
 }  // namespace
 
 std::vector<ScoredPair> ExactVerify(
-    const Dataset& data,
     const std::vector<std::pair<uint32_t, uint32_t>>& pairs, double threshold,
-    Measure measure, ClassicalStats* stats, ThreadPool* pool) {
+    const std::function<double(uint32_t, uint32_t)>& exact_sim,
+    ClassicalStats* stats, ThreadPool* pool) {
   return ShardedVerify(
       pairs, pool, stats,
       [&](size_t i, std::vector<ScoredPair>* out, ClassicalStats* st) {
         const auto& [a, b] = pairs[i];
-        const double s = ExactSimilarity(data, a, b, measure);
+        const double s = exact_sim(a, b);
         if (s >= threshold) {
           out->push_back({a, b, s});
           ++st->accepted;

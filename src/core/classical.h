@@ -12,6 +12,7 @@
 #define BAYESLSH_CORE_CLASSICAL_H_
 
 #include <cstdint>
+#include <functional>
 #include <utility>
 #include <vector>
 
@@ -33,12 +34,13 @@ struct ClassicalStats {
 // provided (null = sequential); output is identical either way — pairs are
 // verified independently and shard outputs concatenate in input order.
 
-// Exact verification of candidate pairs under `measure` (see
-// sim/similarity.h for the kCosine pre-normalization convention).
+// Exact verification of candidate pairs: keeps the pairs whose
+// exact_sim(a, b) reaches the threshold. exact_sim must be safe to call
+// concurrently (PairScorer of core/measure_table.h, or ExactSimilarity).
 std::vector<ScoredPair> ExactVerify(
-    const Dataset& data, const std::vector<std::pair<uint32_t, uint32_t>>& pairs,
-    double threshold, Measure measure, ClassicalStats* stats = nullptr,
-    ThreadPool* pool = nullptr);
+    const std::vector<std::pair<uint32_t, uint32_t>>& pairs, double threshold,
+    const std::function<double(uint32_t, uint32_t)>& exact_sim,
+    ClassicalStats* stats = nullptr, ThreadPool* pool = nullptr);
 
 // MLE verification for cosine: m/n estimates the SRP collision probability
 // r, so the similarity estimate is r2c(m/n). Uses `num_hashes` bits per pair.

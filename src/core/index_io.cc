@@ -8,11 +8,7 @@
 
 #include "common/prng.h"
 #include "common/thread_pool.h"
-#include "core/pipeline.h"
-#include "euclidean/pstable_hasher.h"
-#include "lsh/icws_hasher.h"
-#include "lsh/minwise_hasher.h"
-#include "lsh/srp_hasher.h"
+#include "core/measure_table.h"
 #include "vec/binary_io.h"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -54,16 +50,6 @@ uint8_t MeasureTag(Measure m) {
 // Measures whose tag (and, for the kernel cosine, measure-config section)
 // only format v3 can carry.
 constexpr uint8_t kFirstV3MeasureTag = 3;
-
-// Grows every row to the prefetch horizon, sharded over rows; `ensure`
-// wraps the store's EnsureBitsUncounted / EnsureHashesUncounted and
-// returns the work done for one row.
-template <typename EnsureFn>
-uint64_t PrefetchRows(uint32_t n, ThreadPool* pool, const EnsureFn& ensure) {
-  return ParallelWorkSum(pool, n, [&](uint64_t row) {
-    return ensure(static_cast<uint32_t>(row));
-  });
-}
 
 Measure MeasureFromTag(uint8_t tag) {
   switch (tag) {
@@ -193,21 +179,19 @@ uint64_t PersistentIndex::Fingerprint(uint32_t format_version) const {
 std::unique_ptr<PersistentIndex> PersistentIndex::Build(
     Dataset data, const IndexBuildConfig& cfg,
     const SignatureAdoption* adopt) {
-  const bool euclidean = cfg.measure == Measure::kEuclidean;
-  if (euclidean ? !(cfg.threshold > 0.0)
-                : (cfg.threshold <= 0.0 || cfg.threshold > 1.0)) {
-    throw std::invalid_argument(
-        euclidean
-            ? "IndexBuildConfig: the Euclidean threshold is a radius and "
-              "must be > 0"
-            : "IndexBuildConfig: threshold must be in (0, 1]");
-  }
-  if (cfg.bbit != 0 &&
-      (cfg.measure != Measure::kJaccard || !IsValidBbitWidth(cfg.bbit))) {
-    throw std::invalid_argument(
-        "IndexBuildConfig: bbit requires the Jaccard measure and a "
-        "power-of-two width in [1, 32]");
-  }
+  std::unique_ptr<PersistentIndex> index(new PersistentIndex());
+  index->data_ = std::move(data);
+  const Dataset& d = index->data_;
+  // Validates the config (threshold domain, bbit, kernel) before any work.
+  const MeasureFamily family(
+      {.measure = cfg.measure,
+       .threshold = cfg.threshold,
+       .seed = cfg.seed,
+       .bbit = cfg.bbit,
+       .kernel = cfg.kernel,
+       .klsh = cfg.klsh,
+       .klsh_anchors = cfg.klsh_anchors},
+      &d, "IndexBuildConfig");
   if (adopt != nullptr && adopt->source == nullptr) adopt = nullptr;
   if (adopt != nullptr) {
     const PersistentIndex& src = *adopt->source;
@@ -218,7 +202,7 @@ std::unique_ptr<PersistentIndex> PersistentIndex::Build(
           "match the build config — signatures from a different hash "
           "stream are not the same function");
     }
-    if (adopt->source_rows.size() != data.num_vectors()) {
+    if (adopt->source_rows.size() != d.num_vectors()) {
       throw std::invalid_argument(
           "SignatureAdoption: source_rows must have one entry per new "
           "dataset row");
@@ -233,12 +217,15 @@ std::unique_ptr<PersistentIndex> PersistentIndex::Build(
     }
   }
 
-  std::unique_ptr<PersistentIndex> index(new PersistentIndex());
-  index->data_ = std::move(data);
   index->measure_ = cfg.measure;
   index->threshold_ = cfg.threshold;
   index->seed_ = cfg.seed;
   index->bbit_ = cfg.bbit;
+  if (family.kernel() != nullptr) {
+    index->kernel_spec_ = cfg.kernel;
+    index->klsh_params_ = family.klsh_params();
+    index->klsh_anchors_ = family.klsh_anchors();
+  }
   const BandingShape shape =
       ResolveBandingShape(cfg.measure, cfg.threshold, cfg.banding);
   // The load path rejects k outside [1, 64] (a cosine band key is one
@@ -260,102 +247,17 @@ std::unique_ptr<PersistentIndex> PersistentIndex::Build(
     pool = pool_storage.get();
   }
 
-  const uint64_t gen_seed = GenerationSeed(cfg.seed);
-  const uint64_t verify_seed = VerificationSeed(cfg.seed);
-  const Dataset& d = index->data_;
-
-  // Hash families per measure: the generation-family chunk hasher feeds
-  // the banding build, the verification family lives inside the store.
-  std::shared_ptr<const GaussianSource> gen_gauss;  // Keep-alive for SRP.
-  std::shared_ptr<const WordChunkHasher> gen_bits;
-  std::shared_ptr<const IntChunkHasher> gen_ints;
-  switch (cfg.measure) {
-    case Measure::kCosine:
-    case Measure::kBinaryCosine: {
-      gen_gauss = std::make_shared<ImplicitGaussianSource>(gen_seed);
-      gen_bits =
-          std::make_shared<SrpChunkHasher>(SrpHasher(gen_gauss.get()));
-      index->verify_gauss_ =
-          std::make_shared<ImplicitGaussianSource>(verify_seed);
-      index->bits_ = std::make_unique<BitSignatureStore>(
-          &d, SrpHasher(index->verify_gauss_.get()));
-      break;
-    }
-    case Measure::kKernelCosine: {
-      index->kernel_spec_ = cfg.kernel;
-      try {
-        index->kernel_ = MakeKernel(cfg.kernel);
-      } catch (const std::invalid_argument& e) {
-        throw std::invalid_argument(std::string("IndexBuildConfig: ") +
-                                    e.what());
-      }
-      Dataset anchors =
-          cfg.klsh_anchors != nullptr
-              ? *cfg.klsh_anchors
-              : SampleKlshAnchors(
-                    d, std::min(cfg.klsh.num_anchors, d.num_vectors()),
-                    cfg.seed);
-      index->klsh_params_ = cfg.klsh;
-      index->klsh_params_.num_anchors = anchors.num_vectors();
-      index->klsh_anchors_ =
-          std::make_shared<const Dataset>(std::move(anchors));
-      index->klsh_cache_ = std::make_shared<KlshRowCache>();
-      KlshParams kp = index->klsh_params_;
-      kp.seed = gen_seed;
-      const auto gen_klsh = std::shared_ptr<const KlshHasher>(
-          new KlshHasher(KlshHasher::FromAnchors(
-              Dataset(*index->klsh_anchors_), index->kernel_.get(), kp)));
-      kp.seed = verify_seed;
-      index->verify_klsh_ = std::shared_ptr<const KlshHasher>(
-          new KlshHasher(KlshHasher::FromAnchors(
-              Dataset(*index->klsh_anchors_), index->kernel_.get(), kp)));
-      gen_bits = std::make_shared<KlshChunkHasher>(gen_klsh,
-                                                   index->klsh_cache_, &d);
-      index->bits_ = std::make_unique<BitSignatureStore>(
-          &d, std::make_shared<KlshChunkHasher>(index->verify_klsh_,
-                                                index->klsh_cache_, &d));
-      break;
-    }
-    case Measure::kJaccard: {
-      gen_ints = std::make_shared<MinwiseChunkHasher>(
-          MinwiseHasher(gen_seed));
-      if (cfg.bbit == 0) {
-        index->ints_ = std::make_unique<IntSignatureStore>(
-            &d, MinwiseHasher(verify_seed));
-      } else {
-        index->bbits_ = std::make_unique<BbitSignatureStore>(
-            &d, MinwiseHasher(verify_seed), cfg.bbit);
-      }
-      break;
-    }
-    case Measure::kWeightedJaccard: {
-      gen_ints = std::make_shared<IcwsChunkHasher>(IcwsHasher(gen_seed));
-      index->ints_ = std::make_unique<IntSignatureStore>(
-          &d, std::make_shared<IcwsChunkHasher>(IcwsHasher(verify_seed)));
-      break;
-    }
-    case Measure::kEuclidean: {
-      // Serving-stack width convention w = 2 * radius — the same one
-      // ResolveBandingShape used for the shape above.
-      const double width = 2.0 * cfg.threshold;
-      gen_ints = std::make_shared<PstableChunkHasher>(
-          PstableHasher(gen_seed, width));
-      index->ints_ = std::make_unique<IntSignatureStore>(
-          &d, std::make_shared<PstableChunkHasher>(
-                  PstableHasher(verify_seed, width)));
-      break;
-    }
-  }
+  // The generation family feeds the banding build; the verification
+  // family lives inside the store.
+  const HashStream gen = family.Generation();
+  index->InitStore(family.Verification());
 
   // Adopted KLSH signatures are only the same function when the source
   // index hashed against the same kernel and anchors.
-  if (adopt != nullptr && cfg.measure == Measure::kKernelCosine) {
+  if (adopt != nullptr && family.kernel() != nullptr) {
     const PersistentIndex& src = *adopt->source;
-    const Dataset* sa = src.klsh_anchors().get();
-    if (sa == nullptr || src.kernel_spec().tag != cfg.kernel.tag ||
-        src.kernel_spec().gamma != cfg.kernel.gamma ||
-        sa->num_vectors() != index->klsh_anchors_->num_vectors() ||
-        sa->nnz() != index->klsh_anchors_->nnz()) {
+    if (!family.SameKlshFamily(src.kernel_spec(), src.klsh_params(),
+                               src.klsh_anchors().get())) {
       throw std::invalid_argument(
           "SignatureAdoption: KLSH source index kernel/anchors disagree "
           "with the build config");
@@ -365,9 +267,9 @@ std::unique_ptr<PersistentIndex> PersistentIndex::Build(
   // Banding buckets from the generation family (deterministic for any
   // thread count — candgen/banding_index.h).
   index->banding_ =
-      gen_bits != nullptr
-          ? BandingIndex::BuildBits(d, gen_bits, index->k_, index->l_, pool)
-          : BandingIndex::BuildInts(d, gen_ints, index->k_, index->l_,
+      gen.bits != nullptr
+          ? BandingIndex::BuildBits(d, gen.bits, index->k_, index->l_, pool)
+          : BandingIndex::BuildInts(d, gen.ints, index->k_, index->l_,
                                     pool);
 
   // kPrefetchFull is the default per-candidate serving budget
@@ -376,66 +278,55 @@ std::unique_ptr<PersistentIndex> PersistentIndex::Build(
   const uint32_t prefetch =
       cfg.prefetch_hashes == kPrefetchFull ? BayesLshParams{}.max_hashes
       : cfg.prefetch_hashes != 0           ? cfg.prefetch_hashes
-      : (index->bits_ != nullptr ? 32u : 16u);
+                                 : family.traits().round_hashes;
 
-  // Source row donating its signature to new row `row`, or kFreshRow.
-  const auto donor = [&](uint32_t row) {
-    return adopt != nullptr ? adopt->source_rows[row]
-                            : SignatureAdoption::kFreshRow;
+  // Copies the donor row `sr` of the adoption source into `row`.
+  PersistentIndex* const ix = index.get();
+  const auto adopt_row = [&](uint32_t row, uint32_t sr) {
+    const PersistentIndex& src = *adopt->source;
+    if (ix->bits_ != nullptr) {
+      const uint64_t* w = src.bit_store()->Words(sr);
+      ix->bits_->AdoptWords(
+          row, std::vector<uint64_t>(w, w + src.bit_store()->NumBits(sr) / 64));
+    } else if (ix->ints_ != nullptr) {
+      const uint32_t* h = src.int_store()->Hashes(sr);
+      ix->ints_->AdoptHashes(
+          row, std::vector<uint32_t>(h, h + src.int_store()->NumHashes(sr)));
+    } else {
+      // Packed layout: NumHashes values at bits_per_hash bits each is
+      // exactly NumHashes * b / 64 whole words.
+      const uint64_t* w = src.bbit_store()->Words(sr);
+      const uint64_t nw =
+          static_cast<uint64_t>(src.bbit_store()->NumHashes(sr)) * cfg.bbit /
+          64;
+      ix->bbits_->AdoptWords(row, std::vector<uint64_t>(w, w + nw));
+    }
   };
 
-  if (index->bits_ != nullptr) {
-    BitSignatureStore* store = index->bits_.get();
-    // Adoption happens inside the sharded prefetch (distinct rows touch
-    // distinct vectors, like the uncounted growth itself); the ensure
-    // call after it only tops up rows the donor left short.
-    const BitSignatureStore* src =
-        adopt != nullptr ? adopt->source->bit_store() : nullptr;
-    store->AddBitsComputed(
-        PrefetchRows(d.num_vectors(), pool, [&](uint32_t row) {
-          const uint32_t sr = donor(row);
-          if (src != nullptr && sr != SignatureAdoption::kFreshRow) {
-            const uint64_t* w = src->Words(sr);
-            store->AdoptWords(
-                row, std::vector<uint64_t>(w, w + src->NumBits(sr) / 64));
-          }
-          return store->EnsureBitsUncounted(row, prefetch);
-        }));
-  } else {
-    if (index->ints_ != nullptr) {
-      IntSignatureStore* store = index->ints_.get();
-      const IntSignatureStore* src =
-          adopt != nullptr ? adopt->source->int_store() : nullptr;
-      store->AddHashesComputed(
-          PrefetchRows(d.num_vectors(), pool, [&](uint32_t row) {
-            const uint32_t sr = donor(row);
-            if (src != nullptr && sr != SignatureAdoption::kFreshRow) {
-              const uint32_t* h = src->Hashes(sr);
-              store->AdoptHashes(
-                  row, std::vector<uint32_t>(h, h + src->NumHashes(sr)));
-            }
-            return store->EnsureHashesUncounted(row, prefetch);
-          }));
-    } else {
-      BbitSignatureStore* store = index->bbits_.get();
-      const BbitSignatureStore* src =
-          adopt != nullptr ? adopt->source->bbit_store() : nullptr;
-      store->AddHashesComputed(
-          PrefetchRows(d.num_vectors(), pool, [&](uint32_t row) {
-            const uint32_t sr = donor(row);
-            if (src != nullptr && sr != SignatureAdoption::kFreshRow) {
-              // Packed layout: NumHashes values at bits_per_hash bits
-              // each is exactly NumHashes * b / 64 whole words.
-              const uint64_t* w = src->Words(sr);
-              const uint64_t nw = static_cast<uint64_t>(src->NumHashes(sr)) *
-                                  cfg.bbit / 64;
-              store->AdoptWords(row, std::vector<uint64_t>(w, w + nw));
-            }
-            return store->EnsureHashesUncounted(row, prefetch);
-          }));
+  // Adoption happens inside the sharded prefetch (distinct rows touch
+  // distinct vectors, like the uncounted growth itself); the ensure call
+  // after it only tops up rows the donor left short.
+  SignatureStoreBase* store = ix->store();
+  store->AddComputed(ParallelWorkSum(pool, d.num_vectors(), [&](uint64_t r) {
+    const auto row = static_cast<uint32_t>(r);
+    if (adopt != nullptr &&
+        adopt->source_rows[row] != SignatureAdoption::kFreshRow) {
+      adopt_row(row, adopt->source_rows[row]);
     }
-  }
+    return store->EnsureRowUncounted(row, prefetch);
+  }));
   return index;
+}
+
+void PersistentIndex::InitStore(const HashStream& verification) {
+  if (verification.bits != nullptr) {
+    bits_ = std::make_unique<BitSignatureStore>(&data_, verification.bits);
+  } else if (bbit_ != 0) {
+    bbits_ = std::make_unique<BbitSignatureStore>(
+        &data_, *verification.minwise, bbit_);
+  } else {
+    ints_ = std::make_unique<IntSignatureStore>(&data_, verification.ints);
+  }
 }
 
 void PersistentIndex::Save(std::ostream& out,
@@ -475,13 +366,7 @@ void PersistentIndex::Save(std::ostream& out,
     WriteDatasetBinary(*klsh_anchors_, out);
   }
   banding_.Save(out);
-  if (bits_ != nullptr) {
-    bits_->Save(out, align_blob);
-  } else if (ints_ != nullptr) {
-    ints_->Save(out, align_blob);
-  } else {
-    bbits_->Save(out, align_blob);
-  }
+  store()->Save(out, align_blob);
   WritePod(out, fp);  // End marker: catches truncated tails.
   if (!out) throw IndexError("index save: stream write failed");
 }
@@ -600,11 +485,6 @@ std::unique_ptr<PersistentIndex> PersistentIndex::LoadInternal(
       }
       index->klsh_anchors_ =
           std::make_shared<const Dataset>(std::move(anchors));
-      try {
-        index->kernel_ = MakeKernel(index->kernel_spec_);
-      } catch (const std::invalid_argument& e) {
-        throw IndexError(std::string("klsh section: ") + e.what());
-      }
     }
     index->banding_ = BandingIndex::Load(in, index->data_.num_vectors());
     if (index->banding_.num_bands() != index->l_ ||
@@ -613,71 +493,26 @@ std::unique_ptr<PersistentIndex> PersistentIndex::LoadInternal(
                        "the header");
     }
 
-    const Dataset& d = index->data_;
-    const uint64_t verify_seed = VerificationSeed(index->seed_);
-    const bool padded = version >= 2;
-    switch (kind) {
-      case SignatureKind::kSrpBits:
-        index->verify_gauss_ =
-            std::make_shared<ImplicitGaussianSource>(verify_seed);
-        index->bits_ = std::make_unique<BitSignatureStore>(
-            &d, SrpHasher(index->verify_gauss_.get()));
-        break;
-      case SignatureKind::kKlshBits: {
-        index->klsh_cache_ = std::make_shared<KlshRowCache>();
-        KlshParams kp = index->klsh_params_;
-        kp.seed = verify_seed;
-        index->verify_klsh_ = std::shared_ptr<const KlshHasher>(
-            new KlshHasher(KlshHasher::FromAnchors(
-                Dataset(*index->klsh_anchors_), index->kernel_.get(),
-                kp)));
-        index->bits_ = std::make_unique<BitSignatureStore>(
-            &d, std::make_shared<KlshChunkHasher>(index->verify_klsh_,
-                                                  index->klsh_cache_, &d));
-        break;
-      }
-      case SignatureKind::kMinwiseInts:
-        index->ints_ = std::make_unique<IntSignatureStore>(
-            &d, MinwiseHasher(verify_seed));
-        break;
-      case SignatureKind::kIcwsInts:
-        index->ints_ = std::make_unique<IntSignatureStore>(
-            &d, std::make_shared<IcwsChunkHasher>(
-                    IcwsHasher(verify_seed)));
-        break;
-      case SignatureKind::kPstableInts: {
-        if (!(index->threshold_ > 0.0)) {
-          throw IndexError("index header: Euclidean radius must be > 0");
-        }
-        const double width = 2.0 * index->threshold_;
-        index->ints_ = std::make_unique<IntSignatureStore>(
-            &d, std::make_shared<PstableChunkHasher>(
-                    PstableHasher(verify_seed, width)));
-        break;
-      }
-      case SignatureKind::kBbitPacked:
-        index->bbits_ = std::make_unique<BbitSignatureStore>(
-            &d, MinwiseHasher(verify_seed), index->bbit_);
-        break;
+    // The stores rebuild the verification family the file's signatures
+    // came from. Header values the fingerprint vouches for can still
+    // name an invalid family (a radius of 0); that fails as a load error.
+    try {
+      const MeasureFamily family({.measure = index->measure_,
+                                  .threshold = index->threshold_,
+                                  .seed = index->seed_,
+                                  .bbit = index->bbit_,
+                                  .kernel = index->kernel_spec_,
+                                  .klsh = index->klsh_params_,
+                                  .klsh_anchors = index->klsh_anchors_},
+                                 &index->data_, "index header");
+      index->InitStore(family.Verification());
+    } catch (const std::invalid_argument& e) {
+      throw IndexError(e.what());
     }
-    if (index->bits_ != nullptr) {
-      if (mapped_base != nullptr) {
-        index->bits_->LoadViews(in, mapped_base, mapped_size);
-      } else {
-        index->bits_->Load(in, padded);
-      }
-    } else if (index->ints_ != nullptr) {
-      if (mapped_base != nullptr) {
-        index->ints_->LoadViews(in, mapped_base, mapped_size);
-      } else {
-        index->ints_->Load(in, padded);
-      }
+    if (mapped_base != nullptr) {
+      index->store()->LoadViews(in, mapped_base, mapped_size);
     } else {
-      if (mapped_base != nullptr) {
-        index->bbits_->LoadViews(in, mapped_base, mapped_size);
-      } else {
-        index->bbits_->Load(in, padded);
-      }
+      index->store()->Load(in, /*padded=*/version >= 2);
     }
 
     const auto end_marker = ReadPod<uint64_t>(in, "index end marker");

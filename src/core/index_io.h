@@ -36,10 +36,10 @@
 
 #include "candgen/banding_index.h"
 #include "candgen/lsh_banding.h"
+#include "core/measure_table.h"
 #include "kernel/kernels.h"
 #include "kernel/klsh.h"
 #include "lsh/bbit_minwise.h"
-#include "lsh/gaussian_source.h"
 #include "lsh/signature_store.h"
 #include "sim/similarity.h"
 #include "vec/dataset.h"
@@ -249,6 +249,16 @@ class PersistentIndex {
 
   PersistentIndex() = default;
 
+  // Creates the empty verification store matching the measure and bbit.
+  void InitStore(const HashStream& verification);
+
+  // The engaged store, through the lifecycle contract all three share.
+  SignatureStoreBase* store() const {
+    if (bits_ != nullptr) return bits_.get();
+    if (ints_ != nullptr) return ints_.get();
+    return bbits_.get();
+  }
+
   Dataset data_;
   Measure measure_ = Measure::kCosine;
   double threshold_ = 0.0;
@@ -258,17 +268,11 @@ class PersistentIndex {
   uint32_t bbit_ = 0;
   BandingIndex banding_;
 
-  // Exactly one store is non-null; for SRP cosine measures the Gaussian
-  // source backing its hasher is owned here, and for the kernel cosine
-  // the kernel, verification-stream KLSH hasher, row cache and anchor
-  // rows are.
-  std::shared_ptr<const GaussianSource> verify_gauss_;
+  // Exactly one store is non-null; its verification hasher owns what it
+  // hashes with (core/measure_table.h).
   KernelSpec kernel_spec_;
   KlshParams klsh_params_;
   std::shared_ptr<const Dataset> klsh_anchors_;
-  std::unique_ptr<const Kernel> kernel_;
-  std::shared_ptr<const KlshHasher> verify_klsh_;
-  std::shared_ptr<KlshRowCache> klsh_cache_;
   std::unique_ptr<BitSignatureStore> bits_;
   std::unique_ptr<IntSignatureStore> ints_;
   std::unique_ptr<BbitSignatureStore> bbits_;

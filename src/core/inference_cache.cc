@@ -8,5 +8,6 @@ namespace bayeslsh {
 template class InferenceCache<JaccardPosterior>;
 template class InferenceCache<CosinePosterior>;
 template class InferenceCache<BbitMinwisePosterior>;
+template class InferenceCache<EuclideanPosterior>;
 
 }  // namespace bayeslsh

@@ -21,6 +21,7 @@
 #include "core/bbit_posterior.h"
 #include "core/cosine_posterior.h"
 #include "core/jaccard_posterior.h"
+#include "euclidean/distance_posterior.h"
 
 namespace bayeslsh {
 
@@ -87,6 +88,7 @@ class InferenceCache {
 extern template class InferenceCache<JaccardPosterior>;
 extern template class InferenceCache<CosinePosterior>;
 extern template class InferenceCache<BbitMinwisePosterior>;
+extern template class InferenceCache<EuclideanPosterior>;
 
 }  // namespace bayeslsh
 

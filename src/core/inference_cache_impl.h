@@ -1,8 +1,7 @@
 // Template definitions for InferenceCache (declared in
 // core/inference_cache.h). Translation units pairing the cache with a new
 // posterior model include this header and add an explicit instantiation
-// (core/inference_cache.cc holds the built-in ones,
-// euclidean/nn_search.cc the Euclidean distance model's).
+// (core/inference_cache.cc holds the built-in ones).
 
 #ifndef BAYESLSH_CORE_INFERENCE_CACHE_IMPL_H_
 #define BAYESLSH_CORE_INFERENCE_CACHE_IMPL_H_

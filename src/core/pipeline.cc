@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <memory>
+#include <optional>
+#include <stdexcept>
 #include <utility>
 
 #include "candgen/allpairs.h"
@@ -14,44 +16,45 @@
 #include "core/classical.h"
 #include "core/index_io.h"
 #include "core/parallel_verify.h"
-#include "lsh/minwise_hasher.h"
-#include "lsh/srp_hasher.h"
+#include "euclidean/distance_posterior.h"
 #include "stats/beta_distribution.h"
 #include "vec/transforms.h"
 
 namespace bayeslsh {
 
-uint64_t GenerationSeed(uint64_t master_seed) {
-  return Mix64(master_seed, 0xC0DEC0DEULL);
-}
-
-uint64_t VerificationSeed(uint64_t master_seed) {
-  return Mix64(master_seed, 0xFACEFEEDULL);
-}
-
 namespace {
 
-bool IsCosineLike(Measure m) {
-  return m == Measure::kCosine || m == Measure::kBinaryCosine;
+// The verifier actually run: a distance measure has no hash-only estimate,
+// so BayesLSH verification runs as BayesLSH-Lite — as QuerySearcher forces
+// exact verification for it.
+VerifierKind EffectiveVerifier(const PipelineConfig& c) {
+  return TraitsOf(c.measure).distance &&
+                 c.verifier == VerifierKind::kBayesLsh
+             ? VerifierKind::kBayesLshLite
+             : c.verifier;
 }
 
-uint32_t DefaultRoundHashes(Measure m) { return IsCosineLike(m) ? 32 : 16; }
-uint32_t DefaultMaxHashes(Measure m) { return IsCosineLike(m) ? 4096 : 512; }
-uint32_t DefaultLiteHashes(Measure m) { return IsCosineLike(m) ? 128 : 64; }
-uint32_t DefaultMleHashes(Measure m) { return IsCosineLike(m) ? 2048 : 360; }
-
-// Resolves the 0-means-default fields against the measure.
-BayesLshParams ResolveBayesParams(const PipelineConfig& c) {
-  BayesLshParams p = c.bayes;
-  if (p.hashes_per_round == 0) p.hashes_per_round = DefaultRoundHashes(c.measure);
-  if (p.max_hashes == 0) p.max_hashes = DefaultMaxHashes(c.measure);
-  // Round the budget to whole rounds.
-  p.max_hashes -= p.max_hashes % p.hashes_per_round;
-  return p;
+// Throws std::invalid_argument for a generator or verifier the measure
+// does not support.
+void CheckSupported(const PipelineConfig& c) {
+  const MeasureTraits& traits = TraitsOf(c.measure);
+  if (c.generator == GeneratorKind::kAllPairs && !traits.allpairs_generator) {
+    throw std::invalid_argument(
+        "PipelineConfig: the AllPairs generator covers cosine, jaccard and "
+        "binary-cosine; " + MeasureName(c.measure) +
+        " needs the LSH generator");
+  }
+  if (c.verifier == VerifierKind::kMle && traits.mle_hashes == 0) {
+    throw std::invalid_argument(
+        "PipelineConfig: " + MeasureName(c.measure) +
+        " has no MLE estimate; it verifies exactly (BayesLSH-Lite or "
+        "exact)");
+  }
 }
 
 // Fits the Jaccard Beta prior from a uniform sample of candidate pairs,
-// as recommended in paper §4.1.
+// as recommended in paper §4.1, on the measure's own similarities (plain
+// or weighted Jaccard).
 //
 // One robustness addition over the paper: the fitted prior's strength
 // (alpha + beta, the "equivalent pseudo-hash count") is capped. Candidate
@@ -63,7 +66,7 @@ BayesLshParams ResolveBayesParams(const PipelineConfig& c) {
 // (see Appendix A of the paper) actually true.
 constexpr double kMaxPriorStrength = 5.0;
 
-BetaDistribution FitJaccardPrior(const Dataset& data,
+BetaDistribution FitJaccardPrior(const PairScorer& exact,
                                  const CandidateList& candidates,
                                  uint32_t sample_size, uint64_t seed) {
   if (sample_size == 0 || candidates.pairs.empty()) {
@@ -75,7 +78,7 @@ BetaDistribution FitJaccardPrior(const Dataset& data,
   const uint64_t total = candidates.pairs.size();
   for (uint32_t i = 0; i < sample_size; ++i) {
     const auto& [a, b] = candidates.pairs[rng.NextBounded(total)];
-    sims.push_back(ExactSimilarity(data, a, b, Measure::kJaccard));
+    sims.push_back(exact(a, b));
   }
   const BetaDistribution fit = BetaDistribution::FitMethodOfMoments(sims);
   const double strength = fit.alpha() + fit.beta();
@@ -87,7 +90,8 @@ BetaDistribution FitJaccardPrior(const Dataset& data,
 // Checks warm-start compatibility once per run and returns the index when
 // adoption is applicable for this measure (see the warm_index field docs).
 const PersistentIndex* ResolveWarmIndex(const PipelineConfig& config,
-                                        const Dataset& data) {
+                                        const Dataset& data,
+                                        const MeasureFamily& family) {
   const PersistentIndex* warm = config.warm_index;
   if (warm == nullptr) return nullptr;
   if (warm->measure() != config.measure) {
@@ -106,21 +110,49 @@ const PersistentIndex* ResolveWarmIndex(const PipelineConfig& config,
         "PipelineConfig: warm_index covers a different collection (vector "
         "count, dimensionality or non-zero count differs)");
   }
+  // The rest of the hash family: the kernel and anchors for KLSH, and for
+  // Euclidean the radius, which sets the p-stable bucket width.
+  if (family.kernel() != nullptr &&
+      !family.SameKlshFamily(warm->kernel_spec(), warm->klsh_params(),
+                             warm->klsh_anchors().get())) {
+    throw std::invalid_argument(
+        "PipelineConfig: warm_index KLSH kernel or anchors differ from the "
+        "run's");
+  }
+  if (family.traits().distance &&
+      warm->build_threshold() != config.threshold) {
+    throw std::invalid_argument(
+        "PipelineConfig: warm_index radius differs from the run's (the "
+        "radius sets the p-stable bucket width)");
+  }
   // Binary cosine hashes the normalized view; indexes hash raw rows.
   if (config.measure == Measure::kBinaryCosine) return nullptr;
   return warm;
 }
 
+std::vector<ScoredPair> MleVerify(BitSignatureStore* store,
+                                  const CandidateList& candidates, double t,
+                                  uint32_t n, ThreadPool* pool) {
+  return MleVerifyCosine(store, candidates.pairs, t, n, nullptr, pool);
+}
+
+std::vector<ScoredPair> MleVerify(IntSignatureStore* store,
+                                  const CandidateList& candidates, double t,
+                                  uint32_t n, ThreadPool* pool) {
+  return MleVerifyJaccard(store, candidates.pairs, t, n, nullptr, pool);
+}
+
 }  // namespace
 
 std::string AlgorithmName(const PipelineConfig& config) {
+  const VerifierKind verifier = EffectiveVerifier(config);
   if (config.generator == GeneratorKind::kAllPairs &&
-      config.verifier == VerifierKind::kExact) {
+      verifier == VerifierKind::kExact) {
     return "AllPairs";
   }
   const std::string gen =
       config.generator == GeneratorKind::kAllPairs ? "AP" : "LSH";
-  switch (config.verifier) {
+  switch (verifier) {
     case VerifierKind::kExact:
       return "LSH";  // Exact-verification LSH: the paper's plain "LSH".
     case VerifierKind::kMle:
@@ -138,6 +170,21 @@ PipelineResult RunPipeline(const Dataset& data, const PipelineConfig& config) {
   result.algorithm = AlgorithmName(config);
   WallTimer total_timer;
 
+  // Validates the threshold domain and the kernel; KLSH samples its
+  // anchors from `data` here.
+  const MeasureFamily family(
+      {.measure = config.measure,
+       .threshold = config.threshold,
+       .seed = config.seed,
+       .bbit = 0,
+       .kernel = config.kernel,
+       .klsh = config.klsh,
+       .klsh_anchors = nullptr},
+      &data, "PipelineConfig", config.gaussian_cache);
+  CheckSupported(config);
+  const MeasureTraits& traits = family.traits();
+  const VerifierKind verifier = EffectiveVerifier(config);
+
   // Shared worker pool for both phases (null = sequential paper-faithful
   // execution). Results are identical either way; see the config comment.
   const uint32_t num_threads = ResolveNumThreads(config.num_threads);
@@ -151,12 +198,10 @@ PipelineResult RunPipeline(const Dataset& data, const PipelineConfig& config) {
 
   const Measure measure = config.measure;
   const double t = config.threshold;
-  const BayesLshParams bayes = ResolveBayesParams(config);
+  const BayesLshParams bayes = ResolveBayesParams(measure, config.bayes);
   const uint32_t lite_h = config.lite_max_hashes != 0
                               ? config.lite_max_hashes
-                              : DefaultLiteHashes(measure);
-  const uint32_t mle_n = config.mle_hashes != 0 ? config.mle_hashes
-                                                : DefaultMleHashes(measure);
+                              : traits.lite_hashes;
 
   // For binary cosine, AllPairs and SRP operate on the weighted view.
   // (SRP signs are scale-invariant, so hashing the plain binary rows would
@@ -171,9 +216,9 @@ PipelineResult RunPipeline(const Dataset& data, const PipelineConfig& config) {
 
   // --- Special case: native exact AllPairs join. ---
   if (config.generator == GeneratorKind::kAllPairs &&
-      config.verifier == VerifierKind::kExact) {
+      verifier == VerifierKind::kExact) {
     WallTimer timer;
-    if (IsCosineLike(measure)) {
+    if (traits.bit_signatures) {
       result.pairs = AllPairsJoin(*cosine_data, t, nullptr, pool);
     } else {
       result.pairs = PrefixFilterJoin(data, t, Measure::kJaccard, nullptr,
@@ -185,39 +230,31 @@ PipelineResult RunPipeline(const Dataset& data, const PipelineConfig& config) {
   }
 
   // --- Phase 1: candidate generation. ---
-  const uint64_t gen_seed = GenerationSeed(config.seed);
   CandidateList candidates;
   WallTimer gen_timer;
-
-  // Lazily created signature stores (only for the paths that need them).
-  std::shared_ptr<const GaussianSource> gen_gauss, verify_gauss;
-  std::unique_ptr<BitSignatureStore> gen_bits;
-  std::unique_ptr<IntSignatureStore> gen_ints;
-  GaussianSourceCache local_cache(cosine_data->num_dims(), 0);
-  GaussianSourceCache* gauss_cache =
-      config.gaussian_cache != nullptr ? config.gaussian_cache : &local_cache;
-
   if (config.generator == GeneratorKind::kAllPairs) {
-    if (IsCosineLike(measure)) {
+    if (traits.bit_signatures) {
       candidates = AllPairsCandidates(*cosine_data, t, nullptr, pool);
     } else {
       candidates = PrefixFilterCandidates(data, t, Measure::kJaccard,
                                           nullptr, pool);
     }
   } else {
-    if (IsCosineLike(measure)) {
-      gen_gauss = gauss_cache->Get(gen_seed);
-      gen_bits = std::make_unique<BitSignatureStore>(
-          cosine_data, SrpHasher(gen_gauss.get()));
-      candidates = CosineLshCandidates(gen_bits.get(), t, config.banding,
-                                       pool);
-      result.gen_hashes_computed = gen_bits->bits_computed();
+    // The measure's banding shape, passed in explicitly: the banding
+    // routines resolve defaults on the cosine and Jaccard scales only.
+    const BandingShape shape = ResolveBandingShape(measure, t, config.banding);
+    LshBandingParams banding = config.banding;
+    banding.hashes_per_band = shape.hashes_per_band;
+    banding.num_bands = shape.num_bands;
+    const HashStream gen = family.Generation();
+    if (gen.bits != nullptr) {
+      BitSignatureStore store(cosine_data, gen.bits);
+      candidates = CosineLshCandidates(&store, t, banding, pool);
+      result.gen_hashes_computed = store.bits_computed();
     } else {
-      gen_ints = std::make_unique<IntSignatureStore>(
-          &data, MinwiseHasher(gen_seed));
-      candidates = JaccardLshCandidates(gen_ints.get(), t, config.banding,
-                                        pool);
-      result.gen_hashes_computed = gen_ints->hashes_computed();
+      IntSignatureStore store(&data, gen.ints);
+      candidates = JaccardLshCandidates(&store, t, banding, pool);
+      result.gen_hashes_computed = store.hashes_computed();
     }
   }
   result.generate_seconds = gen_timer.Seconds();
@@ -225,105 +262,82 @@ PipelineResult RunPipeline(const Dataset& data, const PipelineConfig& config) {
   result.raw_candidates = candidates.raw_emitted;
 
   // --- Phase 2: verification. ---
-  const uint64_t verify_seed = VerificationSeed(config.seed);
   WallTimer verify_timer;
+  const PersistentIndex* warm = ResolveWarmIndex(config, data, family);
 
-  // Warm start (see PipelineConfig::warm_index): adopt prefetched
-  // verification signatures after the store is constructed. CopyRowsFrom
-  // never touches the tally, so verify_hashes_computed keeps reporting
-  // only the hashing this run actually performed.
-  const PersistentIndex* warm = ResolveWarmIndex(config, data);
-  auto warm_bits = [&](BitSignatureStore* s) {
-    // Indexes hash with the exact implicit Gaussian source; a run whose
-    // cache supplies quantized tables draws slightly different bits, so
-    // adoption must cold-start there to keep warm == cold results.
-    if (warm != nullptr && warm->bit_store() != nullptr &&
-        dynamic_cast<const ImplicitGaussianSource*>(verify_gauss.get()) !=
-            nullptr) {
-      s->CopyRowsFrom(*warm->bit_store());
-    }
-  };
-  auto warm_ints = [&](IntSignatureStore* s) {
-    if (warm != nullptr && warm->int_store() != nullptr) {
-      s->CopyRowsFrom(*warm->int_store());
-    }
-  };
+  // Exact scores serve exact verification, the Lite survivors and the
+  // Jaccard prior fit. The scorer is built only for those runs: the kernel
+  // cosine evaluates every row's self-kernel up front.
+  std::optional<PairScorer> scorer;
+  if (verifier == VerifierKind::kExact ||
+      verifier == VerifierKind::kBayesLshLite ||
+      (verifier == VerifierKind::kBayesLsh && !traits.bit_signatures)) {
+    scorer.emplace(family.Scorer(data, pool));
+  }
+  auto exact = [&scorer](uint32_t a, uint32_t b) { return (*scorer)(a, b); };
 
-  switch (config.verifier) {
-    case VerifierKind::kExact: {
-      result.pairs =
-          ExactVerify(data, candidates.pairs, t, measure, nullptr, pool);
-      break;
-    }
-    case VerifierKind::kMle: {
-      if (IsCosineLike(measure)) {
-        verify_gauss = gauss_cache->Get(verify_seed);
-        BitSignatureStore store(cosine_data, SrpHasher(verify_gauss.get()));
-        warm_bits(&store);
-        result.pairs = MleVerifyCosine(&store, candidates.pairs, t, mle_n,
-                                       nullptr, pool);
-        result.verify_hashes_computed = store.bits_computed();
-      } else {
-        IntSignatureStore store(&data, MinwiseHasher(verify_seed));
-        warm_ints(&store);
-        result.pairs = MleVerifyJaccard(&store, candidates.pairs, t, mle_n,
-                                        nullptr, pool);
-        result.verify_hashes_computed = store.hashes_computed();
+  if (verifier == VerifierKind::kExact) {
+    result.pairs = ExactVerify(candidates.pairs, family.score_threshold(),
+                               exact, nullptr, pool);
+  } else {
+    const uint32_t mle_n =
+        config.mle_hashes != 0 ? config.mle_hashes : traits.mle_hashes;
+    // Runs the MLE, BayesLSH or BayesLSH-Lite verifier with `model` over
+    // `store` (exact verification hashes nothing and never gets here).
+    const auto verify = [&](const auto& model, auto* store) {
+      switch (verifier) {
+        case VerifierKind::kMle:
+          return MleVerify(store, candidates, t, mle_n, pool);
+        case VerifierKind::kBayesLsh:
+          return BayesLshVerifyParallel(model, store, candidates.pairs,
+                                        bayes, pool, &result.vstats);
+        default:
+          return BayesLshLiteVerifyParallel(
+              model, store, candidates.pairs,
+              lite_h - lite_h % bayes.hashes_per_round, exact,
+              family.score_threshold(), bayes, pool, &result.vstats);
       }
-      break;
-    }
-    case VerifierKind::kBayesLsh: {
-      if (IsCosineLike(measure)) {
-        verify_gauss = gauss_cache->Get(verify_seed);
-        BitSignatureStore store(cosine_data, SrpHasher(verify_gauss.get()));
-        warm_bits(&store);
-        const CosinePosterior model(t);
-        result.pairs = BayesLshVerifyParallel(model, &store, candidates.pairs,
-                                              bayes, pool, &result.vstats);
-        result.verify_hashes_computed = store.bits_computed();
+    };
+    const HashStream ver = family.Verification();
+    // Warm start (see PipelineConfig::warm_index): adopt prefetched
+    // verification signatures after the store is constructed. Indexes hash
+    // with the exact implicit Gaussian source; a run whose cache supplies
+    // quantized tables draws slightly different hashes, so adoption must
+    // cold-start there to keep warm == cold results. CopyRowsFrom never
+    // touches the tally, so verify_hashes_computed keeps reporting only
+    // the hashing this run actually performed.
+    const bool adopt =
+        warm != nullptr &&
+        (ver.gauss == nullptr ||
+         dynamic_cast<const ImplicitGaussianSource*>(ver.gauss.get()) !=
+             nullptr);
+    if (ver.bits != nullptr) {
+      BitSignatureStore store(cosine_data, ver.bits);
+      if (adopt && warm->bit_store() != nullptr) {
+        store.CopyRowsFrom(*warm->bit_store());
+      }
+      result.pairs = verify(CosinePosterior(t), &store);
+      result.verify_hashes_computed = store.bits_computed();
+    } else {
+      IntSignatureStore store(&data, ver.ints);
+      if (adopt && warm->int_store() != nullptr) {
+        store.CopyRowsFrom(*warm->int_store());
+      }
+      if (traits.distance) {
+        result.pairs = verify(
+            EuclideanPosterior::MakeForRadius(t, family.pstable_width()),
+            &store);
       } else {
-        IntSignatureStore store(&data, MinwiseHasher(verify_seed));
-        warm_ints(&store);
+        // Plain and weighted Jaccard: the prior is fitted on the measure's
+        // own similarities (MLE needs no prior).
         const JaccardPosterior model(
-            t, FitJaccardPrior(data, candidates, config.prior_sample_size,
-                               config.seed));
-        result.pairs = BayesLshVerifyParallel(model, &store, candidates.pairs,
-                                              bayes, pool, &result.vstats);
-        result.verify_hashes_computed = store.hashes_computed();
+            t, verifier == VerifierKind::kMle
+                   ? BetaDistribution(1.0, 1.0)
+                   : FitJaccardPrior(*scorer, candidates,
+                                     config.prior_sample_size, config.seed));
+        result.pairs = verify(model, &store);
       }
-      break;
-    }
-    case VerifierKind::kBayesLshLite: {
-      const uint32_t h = lite_h - lite_h % bayes.hashes_per_round;
-      if (IsCosineLike(measure)) {
-        verify_gauss = gauss_cache->Get(verify_seed);
-        BitSignatureStore store(cosine_data, SrpHasher(verify_gauss.get()));
-        warm_bits(&store);
-        const CosinePosterior model(t);
-        auto exact = [&](uint32_t a, uint32_t b) {
-          return ExactSimilarity(data, a, b, measure);
-        };
-        result.pairs = BayesLshLiteVerifyParallel(model, &store,
-                                                  candidates.pairs, h, exact,
-                                                  t, bayes, pool,
-                                                  &result.vstats);
-        result.verify_hashes_computed = store.bits_computed();
-      } else {
-        IntSignatureStore store(&data, MinwiseHasher(verify_seed));
-        warm_ints(&store);
-        const JaccardPosterior model(
-            t, FitJaccardPrior(data, candidates, config.prior_sample_size,
-                               config.seed));
-        auto exact = [&](uint32_t a, uint32_t b) {
-          return ExactSimilarity(data, a, b, measure);
-        };
-        result.pairs = BayesLshLiteVerifyParallel(model, &store,
-                                                  candidates.pairs, h, exact,
-                                                  t, bayes, pool,
-                                                  &result.vstats);
-        result.verify_hashes_computed = store.hashes_computed();
-      }
-      break;
+      result.verify_hashes_computed = store.hashes_computed();
     }
   }
   result.verify_seconds = verify_timer.Seconds();

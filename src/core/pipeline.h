@@ -16,7 +16,22 @@
 // Measure handling: kCosine expects L2-normalized real-valued rows;
 // kJaccard and kBinaryCosine expect binary rows (values ignored). For
 // kBinaryCosine the pipeline internally builds the 1/sqrt(len)-normalized
-// view where AllPairs and SRP need weighted vectors.
+// view where AllPairs and SRP need weighted vectors. The serving-stack
+// measures run through the same hash families as QuerySearcher
+// (core/measure_table.h), with the LSH generator only — the AllPairs
+// generator covers the paper's three measures:
+//
+//   * kWeightedJaccard: ICWS bands and signatures, the Jaccard posterior
+//     with a prior fitted on weighted-Jaccard samples.
+//   * kKernelCosine: KLSH bands and signatures against `kernel`, the cosine
+//     posterior; exact scores are kernel cosines.
+//   * kEuclidean: `threshold` is a radius and ScoredPair::sim holds the
+//     negated distance (sim/similarity.h). p-stable bands and signatures
+//     prune; survivors are always verified exactly, so kBayesLsh runs as
+//     kBayesLshLite and kMle is refused.
+//
+// An unsupported combination or a threshold outside the measure's domain
+// (a similarity in (0, 1], a radius > 0) throws std::invalid_argument.
 
 #ifndef BAYESLSH_CORE_PIPELINE_H_
 #define BAYESLSH_CORE_PIPELINE_H_
@@ -28,6 +43,9 @@
 #include "candgen/lsh_banding.h"
 #include "common/thread_pool.h"
 #include "core/bayes_lsh.h"
+#include "core/measure_table.h"
+#include "kernel/kernels.h"
+#include "kernel/klsh.h"
 #include "lsh/gaussian_source.h"
 #include "sim/brute_force.h"
 #include "sim/similarity.h"
@@ -47,28 +65,37 @@ struct PipelineConfig {
   double threshold = 0.7;
 
   // ε / δ / γ and the per-round hash count for the BayesLSH verifiers.
-  // bayes.hashes_per_round / bayes.max_hashes of 0 select per-measure
-  // defaults (32 / 4096 for cosine bits, 16 / 512 for Jaccard ints).
+  // bayes.hashes_per_round / bayes.max_hashes of 0 select the per-measure
+  // defaults of core/measure_table.h (32 / 4096 for cosine-like bits,
+  // 16 / 512 for minwise and ICWS ints, 32 / 512 for p-stable ints).
   BayesLshParams bayes = {.hashes_per_round = 0, .max_hashes = 0};
 
   // BayesLSH-Lite hash budget h; 0 selects the paper defaults
-  // (128 cosine / 64 Jaccard).
+  // (128 cosine-like and Euclidean / 64 Jaccard-like).
   uint32_t lite_max_hashes = 0;
 
   // Fixed hash count for kMle ("LSH Approx"); 0 selects the paper defaults
-  // (2048 cosine / 360 Jaccard).
+  // (2048 cosine-like / 360 Jaccard-like).
   uint32_t mle_hashes = 0;
 
   // Candidate generation (kLsh generator).
   LshBandingParams banding;
 
-  // Jaccard prior: fit Beta by method-of-moments on the exact similarities
-  // of this many randomly sampled candidates (0 = uniform prior).
+  // Jaccard and weighted-Jaccard prior: fit Beta by method-of-moments on
+  // the exact similarities of this many randomly sampled candidates
+  // (0 = uniform prior).
   uint32_t prior_sample_size = 300;
 
   // Master seed; candidate-generation and verification hashes use
   // independent streams derived from it (see DESIGN.md §6).
   uint64_t seed = 42;
+
+  // kKernelCosine only: the kernel the measure is defined against and the
+  // KLSH hash-family shape, as in QuerySearchConfig. klsh.seed is ignored;
+  // the anchors are sampled from the data with the master seed, exactly as
+  // PersistentIndex::Build samples them.
+  KernelSpec kernel;
+  KlshParams klsh;
 
   // Worker threads for candidate generation and verification. 0 = all
   // hardware threads, 1 (the default) = the paper's single-threaded
@@ -79,8 +106,9 @@ struct PipelineConfig {
   // and generator-side skip counters (PrefixJoinStats::size_skipped).
   uint32_t num_threads = 1;
 
-  // Optional shared Gaussian providers keyed by derived seed, letting a
-  // benchmark reuse quantized tables across pipeline runs. May be null.
+  // Optional shared Gaussian providers (SRP and p-stable projections)
+  // keyed by derived seed, letting a benchmark reuse quantized tables
+  // across pipeline runs. May be null.
   GaussianSourceCache* gaussian_cache = nullptr;
 
   // Optional warm start from a persistent index (core/index_io.h): the
@@ -89,13 +117,15 @@ struct PipelineConfig {
   // identical with or without (signatures are pure functions of
   // (seed, row)); only the verify_hashes_computed tally drops. The index
   // must cover the same collection (vector/dimension/non-zero counts),
-  // measure and seed — a mismatch throws std::invalid_argument. Adoption
-  // is skipped (cold start, same results) for kBinaryCosine — the
-  // pipeline hashes the normalized view while indexes hash the raw binary
-  // rows — for indexes whose signature kind differs from the verifier's
-  // store (a b-bit index feeding a full-width minwise verifier), and for
-  // cosine runs whose gaussian_cache supplies quantized tables (indexes
-  // hash with the exact implicit source).
+  // measure and seed, and hash with the run's family — the kernel and
+  // anchors for kKernelCosine, the radius for kEuclidean — a mismatch
+  // throws std::invalid_argument. Adoption is skipped (cold start, same
+  // results) for kBinaryCosine — the pipeline hashes the normalized view
+  // while indexes hash the raw binary rows — for indexes whose signature
+  // kind differs from the verifier's store (a b-bit index feeding a
+  // full-width minwise verifier), and for cosine and Euclidean runs whose
+  // gaussian_cache supplies quantized tables (indexes hash with the exact
+  // implicit source).
   const PersistentIndex* warm_index = nullptr;
 };
 
@@ -118,16 +148,13 @@ struct PipelineResult {
   VerifyStats vstats;  // Populated by the BayesLSH verifiers.
 };
 
-// Human-readable algorithm name matching the paper's labels.
+// Human-readable algorithm name matching the paper's labels (of the
+// verifier actually run: BayesLSH-Lite for kEuclidean's kBayesLsh).
 std::string AlgorithmName(const PipelineConfig& config);
 
 // Runs one full pipeline on `data` (prepared per the measure conventions
-// above).
+// above). Throws std::invalid_argument on an invalid config.
 PipelineResult RunPipeline(const Dataset& data, const PipelineConfig& config);
-
-// Derived seeds for the two independent hash streams.
-uint64_t GenerationSeed(uint64_t master_seed);
-uint64_t VerificationSeed(uint64_t master_seed);
 
 }  // namespace bayeslsh
 

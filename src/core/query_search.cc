@@ -19,30 +19,13 @@
 #include "core/index_io.h"
 #include "core/inference_cache.h"
 #include "core/jaccard_posterior.h"
-#include "core/pipeline.h"
+#include "core/measure_table.h"
 #include "euclidean/distance_posterior.h"
-#include "euclidean/pstable_hasher.h"
-#include "kernel/kernels.h"
-#include "kernel/klsh.h"
 #include "lsh/bbit_minwise.h"
-#include "lsh/icws_hasher.h"
-#include "lsh/minwise_hasher.h"
-#include "lsh/srp_hasher.h"
 
 namespace bayeslsh {
 
-// Instantiated in euclidean/nn_search.cc.
-extern template class InferenceCache<EuclideanPosterior>;
-
 namespace {
-
-// Measures verified through the cosine posterior over a bit store: plain
-// SRP cosine, binary cosine, and the kernel cosine (KLSH bits obey the
-// same collision law — kernel/klsh.h).
-bool CosineLike(Measure m) {
-  return m == Measure::kCosine || m == Measure::kBinaryCosine ||
-         m == Measure::kKernelCosine;
-}
 
 // Below this many candidates per worker a query is verified sequentially.
 constexpr uint64_t kMinQueryCandidatesPerShard = 16;
@@ -132,16 +115,6 @@ void MergeStats(const QueryStats& from, QueryStats* into) {
   if (into != nullptr) into->MergeFrom(from);
 }
 
-// Grows every row to `ensure`'s target, sharded over rows; returns the
-// total hashing work for one AddBitsComputed/AddHashesComputed merge.
-template <typename EnsureFn>
-uint64_t PrefetchAllRows(uint32_t num_rows, ThreadPool* pool,
-                         const EnsureFn& ensure) {
-  return ParallelWorkSum(pool, num_rows, [&](uint64_t row) {
-    return ensure(static_cast<uint32_t>(row));
-  });
-}
-
 }  // namespace
 
 struct QuerySearcher::Impl {
@@ -156,27 +129,15 @@ struct QuerySearcher::Impl {
   // sim/similarity.h).
   double score_threshold = 0.0;
 
-  // Hash families, as polymorphic chunk hashers: the generation
-  // (banding-seed) family feeds the banding build, query probes, and
-  // incremental inserts; the verification family lives inside the engaged
-  // store (bits->hasher() / ints->hasher()). Exactly one of the bit/int
-  // gen hashers is engaged, matching the store. The concrete sources they
-  // wrap are owned alongside (Gaussians for SRP, the kernel + anchors for
-  // KLSH); verify_minhash backs the b-bit query packing path only.
-  std::shared_ptr<const GaussianSource> gen_gauss;
-  std::shared_ptr<const GaussianSource> verify_gauss;
-  std::optional<MinwiseHasher> verify_minhash;
-  std::shared_ptr<const WordChunkHasher> gen_bits_hasher;
-  std::shared_ptr<const IntChunkHasher> gen_ints_hasher;
-
-  // Kernel-cosine context: one kernel object, generation/verification KLSH
-  // hashers over the SAME anchor set (seeds differ, anchors must not — see
-  // QuerySearchConfig::klsh_anchors), and the row cache both streams share
-  // (anchor kernel rows are seed-independent).
-  std::unique_ptr<const Kernel> kernel;
-  std::shared_ptr<const KlshHasher> gen_klsh;
-  std::shared_ptr<const KlshHasher> verify_klsh;
-  std::shared_ptr<KlshRowCache> klsh_cache;
+  // The measure's hash families and exact scorer (core/measure_table.h).
+  // The generation stream feeds the banding build, query probes, and
+  // incremental inserts; the verification stream's hasher lives inside
+  // the engaged store (bits->hasher() / ints->hasher()), and its minwise
+  // hasher backs the b-bit query packing path. For KLSH both streams hash
+  // against the SAME anchors (see QuerySearchConfig::klsh_anchors).
+  std::optional<MeasureFamily> family;
+  HashStream gen;
+  HashStream ver;
 
   // Collection stores (exactly one engaged, per measure/bbit). The stores
   // are the explicitly `mutable`, internally synchronized serving state
@@ -187,6 +148,8 @@ struct QuerySearcher::Impl {
   mutable std::optional<BitSignatureStore> bits;
   mutable std::optional<IntSignatureStore> ints;
   mutable std::optional<BbitSignatureStore> bbits;
+  // The engaged one, through the lifecycle contract all three share.
+  SignatureStoreBase* store = nullptr;
 
   // Posterior models (threshold-bound, hence per-searcher) and the pools
   // their per-call inference caches are leased from.
@@ -227,24 +190,10 @@ struct QuerySearcher::Impl {
   std::vector<uint32_t> CollectCandidates(const SparseVectorView& q) const;
 
   // Exact score of collection row vs the query on the measure's score axis
-  // (negated distance for Euclidean; compare against score_threshold).
+  // (negated distance for Euclidean; compare against score_threshold). A
+  // cosine query must be pre-normalized.
   double ExactSim(uint32_t row, const SparseVectorView& q) const {
-    const SparseVectorView x = data->Row(row);
-    switch (cfg.measure) {
-      case Measure::kCosine:
-        return SparseDot(x, q);  // Query must be pre-normalized.
-      case Measure::kJaccard:
-        return JaccardSimilarity(x, q);
-      case Measure::kBinaryCosine:
-        return BinaryCosineSimilarity(x, q);
-      case Measure::kWeightedJaccard:
-        return WeightedJaccardSimilarity(x, q);
-      case Measure::kKernelCosine:
-        return KernelCosine(*kernel, x, q);
-      case Measure::kEuclidean:
-        return -SparseEuclideanDistance(x, q);
-    }
-    return 0.0;
+    return family->Score(data->Row(row), q);
   }
 
   // One query's hash stream over the engaged bit store: chunk index -> 64
@@ -254,16 +203,16 @@ struct QuerySearcher::Impl {
   // evaluations per chunk).
   std::function<uint64_t(uint32_t)> QueryBitChunks(const SparseVectorView& q,
                                                    bool generation) const {
-    if (cfg.measure == Measure::kKernelCosine) {
-      const KlshHasher* h = generation ? gen_klsh.get() : verify_klsh.get();
+    const HashStream& stream = generation ? gen : ver;
+    if (stream.klsh != nullptr) {
+      const KlshHasher* h = stream.klsh.get();
       auto krow = std::make_shared<const std::vector<double>>(
           h->AnchorKernelRow(q));
       return [h, krow = std::move(krow)](uint32_t chunk) {
         return h->HashChunk(*krow, chunk);
       };
     }
-    const WordChunkHasher* h =
-        generation ? gen_bits_hasher.get() : &bits->hasher();
+    const WordChunkHasher* h = stream.bits.get();
     return [h, q](uint32_t chunk) {
       return h->HashChunk(q, kNoStoreRow, chunk);
     };
@@ -273,8 +222,7 @@ struct QuerySearcher::Impl {
   // chunk (16 minwise/ICWS, 64 p-stable).
   std::function<void(uint32_t, uint32_t*)> QueryIntChunks(
       const SparseVectorView& q, bool generation) const {
-    const IntChunkHasher* h =
-        generation ? gen_ints_hasher.get() : &ints->hasher();
+    const IntChunkHasher* h = generation ? gen.ints.get() : ver.ints.get();
     return [h, q](uint32_t chunk, uint32_t* out) {
       h->HashChunk(q, kNoStoreRow, chunk, out);
     };
@@ -320,7 +268,7 @@ struct QuerySearcher::Impl {
     // (Unreachable for Euclidean — exact verification is forced — but the
     // dispatch stays total: the MAP distance estimate, negated.)
     const int mi = static_cast<int>(m), ni = static_cast<int>(n);
-    if (CosineLike(cfg.measure)) {
+    if (cos_model.has_value()) {
       *sim = cos_model->Estimate(mi, ni);
     } else if (bbit_model.has_value()) {
       *sim = bbit_model->Estimate(mi, ni);
@@ -426,7 +374,7 @@ struct QuerySearcher::Impl {
         }
         // Forced accept (cf. Algorithm 1), as in VerifyCandidate.
         const int mi = static_cast<int>(s.m), ni = static_cast<int>(n);
-        if (CosineLike(cfg.measure)) {
+        if (cos_model.has_value()) {
           s.sim = cos_model->Estimate(mi, ni);
         } else if (bbit_model.has_value()) {
           s.sim = bbit_model->Estimate(mi, ni);
@@ -534,8 +482,7 @@ struct QuerySearcher::Impl {
       qints.resize(want);
       for (uint32_t c = have / kMinhashChunkInts; c < want / kMinhashChunkInts;
            ++c) {
-        verify_minhash->HashChunk(q, c,
-                                  qints.data() + c * kMinhashChunkInts);
+        ver.minwise->HashChunk(q, c, qints.data() + c * kMinhashChunkInts);
       }
       qwords.resize((want + values_per_word - 1) / values_per_word, 0);
       PackBbitValues(qints.data() + have, have, want, b, qwords.data());
@@ -713,35 +660,26 @@ void QuerySearcher::Impl::Init(const Dataset* d,
   assert(d != nullptr);
   data = d;
   cfg = config;
+  const MeasureFamily& fam = family.emplace(
+      MeasureSpec{.measure = config.measure,
+                  .threshold = config.threshold,
+                  .seed = config.seed,
+                  .bbit = config.bbit,
+                  .kernel = config.kernel,
+                  .klsh = config.klsh,
+                  .klsh_anchors = config.klsh_anchors},
+      d, "QuerySearchConfig");
+  const MeasureTraits& traits = fam.traits();
 
-  const bool cosine = CosineLike(config.measure);
-  const bool euclidean = config.measure == Measure::kEuclidean;
-  if (config.bbit != 0 && (config.measure != Measure::kJaccard ||
-                           !IsValidBbitWidth(config.bbit))) {
-    throw std::invalid_argument(
-        "QuerySearchConfig: bbit requires the Jaccard measure and a "
-        "power-of-two width in [1, 32]");
-  }
-  if (euclidean && !(config.threshold > 0.0)) {
-    throw std::invalid_argument(
-        "QuerySearchConfig: the Euclidean threshold is a radius and must "
-        "be > 0");
-  }
-  // Euclidean serving always verifies survivors exactly: the posterior
+  // A distance measure always verifies survivors exactly: the posterior
   // estimates collision rates, not distances, and the contract is "rows
   // within the radius" (query_search.h). Forced before ServeBudget() is
   // read so the cache budget is the lite budget.
-  if (euclidean) cfg.exact_verification = true;
-  score_threshold = euclidean ? -config.threshold : config.threshold;
-  bayes = config.bayes;
-  if (bayes.hashes_per_round == 0) {
-    bayes.hashes_per_round = cosine || euclidean ? 32 : 16;
-  }
-  if (bayes.max_hashes == 0) bayes.max_hashes = cosine ? 4096 : 512;
-  bayes.max_hashes -= bayes.max_hashes % bayes.hashes_per_round;
-  lite_h = config.lite_max_hashes != 0
-               ? config.lite_max_hashes
-               : (cosine || euclidean ? 128u : 64u);
+  if (traits.distance) cfg.exact_verification = true;
+  score_threshold = fam.score_threshold();
+  bayes = ResolveBayesParams(config.measure, config.bayes);
+  lite_h = config.lite_max_hashes != 0 ? config.lite_max_hashes
+                                       : traits.lite_hashes;
   lite_h -= lite_h % bayes.hashes_per_round;
   if (lite_h == 0) lite_h = bayes.hashes_per_round;
 
@@ -752,115 +690,45 @@ void QuerySearcher::Impl::Init(const Dataset* d,
   k = shape.hashes_per_band;
   l = shape.num_bands;
 
-  const uint64_t gen_seed = GenerationSeed(config.seed);
-  const uint64_t verify_seed = VerificationSeed(config.seed);
-
   const uint32_t num_threads = ResolveNumThreads(config.num_threads);
   if (num_threads > 1) pool = std::make_unique<ThreadPool>(num_threads);
   const uint32_t cache_budget = ServeBudget();
 
-  // Models, cache pools, hash families and the matching empty store —
-  // one arm per measure (plus the Jaccard bbit split).
-  switch (config.measure) {
-    case Measure::kCosine:
-    case Measure::kBinaryCosine: {
-      cos_model.emplace(config.threshold);
-      cos_pool.Configure(&*cos_model, bayes.hashes_per_round, cache_budget,
-                         bayes.epsilon, bayes.delta, bayes.gamma);
-      gen_gauss = std::make_shared<ImplicitGaussianSource>(gen_seed);
-      verify_gauss = std::make_shared<ImplicitGaussianSource>(verify_seed);
-      gen_bits_hasher =
-          std::make_shared<SrpChunkHasher>(SrpHasher(gen_gauss.get()));
-      bits.emplace(d, std::make_shared<SrpChunkHasher>(
-                          SrpHasher(verify_gauss.get())));
-      break;
-    }
-    case Measure::kKernelCosine: {
-      cos_model.emplace(config.threshold);
-      cos_pool.Configure(&*cos_model, bayes.hashes_per_round, cache_budget,
-                         bayes.epsilon, bayes.delta, bayes.gamma);
-      kernel = MakeKernel(config.kernel);
-      klsh_cache = std::make_shared<KlshRowCache>();
-      // Both hash streams see the SAME anchors (sampled once with the
-      // master seed — never the derived stream seeds — so every serving
-      // component agrees); only kp.seed differs between the streams.
-      KlshParams kp = config.klsh;
-      Dataset gen_anchors =
-          config.klsh_anchors != nullptr
-              ? *config.klsh_anchors
-              : SampleKlshAnchors(
-                    *d, std::min(kp.num_anchors, d->num_vectors()),
-                    config.seed);
-      Dataset verify_anchors = gen_anchors;
-      kp.seed = gen_seed;
-      gen_klsh = std::shared_ptr<const KlshHasher>(new KlshHasher(
-          KlshHasher::FromAnchors(std::move(gen_anchors), kernel.get(),
-                                  kp)));
-      kp.seed = verify_seed;
-      verify_klsh = std::shared_ptr<const KlshHasher>(new KlshHasher(
-          KlshHasher::FromAnchors(std::move(verify_anchors), kernel.get(),
-                                  kp)));
-      gen_bits_hasher =
-          std::make_shared<KlshChunkHasher>(gen_klsh, klsh_cache, d);
-      bits.emplace(d, std::make_shared<KlshChunkHasher>(verify_klsh,
-                                                        klsh_cache, d));
-      break;
-    }
-    case Measure::kJaccard: {
-      if (config.bbit != 0) {
-        bbit_model.emplace(config.threshold, config.bbit);
-        bbit_pool.Configure(&*bbit_model, bayes.hashes_per_round,
-                            cache_budget, bayes.epsilon, bayes.delta,
-                            bayes.gamma);
-        gen_ints_hasher = std::make_shared<MinwiseChunkHasher>(
-            MinwiseHasher(gen_seed));
-        verify_minhash.emplace(verify_seed);
-        bbits.emplace(d, MinwiseHasher(verify_seed), config.bbit);
-        break;
-      }
-      jac_model.emplace(config.threshold);  // Uniform prior in query mode.
-      jac_pool.Configure(&*jac_model, bayes.hashes_per_round, cache_budget,
-                         bayes.epsilon, bayes.delta, bayes.gamma);
-      gen_ints_hasher =
-          std::make_shared<MinwiseChunkHasher>(MinwiseHasher(gen_seed));
-      ints.emplace(d, std::make_shared<MinwiseChunkHasher>(
-                          MinwiseHasher(verify_seed)));
-      break;
-    }
-    case Measure::kWeightedJaccard: {
-      // ICWS collisions obey Pr[h(x) = h(y)] = J_w(x, y) — the minwise
-      // law — so the Jaccard posterior verifies weighted Jaccard as-is.
-      jac_model.emplace(config.threshold);
-      jac_pool.Configure(&*jac_model, bayes.hashes_per_round, cache_budget,
-                         bayes.epsilon, bayes.delta, bayes.gamma);
-      gen_ints_hasher =
-          std::make_shared<IcwsChunkHasher>(IcwsHasher(gen_seed));
-      ints.emplace(d, std::make_shared<IcwsChunkHasher>(
-                          IcwsHasher(verify_seed)));
-      break;
-    }
-    case Measure::kEuclidean: {
-      // Serving-stack width convention w = 2 * radius — the same one
-      // ResolveBandingShape assumed above, making the collision
-      // probability at the radius a scale-free constant.
-      const double width = 2.0 * config.threshold;
-      euc_model.emplace(
-          EuclideanPosterior::MakeForRadius(config.threshold, width));
-      euc_pool.Configure(&*euc_model, bayes.hashes_per_round, cache_budget,
-                         bayes.epsilon, bayes.delta, bayes.gamma);
-      gen_ints_hasher = std::make_shared<PstableChunkHasher>(
-          PstableHasher(gen_seed, width));
-      ints.emplace(d, std::make_shared<PstableChunkHasher>(
-                          PstableHasher(verify_seed, width)));
-      break;
-    }
+  // Hash families, the matching empty store, the posterior model and the
+  // pool its inference caches are leased from.
+  gen = fam.Generation();
+  ver = fam.Verification();
+  if (ver.bits != nullptr) {
+    // SRP cosine, binary cosine and KLSH bits all obey the angle law.
+    store = &bits.emplace(d, ver.bits);
+    cos_model.emplace(config.threshold);
+    cos_pool.Configure(&*cos_model, bayes.hashes_per_round, cache_budget,
+                       bayes.epsilon, bayes.delta, bayes.gamma);
+  } else if (config.bbit != 0) {
+    store = &bbits.emplace(d, *ver.minwise, config.bbit);
+    bbit_model.emplace(config.threshold, config.bbit);
+    bbit_pool.Configure(&*bbit_model, bayes.hashes_per_round, cache_budget,
+                        bayes.epsilon, bayes.delta, bayes.gamma);
+  } else if (traits.distance) {
+    store = &ints.emplace(d, ver.ints);
+    euc_model.emplace(EuclideanPosterior::MakeForRadius(
+        config.threshold, fam.pstable_width()));
+    euc_pool.Configure(&*euc_model, bayes.hashes_per_round, cache_budget,
+                       bayes.epsilon, bayes.delta, bayes.gamma);
+  } else {
+    // Minwise and ICWS collisions both obey Pr[h(x) = h(y)] = J, so the
+    // Jaccard posterior (uniform prior in query mode) verifies both.
+    store = &ints.emplace(d, ver.ints);
+    jac_model.emplace(config.threshold);
+    jac_pool.Configure(&*jac_model, bayes.hashes_per_round, cache_budget,
+                       bayes.epsilon, bayes.delta, bayes.gamma);
   }
 }
 
 std::vector<uint32_t> QuerySearcher::Impl::CollectCandidates(
     const SparseVectorView& q) const {
   std::vector<uint32_t> candidates;
-  if (gen_bits_hasher != nullptr) {
+  if (gen.bits != nullptr) {
     const auto hash_chunk = QueryBitChunks(q, /*generation=*/true);
     std::vector<uint64_t> qwords(WordsForBits(l * k));
     for (uint32_t c = 0; c < qwords.size(); ++c) {
@@ -875,7 +743,7 @@ std::vector<uint32_t> QuerySearcher::Impl::CollectCandidates(
       candidates.insert(candidates.end(), bucket->begin(), bucket->end());
     }
   } else {
-    const uint32_t chunk_ints = gen_ints_hasher->chunk_ints();
+    const uint32_t chunk_ints = gen.ints->chunk_ints();
     const auto hash_chunk = QueryIntChunks(q, /*generation=*/true);
     const uint32_t chunks = (l * k + chunk_ints - 1) / chunk_ints;
     std::vector<uint32_t> qints(chunks * chunk_ints);
@@ -905,12 +773,12 @@ QuerySearcher::QuerySearcher(const Dataset* data,
   // hash family (a separate, throwaway store: banding hashes are not
   // reused for verification; see DESIGN.md §6). Deterministic for any
   // thread count — see candgen/banding_index.h.
-  if (im.gen_bits_hasher != nullptr) {
-    im.banding_storage = BandingIndex::BuildBits(
-        *data, im.gen_bits_hasher, im.k, im.l, im.pool.get());
+  if (im.gen.bits != nullptr) {
+    im.banding_storage = BandingIndex::BuildBits(*data, im.gen.bits, im.k,
+                                                 im.l, im.pool.get());
   } else {
-    im.banding_storage = BandingIndex::BuildInts(
-        *data, im.gen_ints_hasher, im.k, im.l, im.pool.get());
+    im.banding_storage = BandingIndex::BuildInts(*data, im.gen.ints, im.k,
+                                                 im.l, im.pool.get());
   }
   im.banding = &im.banding_storage;
   num_bands_ = im.l;
@@ -946,11 +814,9 @@ QuerySearcher::QuerySearcher(const PersistentIndex* index,
   // with — adopt the index's kernel spec, family shape and anchor rows so
   // warm-served signatures agree bit-for-bit with the loaded store.
   QuerySearchConfig cfg2 = config;
-  if (index->measure() == Measure::kKernelCosine) {
-    cfg2.kernel = index->kernel_spec();
-    cfg2.klsh = index->klsh_params();
-    cfg2.klsh_anchors = index->klsh_anchors();
-  }
+  cfg2.kernel = index->kernel_spec();
+  cfg2.klsh = index->klsh_params();
+  cfg2.klsh_anchors = index->klsh_anchors();
   im.Init(&index->data(), cfg2);
   // Serve from the index's recorded shape and buckets; adopt its
   // prefetched verification signatures (copies — many searchers can share
@@ -973,30 +839,14 @@ QuerySearcher::~QuerySearcher() = default;
 
 void QuerySearcher::Freeze() {
   Impl& im = *impl_;
-  ThreadPool* pool = im.pool.get();
+  SignatureStoreBase* store = im.store;
+  if (store->frozen()) return;
   const uint32_t budget = im.ServeBudget();
-  if (im.bits.has_value()) {
-    if (im.bits->frozen()) return;
-    im.bits->AddBitsComputed(
-        PrefetchAllRows(im.bits->num_rows(), pool, [&](uint32_t row) {
-          return im.bits->EnsureBitsUncounted(row, budget);
-        }));
-    im.bits->Freeze();
-  } else if (im.ints.has_value()) {
-    if (im.ints->frozen()) return;
-    im.ints->AddHashesComputed(
-        PrefetchAllRows(im.ints->num_rows(), pool, [&](uint32_t row) {
-          return im.ints->EnsureHashesUncounted(row, budget);
-        }));
-    im.ints->Freeze();
-  } else {
-    if (im.bbits->frozen()) return;
-    im.bbits->AddHashesComputed(
-        PrefetchAllRows(im.bbits->num_rows(), pool, [&](uint32_t row) {
-          return im.bbits->EnsureHashesUncounted(row, budget);
-        }));
-    im.bbits->Freeze();
-  }
+  store->AddComputed(ParallelWorkSum(
+      im.pool.get(), store->num_rows(), [&](uint64_t row) {
+        return store->EnsureRowUncounted(static_cast<uint32_t>(row), budget);
+      }));
+  store->Freeze();
 }
 
 void QuerySearcher::SyncAppendedRows() {
@@ -1010,34 +860,18 @@ void QuerySearcher::SyncAppendedRows() {
     throw std::logic_error("QuerySearcher: cannot grow a frozen searcher");
   }
   const uint32_t n_data = im.data->num_vectors();
-  const uint32_t n_store = im.bits.has_value()   ? im.bits->num_rows()
-                           : im.ints.has_value() ? im.ints->num_rows()
-                                                 : im.bbits->num_rows();
-  assert(n_store <= n_data);
-  for (uint32_t row = n_store; row < n_data; ++row) {
-    if (im.bits.has_value()) {
-      im.bits->AppendRow();
-    } else if (im.ints.has_value()) {
-      im.ints->AppendRow();
+  assert(im.store->num_rows() <= n_data);
+  for (uint32_t row = im.store->num_rows(); row < n_data; ++row) {
+    im.store->AppendRow();
+    if (im.gen.bits != nullptr) {
+      im.banding_storage.InsertBits(im.data->Row(row), row, *im.gen.bits);
     } else {
-      im.bbits->AppendRow();
-    }
-    if (im.gen_bits_hasher != nullptr) {
-      im.banding_storage.InsertBits(im.data->Row(row), row,
-                                    *im.gen_bits_hasher);
-    } else {
-      im.banding_storage.InsertInts(im.data->Row(row), row,
-                                    *im.gen_ints_hasher);
+      im.banding_storage.InsertInts(im.data->Row(row), row, *im.gen.ints);
     }
   }
 }
 
-bool QuerySearcher::frozen() const {
-  const Impl& im = *impl_;
-  if (im.bits.has_value()) return im.bits->frozen();
-  if (im.ints.has_value()) return im.ints->frozen();
-  return im.bbits->frozen();
-}
+bool QuerySearcher::frozen() const { return impl_->store->frozen(); }
 
 uint64_t QuerySearcher::bits_computed() const {
   const Impl& im = *impl_;

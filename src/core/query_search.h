@@ -51,11 +51,12 @@ class PersistentIndex;  // core/index_io.h
 struct QuerySearchConfig {
   Measure measure = Measure::kCosine;
 
-  // Similarity threshold t — except for kEuclidean, where it is the query
-  // *radius* (> 0, unbounded above): matches are rows within that distance
-  // and their QueryMatch::sim fields hold negated distances
+  // Similarity threshold t in (0, 1] — except for kEuclidean, where it is
+  // the query *radius* (> 0, unbounded above): matches are rows within that
+  // distance and their QueryMatch::sim fields hold negated distances
   // (sim/similarity.h). Euclidean serving always verifies survivors
-  // exactly, so exact_verification is implied.
+  // exactly, so exact_verification is implied. A threshold outside the
+  // measure's domain throws std::invalid_argument (core/measure_table.h).
   double threshold = 0.7;
 
   // Verification: BayesLSH estimation by default; exact verification of

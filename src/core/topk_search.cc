@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <memory>
+#include <stdexcept>
 
 #include "common/thread_pool.h"
 #include "common/timer.h"
@@ -18,6 +19,13 @@ std::vector<ScoredPair> TopKAllPairs(const Dataset& data,
   assert(config.floor_threshold > 0.0 && config.floor_threshold < 1.0);
   assert(config.start_threshold >= config.floor_threshold);
   assert(config.decay > 0.0 && config.decay < 1.0);
+  if (config.measure == Measure::kKernelCosine ||
+      config.measure == Measure::kEuclidean) {
+    throw std::invalid_argument(
+        "TopKConfig: top-k descends a similarity threshold and rescores "
+        "with ExactSimilarity, so it serves neither a Euclidean radius nor "
+        "the kernel cosine");
+  }
 
   WallTimer timer;
   TopKStats local;

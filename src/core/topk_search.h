@@ -76,7 +76,9 @@ struct TopKStats {
 // The k most similar pairs with similarity >= floor_threshold, sorted by
 // decreasing exact similarity (ties by (a, b)). May return fewer than k
 // pairs when fewer exist above the floor (or when the randomized
-// generator misses some — same guarantees as threshold search).
+// generator misses some — same guarantees as threshold search). Throws
+// std::invalid_argument for kKernelCosine and kEuclidean, and for a
+// measure/generator pair RunPipeline refuses.
 std::vector<ScoredPair> TopKAllPairs(const Dataset& data,
                                      const TopKConfig& config,
                                      TopKStats* stats = nullptr);

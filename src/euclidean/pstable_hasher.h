@@ -14,8 +14,8 @@
 // observable collision rate is a known monotone transform of the quantity
 // of interest.
 //
-// Hash values are small signed integers stored as int32; signatures grow
-// lazily in chunks of 64 hashes, mirroring the SRP/minwise stores.
+// Hash values are small signed integers; an IntSignatureStore carries them
+// (through PstableChunkHasher) and grows them lazily in chunks of 64.
 
 #ifndef BAYESLSH_EUCLIDEAN_PSTABLE_HASHER_H_
 #define BAYESLSH_EUCLIDEAN_PSTABLE_HASHER_H_
@@ -27,9 +27,7 @@
 #include <vector>
 
 #include "lsh/gaussian_source.h"
-#include "lsh/signature_store.h"
 #include "lsh/store_base.h"
-#include "vec/dataset.h"
 #include "vec/sparse_vector.h"
 
 namespace bayeslsh {
@@ -94,54 +92,8 @@ class PstableChunkHasher final : public IntChunkHasher {
   uint32_t chunk_ints() const override { return kPstableChunkHashes; }
   SignatureKind kind() const override { return SignatureKind::kPstableInts; }
 
-  const PstableHasher& pstable() const { return pstable_; }
-
  private:
   PstableHasher pstable_;
-};
-
-// Lazy, chunk-grown store of p-stable signatures with the MatchCount
-// contract consumed by the BayesLSH engines and the Euclidean searcher: a
-// thin wrapper over the generalized IntSignatureStore driven through
-// PstableChunkHasher, kept for the standalone joins that predate the
-// serving stack.
-class PstableSignatureStore {
- public:
-  // The dataset must outlive the store.
-  PstableSignatureStore(const Dataset* data, PstableHasher hasher)
-      : chunk_hasher_(std::make_shared<PstableChunkHasher>(std::move(hasher))),
-        store_(data, chunk_hasher_) {}
-
-  uint32_t num_rows() const { return store_.num_rows(); }
-  const PstableHasher& hasher() const { return chunk_hasher_->pstable(); }
-
-  void EnsureHashes(uint32_t row, uint32_t n_hashes) {
-    store_.EnsureHashes(row, n_hashes);
-  }
-  void EnsureAllHashes(uint32_t n_hashes) { store_.EnsureAllHashes(n_hashes); }
-
-  uint32_t NumHashes(uint32_t row) const { return store_.NumHashes(row); }
-
-  const int32_t* Hashes(uint32_t row) const {
-    return reinterpret_cast<const int32_t*>(store_.Hashes(row));
-  }
-
-  // Number of hash positions in [from, to) where rows a and b agree,
-  // growing both signatures as needed.
-  uint32_t MatchCount(uint32_t a, uint32_t b, uint32_t from, uint32_t to) {
-    return store_.MatchCount(a, b, from, to);
-  }
-
-  uint64_t hashes_computed() const { return store_.hashes_computed(); }
-
-  const Dataset* data() const { return store_.data(); }
-
-  // The generalized store, for callers wiring into the serving stack.
-  IntSignatureStore& store() { return store_; }
-
- private:
-  std::shared_ptr<const PstableChunkHasher> chunk_hasher_;
-  IntSignatureStore store_;
 };
 
 }  // namespace bayeslsh

@@ -5,10 +5,8 @@
 #include <numeric>
 #include <utility>
 
-#include "common/bit_ops.h"
 #include "common/prng.h"
 #include "lsh/inverse_normal_cdf.h"
-#include "lsh/srp_hasher.h"
 
 namespace bayeslsh {
 
@@ -143,58 +141,6 @@ std::shared_ptr<const std::vector<double>> KlshRowCache::Row(
     kernel_evals_.fetch_add(hasher.num_anchors(), std::memory_order_relaxed);
   }
   return it->second;
-}
-
-KlshSignatureStore::KlshSignatureStore(const Dataset* data,
-                                       const KlshHasher* hasher)
-    : cache_(std::make_shared<KlshRowCache>()),
-      store_(data, std::make_shared<KlshChunkHasher>(
-                       std::shared_ptr<const KlshHasher>(
-                           std::shared_ptr<const KlshHasher>(), hasher),
-                       cache_, data)) {}
-
-CandidateList KlshCandidates(KlshSignatureStore* store, double threshold,
-                             const LshBandingParams& params) {
-  const uint32_t k = params.hashes_per_band != 0 ? params.hashes_per_band
-                                                 : kDefaultCosineBandBits;
-  assert(k <= 64);
-  const double p = CosineToSrpR(threshold);
-  const uint32_t l = params.num_bands != 0
-                         ? params.num_bands
-                         : DeriveNumBands(p, k, params.expected_fn_rate,
-                                          params.max_bands);
-  const uint32_t n = store->num_rows();
-  store->EnsureAllBits(l * k);
-
-  std::vector<uint64_t> keys;
-  std::vector<std::pair<uint64_t, uint32_t>> entries;
-  entries.reserve(n);
-  for (uint32_t band = 0; band < l; ++band) {
-    entries.clear();
-    for (uint32_t row = 0; row < n; ++row) {
-      if (store->data()->RowLength(row) == 0) continue;
-      const uint64_t sig =
-          ExtractBits(store->Words(row), store->NumBits(row) / kBitsPerWord,
-                      band * k, k);
-      entries.emplace_back(sig, row);
-    }
-    // Same bucketing as the SRP banding path (candgen/lsh_banding.cc):
-    // sort groups equal signatures together, emit intra-bucket pairs.
-    std::sort(entries.begin(), entries.end());
-    size_t i = 0;
-    while (i < entries.size()) {
-      size_t j = i + 1;
-      while (j < entries.size() && entries[j].first == entries[i].first) ++j;
-      for (size_t x = i; x < j; ++x) {
-        for (size_t y = x + 1; y < j; ++y) {
-          const uint32_t rx = entries[x].second, ry = entries[y].second;
-          keys.push_back(rx < ry ? PairKey(rx, ry) : PairKey(ry, rx));
-        }
-      }
-      i = j;
-    }
-  }
-  return DedupPairKeys(std::move(keys));
 }
 
 }  // namespace bayeslsh

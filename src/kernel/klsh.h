@@ -30,9 +30,10 @@
 // Because the collision probability is the feature-space angle law,
 // BayesLSH verification reuses CosinePosterior as-is, with the threshold
 // interpreted as a *kernel cosine* (see kernel/kernels.h). What changes is
-// only the signature store (KlshSignatureStore): hashing an object is now
-// p kernel evaluations + a p-dot per 64 bits — expensive, which is exactly
-// the regime the paper's lazy-hashing argument targets (§4, advantage 3).
+// only the hash family (KlshChunkHasher behind a BitSignatureStore):
+// hashing an object is now p kernel evaluations + a p-dot per 64 bits —
+// expensive, which is exactly the regime the paper's lazy-hashing argument
+// targets (§4, advantage 3).
 
 #ifndef BAYESLSH_KERNEL_KLSH_H_
 #define BAYESLSH_KERNEL_KLSH_H_
@@ -45,8 +46,6 @@
 #include <utility>
 #include <vector>
 
-#include "candgen/candidates.h"
-#include "candgen/lsh_banding.h"
 #include "kernel/dense_matrix.h"
 #include "kernel/kernels.h"
 #include "lsh/signature_store.h"
@@ -195,56 +194,6 @@ class KlshChunkHasher final : public WordChunkHasher {
   std::shared_ptr<KlshRowCache> cache_;
   const Dataset* data_;
 };
-
-// Lazy, chunk-grown KLSH bit signatures; the kernelized analogue of
-// BitSignatureStore with the same MatchCount contract: a thin wrapper over
-// the generalized BitSignatureStore driven through KlshChunkHasher, kept
-// for the standalone joins and benches that predate the serving stack.
-// Hashing an object for the first time computes its anchor kernel row
-// (p kernel evaluations), which is cached — the dominant cost this store
-// exists to amortize and defer.
-class KlshSignatureStore {
- public:
-  // Both referents must outlive the store.
-  KlshSignatureStore(const Dataset* data, const KlshHasher* hasher);
-
-  uint32_t num_rows() const { return store_.num_rows(); }
-
-  void EnsureBits(uint32_t row, uint32_t n_bits) {
-    store_.EnsureBits(row, n_bits);
-  }
-  void EnsureAllBits(uint32_t n_bits) { store_.EnsureAllBits(n_bits); }
-
-  uint32_t NumBits(uint32_t row) const { return store_.NumBits(row); }
-
-  const uint64_t* Words(uint32_t row) const { return store_.Words(row); }
-
-  // Number of hash positions in [from, to) where rows a and b agree,
-  // growing both signatures as needed.
-  uint32_t MatchCount(uint32_t a, uint32_t b, uint32_t from, uint32_t to) {
-    return store_.MatchCount(a, b, from, to);
-  }
-
-  // Instrumentation: total hash bits computed, and total kernel
-  // evaluations spent on anchor rows (p per first-touched object).
-  uint64_t bits_computed() const { return store_.bits_computed(); }
-  uint64_t kernel_evals() const { return cache_->kernel_evals(); }
-
-  const Dataset* data() const { return store_.data(); }
-
-  // The generalized store, for callers wiring into the serving stack.
-  BitSignatureStore& store() { return store_; }
-
- private:
-  std::shared_ptr<KlshRowCache> cache_;
-  BitSignatureStore store_;
-};
-
-// Candidate pairs for the kernel cosine via banding over KLSH signatures;
-// the kernelized mirror of CosineLshCandidates (the collision probability
-// at the threshold is c2r(threshold), as for SRP).
-CandidateList KlshCandidates(KlshSignatureStore* store, double threshold,
-                             const LshBandingParams& params);
 
 }  // namespace bayeslsh
 

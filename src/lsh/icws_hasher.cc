@@ -61,45 +61,4 @@ void IcwsHasher::HashChunk(const SparseVectorView& v, uint32_t chunk,
   }
 }
 
-CandidateList IcwsLshCandidates(IcwsSignatureStore* store, double threshold,
-                                const LshBandingParams& params) {
-  const uint32_t k = params.hashes_per_band != 0 ? params.hashes_per_band
-                                                 : kDefaultJaccardBandInts;
-  const uint32_t l = params.num_bands != 0
-                         ? params.num_bands
-                         : DeriveNumBands(threshold, k,
-                                          params.expected_fn_rate,
-                                          params.max_bands);
-  const uint32_t n = store->num_rows();
-  store->EnsureAllHashes(l * k);
-
-  std::vector<uint64_t> keys;
-  std::vector<std::pair<uint64_t, uint32_t>> entries;
-  entries.reserve(n);
-  for (uint32_t band = 0; band < l; ++band) {
-    entries.clear();
-    for (uint32_t row = 0; row < n; ++row) {
-      if (store->data()->RowLength(row) == 0) continue;
-      const uint32_t* h = store->Hashes(row) + band * k;
-      uint64_t sig = Mix64(0x1c3517ULL, band);
-      for (uint32_t i = 0; i < k; ++i) sig = Mix64(sig, h[i]);
-      entries.emplace_back(sig, row);
-    }
-    std::sort(entries.begin(), entries.end());
-    size_t i = 0;
-    while (i < entries.size()) {
-      size_t j = i + 1;
-      while (j < entries.size() && entries[j].first == entries[i].first) ++j;
-      for (size_t a = i; a < j; ++a) {
-        for (size_t b = a + 1; b < j; ++b) {
-          const uint32_t ra = entries[a].second, rb = entries[b].second;
-          keys.push_back(ra < rb ? PairKey(ra, rb) : PairKey(rb, ra));
-        }
-      }
-      i = j;
-    }
-  }
-  return DedupPairKeys(std::move(keys));
-}
-
 }  // namespace bayeslsh

@@ -37,9 +37,6 @@
 #include <memory>
 #include <vector>
 
-#include "candgen/candidates.h"
-#include "candgen/lsh_banding.h"
-#include "lsh/signature_store.h"
 #include "lsh/store_base.h"
 #include "vec/dataset.h"
 #include "vec/sparse_vector.h"
@@ -83,49 +80,6 @@ class IcwsChunkHasher final : public IntChunkHasher {
  private:
   IcwsHasher icws_;
 };
-
-// Lazy, chunk-grown store of ICWS signatures with the MatchCount contract
-// consumed by the BayesLSH engines: a thin wrapper over the generalized
-// IntSignatureStore driven through IcwsChunkHasher, kept for the standalone
-// joins and benches that predate the serving stack.
-class IcwsSignatureStore {
- public:
-  IcwsSignatureStore(const Dataset* data, IcwsHasher hasher)
-      : store_(data, std::make_shared<IcwsChunkHasher>(hasher)) {}
-
-  uint32_t num_rows() const { return store_.num_rows(); }
-
-  void EnsureHashes(uint32_t row, uint32_t n_hashes) {
-    store_.EnsureHashes(row, n_hashes);
-  }
-  void EnsureAllHashes(uint32_t n_hashes) { store_.EnsureAllHashes(n_hashes); }
-
-  uint32_t NumHashes(uint32_t row) const { return store_.NumHashes(row); }
-
-  const uint32_t* Hashes(uint32_t row) const { return store_.Hashes(row); }
-
-  // Number of hash positions in [from, to) where rows a and b agree,
-  // growing both signatures as needed.
-  uint32_t MatchCount(uint32_t a, uint32_t b, uint32_t from, uint32_t to) {
-    return store_.MatchCount(a, b, from, to);
-  }
-
-  uint64_t hashes_computed() const { return store_.hashes_computed(); }
-
-  const Dataset* data() const { return store_.data(); }
-
-  // The generalized store, for callers wiring into the serving stack.
-  IntSignatureStore& store() { return store_; }
-
- private:
-  IntSignatureStore store_;
-};
-
-// Candidate pairs for weighted Jaccard: bands over ICWS signatures, with
-// the band count derived from the threshold exactly as for plain Jaccard
-// (the collision probability at threshold t is t itself).
-CandidateList IcwsLshCandidates(IcwsSignatureStore* store, double threshold,
-                                const LshBandingParams& params);
 
 }  // namespace bayeslsh
 

@@ -71,9 +71,8 @@ double BinaryCosineSimilarity(const SparseVectorView& a,
   return inter / std::sqrt(static_cast<double>(a.size()) * b.size());
 }
 
-double ExactSimilarity(const Dataset& data, uint32_t i, uint32_t j,
+double ExactSimilarity(const SparseVectorView& a, const SparseVectorView& b,
                        Measure measure) {
-  const SparseVectorView a = data.Row(i), b = data.Row(j);
   switch (measure) {
     case Measure::kCosine:
       return SparseDot(a, b);  // Rows are pre-normalized by convention.
@@ -84,14 +83,19 @@ double ExactSimilarity(const Dataset& data, uint32_t i, uint32_t j,
     case Measure::kWeightedJaccard:
       return WeightedJaccardSimilarity(a, b);
     case Measure::kKernelCosine:
-      // The kernel cosine needs the kernel object; callers that serve it
-      // (core/query_search.cc) score through kernel/kernels.h instead.
+      // The kernel cosine needs the kernel object; callers score it
+      // through core/measure_table.h instead.
       throw std::logic_error(
           "ExactSimilarity: kernel cosine requires a kernel");
     case Measure::kEuclidean:
       return -SparseEuclideanDistance(a, b);  // Negated-distance convention.
   }
   return 0.0;
+}
+
+double ExactSimilarity(const Dataset& data, uint32_t i, uint32_t j,
+                       Measure measure) {
+  return ExactSimilarity(data.Row(i), data.Row(j), measure);
 }
 
 }  // namespace bayeslsh

@@ -33,7 +33,7 @@ enum class Measure {
                      // need the kernel, so ExactSimilarity() rejects it.
   kEuclidean,        // Radius search; scores are NEGATED distances and the
                      // "threshold"/"sim" fields hold the radius / -distance
-                     // (euclidean/nn_search.h holds the standalone join).
+                     // (euclidean/pstable_hasher.h holds the hash family).
 };
 
 std::string MeasureName(Measure m);
@@ -57,8 +57,13 @@ double WeightedJaccardSimilarity(const SparseVectorView& a,
 double BinaryCosineSimilarity(const SparseVectorView& a,
                               const SparseVectorView& b);
 
-// Dispatch on the measure. For kCosine this computes a plain dot product
-// (rows are assumed pre-normalized, per the convention above).
+// Dispatch on the measure, on the score axis: kEuclidean returns the
+// negated distance, and kKernelCosine, which needs a kernel, throws
+// std::logic_error (core/measure_table.h scores it). For kCosine this
+// computes a plain dot product (rows are assumed pre-normalized, per the
+// convention above).
+double ExactSimilarity(const SparseVectorView& a, const SparseVectorView& b,
+                       Measure measure);
 double ExactSimilarity(const Dataset& data, uint32_t i, uint32_t j,
                        Measure measure);
 

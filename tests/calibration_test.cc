@@ -17,6 +17,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -25,7 +26,6 @@
 #include "core/bayes_lsh.h"
 #include "core/inference_cache.h"
 #include "euclidean/distance_posterior.h"
-#include "euclidean/nn_search.h"
 #include "euclidean/pstable_hasher.h"
 #include "lsh/gaussian_source.h"
 #include "lsh/signature_store.h"
@@ -277,8 +277,8 @@ TEST(BbitCalibration, GuaranteesHoldUnderTruncatedHashes) {
 
 TEST(EuclideanCalibration, TrueNeighboursSurvivePruning) {
   // Pairs at distances below the radius, each in a private dimension pair;
-  // the pruning pass (radius join's inner loop, exercised through
-  // EuclideanRadiusJoin with banding made trivial) must keep ~all of them.
+  // the pruning pass (the BayesLSH-Lite loop Euclidean verification runs,
+  // with banding made trivial) must keep ~all of them.
   const double radius = 1.0;
   constexpr uint32_t kCount = 800;
   DatasetBuilder builder(kCount * 2);
@@ -297,7 +297,8 @@ TEST(EuclideanCalibration, TrueNeighboursSurvivePruning) {
       EuclideanPosterior::MakeForRadius(radius, width);
   InferenceCache<EuclideanPosterior> cache(&model, 32, 128, 0.03, 0.05,
                                            0.05);
-  PstableSignatureStore store(&data, PstableHasher(4141, width));
+  IntSignatureStore store(
+      &data, std::make_shared<PstableChunkHasher>(PstableHasher(4141, width)));
   uint32_t missed = 0;
   for (const auto& [a, b] : pairs) {
     uint32_t m = 0, n = 0;
@@ -334,7 +335,8 @@ TEST(EuclideanCalibration, FarPairsArePruned) {
       EuclideanPosterior::MakeForRadius(radius, width);
   InferenceCache<EuclideanPosterior> cache(&model, 32, 128, 0.03, 0.05,
                                            0.05);
-  PstableSignatureStore store(&data, PstableHasher(4242, width));
+  IntSignatureStore store(
+      &data, std::make_shared<PstableChunkHasher>(PstableHasher(4242, width)));
   uint32_t pruned = 0;
   for (const auto& [a, b] : pairs) {
     uint32_t m = 0, n = 0;

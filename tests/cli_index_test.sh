@@ -375,13 +375,41 @@ check_one_error_line "serve on garbage index" err.txt
 
 # --- serving measures: wjaccard / klsh / euclidean share the lifecycle ---
 
-# Measure parsing fails closed, and the new measures are served through
-# the index commands only — the allpairs pipeline refuses them.
+# Measure parsing fails closed.
 "$CLI" index --input corpus.txt --output nope.idx --measure nope 2>/dev/null
 check_rc "unknown measure" 1 $?
-"$CLI" allpairs --input corpus.txt --threshold 0.5 --measure wjaccard \
-  2>/dev/null
-check_rc "wjaccard via allpairs refused" 1 $?
+
+# allpairs joins the new measures through the LSH generator; every printed
+# pair meets its threshold (for euclidean: a distance within the radius).
+allpairs_meets_threshold() { # measure threshold awk_violation [flags...]
+  m="$1"; t="$2"; bad="$3"; shift 3
+  "$CLI" allpairs --input corpus.txt --measure "$m" --threshold "$t" \
+    --generator lsh --verifier bayeslsh-lite --output "ap_$m.txt" "$@" \
+    2>/dev/null
+  check_rc "$m allpairs" 0 $?
+  [ -s "ap_$m.txt" ] || { echo "FAIL: $m allpairs found no pairs" >&2; fails=$((fails + 1)); }
+  awk -v t="$t" "$bad { exit 1 }" "ap_$m.txt" || { echo "FAIL: $m allpairs printed a pair beyond its threshold" >&2; fails=$((fails + 1)); }
+}
+allpairs_meets_threshold wjaccard 0.5 '$3 < t'
+allpairs_meets_threshold klsh 0.6 '$3 < t' --kernel linear --anchors 64
+allpairs_meets_threshold euclidean 5.0 '$3 < 0 || $3 > t'
+
+# allpairs validates its input as index does: a threshold outside the
+# measure's domain, a non-numeric value, or a generator the measure does
+# not support is one error line and exit 1.
+for bad in "--threshold -0.5" "--threshold abc" "--threshold 1.5" \
+           "--threshold 0.5 --seed xyz" "--threshold 0.5 --threads -1"; do
+  # shellcheck disable=SC2086  # $bad is a flag list.
+  "$CLI" allpairs --input corpus.txt --measure jaccard $bad \
+    >ap_bad.txt 2>err.txt
+  check_rc "allpairs $bad" 1 $?
+  check_one_error_line "allpairs $bad" err.txt
+  [ -s ap_bad.txt ] && { echo "FAIL: allpairs $bad printed pairs" >&2; fails=$((fails + 1)); }
+done
+"$CLI" allpairs --input corpus.txt --measure wjaccard --threshold 0.5 \
+  2>err.txt
+check_rc "wjaccard with the allpairs generator" 1 $?
+check_one_error_line "wjaccard with the allpairs generator" err.txt
 "$CLI" index --input corpus.txt --output nope.idx --measure klsh \
   --kernel nope 2>/dev/null
 check_rc "unknown kernel" 1 $?

@@ -476,9 +476,12 @@ TEST(BayesLshLiteTest, BorderlineSurvivorBelowThresholdIsFiltered) {
 TEST(ExactVerifyTest, FiltersByThreshold) {
   const Dataset d = PairsWithJaccard(1, 0.5, 40);
   const std::vector<std::pair<uint32_t, uint32_t>> pairs = {{0, 1}};
-  const auto keep = ExactVerify(d, pairs, 0.4, Measure::kJaccard);
+  const auto jaccard = [&d](uint32_t a, uint32_t b) {
+    return ExactSimilarity(d, a, b, Measure::kJaccard);
+  };
+  const auto keep = ExactVerify(pairs, 0.4, jaccard);
   ASSERT_EQ(keep.size(), 1u);
-  const auto drop = ExactVerify(d, pairs, 0.9, Measure::kJaccard);
+  const auto drop = ExactVerify(pairs, 0.9, jaccard);
   EXPECT_TRUE(drop.empty());
 }
 

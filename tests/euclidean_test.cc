@@ -1,21 +1,26 @@
-// Tests for the Euclidean retrieval stack: the p-stable collision law, the
-// lazy p-stable signature store, the grid distance posterior, the
-// radius-join pipeline, and the indexed query searcher — all against brute
-// force.
+// Tests for the Euclidean retrieval stack: the p-stable collision law,
+// p-stable signatures in the lazy integer store, the grid distance
+// posterior, the radius join (RunPipeline) and radius queries
+// (QuerySearcher) — all against brute force.
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/prng.h"
 #include "core/inference_cache.h"
+#include "core/pipeline.h"
+#include "core/query_search.h"
 #include "euclidean/distance_posterior.h"
-#include "euclidean/nn_search.h"
 #include "euclidean/pstable_hasher.h"
+#include "lsh/signature_store.h"
+#include "sim/brute_force.h"
 #include "vec/dataset.h"
 #include "vec/sparse_vector.h"
 
@@ -38,6 +43,13 @@ Dataset MakeDenseRows(const std::vector<std::vector<double>>& rows) {
     builder.AddRow(std::move(entries));
   }
   return std::move(builder).Build();
+}
+
+// A lazily grown store of p-stable signatures.
+IntSignatureStore PstableStore(const Dataset* data, uint64_t seed,
+                               double width) {
+  return IntSignatureStore(
+      data, std::make_shared<PstableChunkHasher>(PstableHasher(seed, width)));
 }
 
 TEST(SparseEuclideanDistanceTest, HandComputedCases) {
@@ -148,13 +160,13 @@ TEST(PstableHasherTest, DeterministicAndChunked) {
 
 TEST(PstableHasherTest, IdenticalVectorsAlwaysCollide) {
   const Dataset data = MakeDenseRows({{1.0, 2.0}, {1.0, 2.0}});
-  PstableSignatureStore store(&data, PstableHasher(11, 4.0));
+  IntSignatureStore store = PstableStore(&data, 11, 4.0);
   EXPECT_EQ(store.MatchCount(0, 1, 0, 256), 256u);
 }
 
-TEST(PstableSignatureStoreTest, LazyGrowthAccounting) {
+TEST(PstableStoreTest, LazyGrowthAccounting) {
   const Dataset data = MakeDenseRows({{1.0, 0.0}, {0.0, 1.0}});
-  PstableSignatureStore store(&data, PstableHasher(5, 4.0));
+  IntSignatureStore store = PstableStore(&data, 5, 4.0);
   EXPECT_EQ(store.NumHashes(0), 0u);
   store.EnsureHashes(0, 10);
   EXPECT_EQ(store.NumHashes(0), kPstableChunkHashes);
@@ -173,7 +185,7 @@ TEST_P(PstableEmpiricalLawTest, StoreCollisionRateMatchesTheory) {
   // Two points at distance exactly c along one axis.
   const Dataset data = MakeDenseRows({{0.0, 1.0}, {c, 1.0}});
   const double w = 4.0;
-  PstableSignatureStore store(&data, PstableHasher(1234, w));
+  IntSignatureStore store = PstableStore(&data, 1234, w);
   const uint32_t n = 16384;
   const uint32_t m = store.MatchCount(0, 1, 0, n);
   // Binomial 4-sigma at n=16384 is <= 0.016.
@@ -306,55 +318,77 @@ Dataset MakeClusteredPoints(uint32_t clusters, uint32_t per_cluster,
   return MakeDenseRows(rows);
 }
 
-TEST(EuclideanRadiusJoinTest, RecallAndExactness) {
+// The Euclidean radius join: LSH banding + BayesLSH-Lite pruning + exact
+// distances. ScoredPair::sim holds the negated distance.
+PipelineResult RadiusJoin(const Dataset& data, double radius,
+                          VerifierKind verifier = VerifierKind::kBayesLshLite) {
+  PipelineConfig cfg;
+  cfg.measure = Measure::kEuclidean;
+  cfg.generator = GeneratorKind::kLsh;
+  cfg.verifier = verifier;
+  cfg.threshold = radius;
+  return RunPipeline(data, cfg);
+}
+
+QuerySearchConfig RadiusSearch(double radius) {
+  QuerySearchConfig cfg;
+  cfg.measure = Measure::kEuclidean;
+  cfg.threshold = radius;
+  return cfg;
+}
+
+TEST(EuclideanJoinTest, RecallAndExactness) {
   const Dataset data = MakeClusteredPoints(15, 12, 808);
   const double radius = 1.5;
-  const auto truth = BruteForceRadiusJoin(data, radius);
+  const auto truth = BruteForceJoin(data, -radius, Measure::kEuclidean);
   ASSERT_GT(truth.size(), 100u);
 
-  EuclideanSearchConfig cfg;
-  cfg.radius = radius;
-  EuclideanSearchStats stats;
-  const auto result = EuclideanRadiusJoin(data, cfg, &stats);
+  const PipelineResult result = RadiusJoin(data, radius);
 
   // No false positives (distances are exact) and distances are correct.
   std::set<std::pair<uint32_t, uint32_t>> truth_keys;
   for (const auto& p : truth) truth_keys.insert({p.a, p.b});
-  for (const auto& p : result) {
+  for (const auto& p : result.pairs) {
     EXPECT_TRUE(truth_keys.count({p.a, p.b}))
         << "(" << p.a << "," << p.b << ")";
     EXPECT_NEAR(
-        p.distance,
-        SparseEuclideanDistance(data.Row(p.a), data.Row(p.b)), 1e-9);
-    EXPECT_LE(p.distance, radius);
+        -p.sim, SparseEuclideanDistance(data.Row(p.a), data.Row(p.b)), 1e-9);
+    EXPECT_LE(-p.sim, radius);
   }
   // Recall within banding fn-rate + pruning epsilon (plus randomness).
-  EXPECT_GE(static_cast<double>(result.size()) / truth.size(), 0.9);
-  EXPECT_GT(stats.pruned, 0u);
-  EXPECT_EQ(stats.pruned + stats.exact_computed, stats.candidates);
+  EXPECT_GE(static_cast<double>(result.pairs.size()) / truth.size(), 0.9);
+  EXPECT_GT(result.vstats.pruned, 0u);
+  EXPECT_EQ(result.vstats.pruned + result.vstats.exact_computed,
+            result.candidates);
 }
 
-TEST(EuclideanRadiusJoinTest, PruningDoesRealWork) {
+TEST(EuclideanJoinTest, PruningDoesRealWork) {
   // Clusters are far apart: banding still emits some cross-cluster
   // candidates, and pruning must remove most candidates that are not
   // within the radius without touching exact distances for them.
   const Dataset data = MakeClusteredPoints(10, 15, 809);
-  EuclideanSearchConfig cfg;
-  cfg.radius = 1.5;
-  EuclideanSearchStats stats;
-  const auto result = EuclideanRadiusJoin(data, cfg, &stats);
-  (void)result;
+  const PipelineResult result = RadiusJoin(data, 1.5);
   // Exact distances computed only for a small multiple of the result size.
-  EXPECT_LT(stats.exact_computed,
-            std::max<uint64_t>(1, 4 * result.size() + 50));
+  EXPECT_LT(result.vstats.exact_computed,
+            std::max<uint64_t>(1, 4 * result.pairs.size() + 50));
 }
 
-TEST(EuclideanNnSearcherTest, RadiusQueryMatchesBruteForce) {
+TEST(EuclideanJoinTest, BayesLshVerifierRunsAsLite) {
+  // Euclidean has no hash-only distance estimate: BayesLSH verification
+  // runs as BayesLSH-Lite, and MLE is refused.
+  const Dataset data = MakeClusteredPoints(6, 8, 814);
+  const PipelineResult lite = RadiusJoin(data, 1.5);
+  const PipelineResult bayes = RadiusJoin(data, 1.5, VerifierKind::kBayesLsh);
+  EXPECT_EQ(bayes.algorithm, "LSH+BayesLSH-Lite");
+  EXPECT_EQ(bayes.pairs, lite.pairs);
+  EXPECT_THROW(RadiusJoin(data, 1.5, VerifierKind::kMle),
+               std::invalid_argument);
+}
+
+TEST(EuclideanQuerySearcherTest, RadiusQueryMatchesBruteForce) {
   const Dataset data = MakeClusteredPoints(12, 10, 810);
   const double radius = 1.5;
-  EuclideanSearchConfig cfg;
-  cfg.radius = radius;
-  const EuclideanNnSearcher searcher(&data, cfg);
+  const QuerySearcher searcher(&data, RadiusSearch(radius));
 
   Xoshiro256StarStar rng(4242);
   uint32_t truth_total = 0, found_total = 0;
@@ -375,26 +409,27 @@ TEST(EuclideanNnSearcherTest, RadiusQueryMatchesBruteForce) {
     const SparseVectorView query = qd.Row(0);
 
     // Brute-force truth for this query.
-    std::vector<EuclideanMatch> truth;
+    std::vector<uint32_t> truth;
     for (uint32_t i = 0; i < data.num_vectors(); ++i) {
-      const double d = SparseEuclideanDistance(query, data.Row(i));
-      if (d <= radius) truth.push_back({i, d});
+      if (SparseEuclideanDistance(query, data.Row(i)) <= radius) {
+        truth.push_back(i);
+      }
     }
-    const auto matches = searcher.RadiusQuery(query);
-    // Exactness of reported distances + sortedness.
+    // Matches carry negated distances, sorted by decreasing score.
+    const auto matches = searcher.Query(query);
     for (size_t i = 0; i < matches.size(); ++i) {
-      EXPECT_NEAR(matches[i].distance,
+      EXPECT_NEAR(-matches[i].sim,
                   SparseEuclideanDistance(query, data.Row(matches[i].id)),
                   1e-9);
-      EXPECT_LE(matches[i].distance, radius);
+      EXPECT_LE(-matches[i].sim, radius);
       if (i > 0) {
-        EXPECT_GE(matches[i].distance, matches[i - 1].distance);
+        EXPECT_LE(matches[i].sim, matches[i - 1].sim);
       }
     }
     truth_total += truth.size();
-    for (const auto& t : truth) {
+    for (const uint32_t id : truth) {
       for (const auto& m : matches) {
-        if (m.id == t.id) {
+        if (m.id == id) {
           ++found_total;
           break;
         }
@@ -405,44 +440,36 @@ TEST(EuclideanNnSearcherTest, RadiusQueryMatchesBruteForce) {
   EXPECT_GE(static_cast<double>(found_total) / truth_total, 0.9);
 }
 
-TEST(EuclideanNnSearcherTest, KnnReturnsClosestOfRadiusSet) {
+TEST(EuclideanQuerySearcherTest, TopKReturnsClosestOfRadiusSet) {
   const Dataset data = MakeClusteredPoints(8, 12, 811);
-  EuclideanSearchConfig cfg;
-  cfg.radius = 2.0;
-  const EuclideanNnSearcher searcher(&data, cfg);
+  const QuerySearcher searcher(&data, RadiusSearch(2.0));
   const SparseVectorView query = data.Row(3);  // A member point.
-  const auto all = searcher.RadiusQuery(query);
-  const auto top3 = searcher.KnnQuery(query, 3);
+  const auto all = searcher.Query(query);
+  const auto top3 = searcher.QueryTopK(query, 3);
   ASSERT_GE(all.size(), 3u);
   ASSERT_EQ(top3.size(), 3u);
   for (size_t i = 0; i < 3; ++i) EXPECT_EQ(top3[i], all[i]);
   // The query point itself is in the index at distance 0.
   EXPECT_EQ(top3[0].id, 3u);
-  EXPECT_DOUBLE_EQ(top3[0].distance, 0.0);
+  EXPECT_DOUBLE_EQ(-top3[0].sim, 0.0);
 }
 
-TEST(EuclideanRadiusJoinTest, PruningDisabledStillCorrect) {
-  // max_prune_hashes = 0: the classical E2LSH pipeline. Same exactness,
-  // recall at least as high (pruning can only remove), more exact work.
+TEST(EuclideanJoinTest, ExactVerifierSkipsPruning) {
+  // The exact verifier is the classical E2LSH pipeline. Same candidates,
+  // same exactness, recall at least as high (pruning can only remove),
+  // more exact work: one distance per candidate.
   const Dataset data = MakeClusteredPoints(8, 10, 813);
-  EuclideanSearchConfig with, without;
-  with.radius = without.radius = 1.5;
-  without.max_prune_hashes = 0;
-  EuclideanSearchStats swith, swithout;
-  const auto pruned_run = EuclideanRadiusJoin(data, with, &swith);
-  const auto plain_run = EuclideanRadiusJoin(data, without, &swithout);
-  EXPECT_EQ(swithout.pruned, 0u);
-  EXPECT_EQ(swithout.exact_computed, swithout.candidates);
-  EXPECT_GE(plain_run.size(), pruned_run.size());
-  EXPECT_LT(swith.exact_computed, swithout.exact_computed);
+  const PipelineResult pruned_run = RadiusJoin(data, 1.5);
+  const PipelineResult plain_run =
+      RadiusJoin(data, 1.5, VerifierKind::kExact);
+  EXPECT_EQ(plain_run.candidates, pruned_run.candidates);
+  EXPECT_GE(plain_run.pairs.size(), pruned_run.pairs.size());
+  EXPECT_LT(pruned_run.vstats.exact_computed, plain_run.candidates);
 }
 
-TEST(EuclideanNnSearcherTest, ConfigDerivationExposed) {
+TEST(EuclideanQuerySearcherTest, BandingShapeDerivedFromRadius) {
   const Dataset data = MakeClusteredPoints(4, 4, 812);
-  EuclideanSearchConfig cfg;
-  cfg.radius = 1.0;
-  const EuclideanNnSearcher searcher(&data, cfg);
-  EXPECT_DOUBLE_EQ(searcher.bucket_width(), 2.0);  // Derived 2 * radius.
+  const QuerySearcher searcher(&data, RadiusSearch(1.0));
   EXPECT_EQ(searcher.hashes_per_band(), 4u);
   EXPECT_GE(searcher.num_bands(), 1u);
 }

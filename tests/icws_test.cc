@@ -1,7 +1,7 @@
 // Tests for weighted-Jaccard support: the exact generalized Jaccard
-// kernel, the ICWS hash family's collision law, the lazy signature store,
-// banding candidate generation, and end-to-end BayesLSH over weighted
-// vectors.
+// kernel, the ICWS hash family's collision law, ICWS signatures in the
+// lazy integer store, banding candidate generation, and end-to-end
+// BayesLSH over weighted vectors.
 
 #include <algorithm>
 #include <cmath>
@@ -10,9 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include "candgen/lsh_banding.h"
 #include "common/prng.h"
 #include "core/bayes_lsh.h"
 #include "lsh/icws_hasher.h"
+#include "lsh/signature_store.h"
 #include "sim/similarity.h"
 #include "vec/dataset.h"
 
@@ -31,6 +33,12 @@ Dataset MakeWeightedRows(
     builder.AddRow(std::vector<std::pair<DimId, float>>(r));
   }
   return std::move(builder).Build();
+}
+
+// A lazily grown store of ICWS signatures.
+IntSignatureStore IcwsStore(const Dataset* data, uint64_t seed) {
+  return IntSignatureStore(
+      data, std::make_shared<IcwsChunkHasher>(IcwsHasher(seed)));
 }
 
 TEST(WeightedJaccardTest, HandComputedCases) {
@@ -92,7 +100,7 @@ TEST(IcwsHasherTest, DeterministicForFixedSeed) {
 TEST(IcwsHasherTest, IdenticalVectorsAlwaysCollide) {
   const Dataset data = MakeWeightedRows(
       {{{1, 0.5f}, {4, 2.5f}}, {{1, 0.5f}, {4, 2.5f}}}, 10);
-  IcwsSignatureStore store(&data, IcwsHasher(5));
+  IntSignatureStore store = IcwsStore(&data, 5);
   EXPECT_EQ(store.MatchCount(0, 1, 0, 512), 512u);
 }
 
@@ -104,7 +112,7 @@ TEST(IcwsHasherTest, ScaleInvarianceOfWinningDimension) {
   const Dataset data = MakeWeightedRows(
       {{{0, 1.0f}, {1, 2.0f}, {2, 0.5f}}, {{0, 2.0f}, {1, 4.0f}, {2, 1.0f}}},
       10);
-  IcwsSignatureStore store(&data, IcwsHasher(6));
+  IntSignatureStore store = IcwsStore(&data, 6);
   const uint32_t n = 4096;
   const double rate =
       static_cast<double>(store.MatchCount(0, 1, 0, n)) / n;
@@ -134,7 +142,7 @@ TEST_P(IcwsCollisionLawTest, EmpiricalRateMatchesWeightedJaccard) {
   }
   const Dataset data = MakeWeightedRows({x, y}, 30);
   const double jw = WeightedJaccardSimilarity(data.Row(0), data.Row(1));
-  IcwsSignatureStore store(&data, IcwsHasher(901 + variant));
+  IntSignatureStore store = IcwsStore(&data, 901 + variant);
   const uint32_t n = 8192;
   const uint32_t m = store.MatchCount(0, 1, 0, n);
   // Binomial 4-sigma at n = 8192 is < 0.023.
@@ -148,9 +156,9 @@ INSTANTIATE_TEST_SUITE_P(Variants, IcwsCollisionLawTest,
 // Store + banding + end-to-end
 // ---------------------------------------------------------------------------
 
-TEST(IcwsSignatureStoreTest, LazyChunkedGrowth) {
+TEST(IcwsStoreTest, LazyChunkedGrowth) {
   const Dataset data = MakeWeightedRows({{{0, 1.0f}}, {{1, 2.0f}}}, 5);
-  IcwsSignatureStore store(&data, IcwsHasher(12));
+  IntSignatureStore store = IcwsStore(&data, 12);
   EXPECT_EQ(store.NumHashes(0), 0u);
   store.EnsureHashes(0, 5);
   EXPECT_EQ(store.NumHashes(0), kIcwsChunkInts);
@@ -204,7 +212,7 @@ TEST(IcwsEndToEndTest, BayesLshOverWeightedJaccard) {
   ASSERT_GT(truth.size(), 20u);
 
   const JaccardPosterior model(t);
-  IcwsSignatureStore store(&w.data, IcwsHasher(13));
+  IntSignatureStore store = IcwsStore(&w.data, 13);
   BayesLshParams params;
   params.hashes_per_round = 16;
   params.max_hashes = 2048;
@@ -231,9 +239,9 @@ TEST(IcwsEndToEndTest, BayesLshOverWeightedJaccard) {
 TEST(IcwsEndToEndTest, BandingCandidatesReachTargetRecall) {
   const WeightedWorkload w = MakeWeightedWorkload(322);
   const double t = 0.6;
-  IcwsSignatureStore store(&w.data, IcwsHasher(14));
+  IntSignatureStore store = IcwsStore(&w.data, 14);
   LshBandingParams banding;
-  const CandidateList cands = IcwsLshCandidates(&store, t, banding);
+  const CandidateList cands = JaccardLshCandidates(&store, t, banding);
 
   std::set<std::pair<uint32_t, uint32_t>> cand_set(cands.pairs.begin(),
                                                    cands.pairs.end());
@@ -254,13 +262,13 @@ TEST(IcwsEndToEndTest, LiteVariantExactWeightedJaccard) {
   const WeightedWorkload w = MakeWeightedWorkload(323);
   const double t = 0.6;
   const JaccardPosterior model(t);
-  IcwsSignatureStore store(&w.data, IcwsHasher(15));
+  IntSignatureStore store = IcwsStore(&w.data, 15);
   BayesLshParams params;
   params.hashes_per_round = 16;
   auto exact = [&](uint32_t a, uint32_t b) {
     return WeightedJaccardSimilarity(w.data.Row(a), w.data.Row(b));
   };
-  const auto out = BayesLshLiteVerify<JaccardPosterior, IcwsSignatureStore>(
+  const auto out = BayesLshLiteVerify<JaccardPosterior, IntSignatureStore>(
       model, &store, w.all_pairs, /*max_prune_hashes=*/64, exact, t, params,
       nullptr);
   for (const auto& p : out) {

@@ -500,8 +500,14 @@ TEST_F(IndexCorruption, NonzeroReservedByteRejected) {
 
 // --- v2 page-aligned layout, v1 compatibility, zero-copy (mmap) loads ---
 
+// A temporary path private to the running test. ctest runs every case as
+// its own process, concurrently under -j, so a name shared between cases
+// would let one case's SetUp truncate a file another case has mapped
+// (SIGBUS).
 std::string TempPath(const char* name) {
-  return ::testing::TempDir() + name;
+  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  return ::testing::TempDir() + info->test_suite_name() + "." +
+         info->name() + "." + name;
 }
 
 void WriteFileBytes(const std::string& path, const std::string& bytes) {
@@ -777,6 +783,41 @@ TEST(IndexFormatV3, BuildValidation) {
   wcfg.threshold = 0.5;
   wcfg.bbit = 2;  // b-bit packing is Jaccard-only.
   EXPECT_THROW(PersistentIndex::Build(data, wcfg), std::invalid_argument);
+}
+
+// KLSH signatures are adopted only from an index that hashed with the
+// same kernel, construction and anchor rows.
+TEST(IndexFormatV3, KlshAdoptionRequiresTheSameFamily) {
+  const Dataset data = TextWeighted(67, 60);
+  IndexBuildConfig icfg;
+  icfg.measure = Measure::kKernelCosine;
+  icfg.threshold = 0.6;
+  icfg.kernel = {.tag = KernelTag::kRbf, .gamma = 0.5};
+  icfg.klsh.num_anchors = 16;
+  const auto source = PersistentIndex::Build(data, icfg);
+  SignatureAdoption adopt;
+  adopt.source = source.get();
+  for (uint32_t row = 0; row < data.num_vectors(); ++row) {
+    adopt.source_rows.push_back(row);
+  }
+
+  icfg.klsh_anchors = source->klsh_anchors();
+  const auto adopted = PersistentIndex::Build(data, icfg, &adopt);
+  EXPECT_EQ(adopted->bit_store()->bits_computed(), 0u);
+
+  IndexBuildConfig other_gamma = icfg;
+  other_gamma.kernel.gamma = 0.25;
+  EXPECT_THROW(PersistentIndex::Build(data, other_gamma, &adopt),
+               std::invalid_argument);
+  IndexBuildConfig other_construction = icfg;
+  other_construction.klsh.direction = KlshDirection::kSubsetClt;
+  EXPECT_THROW(PersistentIndex::Build(data, other_construction, &adopt),
+               std::invalid_argument);
+  IndexBuildConfig other_anchors = icfg;  // Same seed, 15 fresh anchors.
+  other_anchors.klsh_anchors = nullptr;
+  other_anchors.klsh.num_anchors = 15;
+  EXPECT_THROW(PersistentIndex::Build(data, other_anchors, &adopt),
+               std::invalid_argument);
 }
 
 class IndexMmap : public ::testing::Test {

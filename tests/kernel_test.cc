@@ -1,21 +1,24 @@
 // Tests for the kernelized similarity search stack: dense symmetric linear
 // algebra (Jacobi eigensolver, inverse square root), kernel functions, the
-// KLSH hasher and its collision law, the lazy kernel signature store, and
-// the KernelAllPairs driver end to end against the exact kernel join.
+// KLSH hasher and its collision law, KLSH bits in the lazy bit store, and
+// the kernel-cosine join (RunPipeline) and queries (QuerySearcher) end to
+// end against the exact kernel join.
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/prng.h"
+#include "core/pipeline.h"
+#include "core/query_search.h"
 #include "kernel/dense_matrix.h"
-#include "kernel/kernel_query.h"
-#include "kernel/kernel_search.h"
 #include "kernel/kernels.h"
 #include "kernel/klsh.h"
+#include "lsh/signature_store.h"
 #include "lsh/srp_hasher.h"
 #include "vec/dataset.h"
 
@@ -188,6 +191,18 @@ Dataset MakeDenseRows(const std::vector<std::vector<double>>& rows) {
   return std::move(builder).Build();
 }
 
+// A lazily grown store of KLSH bits over `hasher`, which must outlive it,
+// with anchor kernel rows cached in `cache`.
+BitSignatureStore KlshStore(
+    const Dataset* data, const KlshHasher* hasher,
+    std::shared_ptr<KlshRowCache> cache = std::make_shared<KlshRowCache>()) {
+  return BitSignatureStore(
+      data, std::make_shared<KlshChunkHasher>(
+                std::shared_ptr<const KlshHasher>(
+                    std::shared_ptr<const KlshHasher>(), hasher),
+                std::move(cache), data));
+}
+
 TEST(KernelsTest, LinearKernelIsDotProduct) {
   const Dataset data = MakeDenseRows({{1, 2, 3}, {4, -5, 6}});
   const LinearKernel k;
@@ -274,7 +289,7 @@ TEST(KernelsTest, ChiSquareKlshCollisionsTrackKernel) {
   KlshParams params;
   params.num_anchors = 40;
   const KlshHasher hasher(data, &k, params);
-  KlshSignatureStore store(&data, &hasher);
+  BitSignatureStore store = KlshStore(&data, &hasher);
   const uint32_t n = 4096;
   double prev_sim = 1.1, prev_rate = 1.1;
   for (uint32_t partner = 1; partner <= 4; ++partner) {
@@ -404,7 +419,7 @@ TEST(KlshHasherTest, GaussianDirectionCollisionLawMatchesSrp) {
   params.num_anchors = 48;  // >> dim: span is the whole space w.h.p.
   params.seed = 11;
   const KlshHasher hasher(data, &lin, params);
-  KlshSignatureStore store(&data, &hasher);
+  BitSignatureStore store = KlshStore(&data, &hasher);
   const uint32_t n = 8192;
   for (const auto& [a, b] : {std::pair<uint32_t, uint32_t>{0, 1},
                              {2, 3},
@@ -444,7 +459,7 @@ TEST(KlshHasherTest, RbfCollisionRateIncreasesWithKernelCosine) {
   KlshParams params;
   params.num_anchors = 64;
   const KlshHasher hasher(data, &k, params);
-  KlshSignatureStore store(&data, &hasher);
+  BitSignatureStore store = KlshStore(&data, &hasher);
   const uint32_t n = 4096;
   double prev_rate = 1.1;
   double prev_sim = 1.1;
@@ -469,7 +484,7 @@ TEST(KlshHasherTest, SubsetCltDirectionStillOrdersPairs) {
   params.subset_size = 16;
   params.direction = KlshDirection::kSubsetClt;
   const KlshHasher hasher(data, &lin, params);
-  KlshSignatureStore store(&data, &hasher);
+  BitSignatureStore store = KlshStore(&data, &hasher);
   const uint32_t n = 4096;
   // Collect (kernel cosine, collision rate) for several pairs; Spearman-ish
   // check: rates must increase with similarity across the extremes.
@@ -487,33 +502,34 @@ TEST(KlshHasherTest, SubsetCltDirectionStillOrdersPairs) {
 }
 
 // ---------------------------------------------------------------------------
-// KLSH signature store accounting
+// KLSH bits in the lazy bit store
 // ---------------------------------------------------------------------------
 
-TEST(KlshSignatureStoreTest, KernelRowComputedOncePerRow) {
+TEST(KlshStoreTest, KernelRowComputedOncePerRow) {
   const Dataset data = MakeRandomDenseData(20, 5, 77);
   const LinearKernel lin;
   KlshParams params;
   params.num_anchors = 16;
   const KlshHasher hasher(data, &lin, params);
-  KlshSignatureStore store(&data, &hasher);
-  EXPECT_EQ(store.kernel_evals(), 0u);
+  const auto cache = std::make_shared<KlshRowCache>();
+  BitSignatureStore store = KlshStore(&data, &hasher, cache);
+  EXPECT_EQ(cache->kernel_evals(), 0u);
   store.EnsureBits(3, 64);
-  EXPECT_EQ(store.kernel_evals(), 16u);
+  EXPECT_EQ(cache->kernel_evals(), 16u);
   store.EnsureBits(3, 256);  // Deeper hashes: no new kernel evaluations.
-  EXPECT_EQ(store.kernel_evals(), 16u);
+  EXPECT_EQ(cache->kernel_evals(), 16u);
   store.EnsureBits(4, 64);
-  EXPECT_EQ(store.kernel_evals(), 32u);
+  EXPECT_EQ(cache->kernel_evals(), 32u);
   EXPECT_EQ(store.bits_computed(), 256u + 64u);
 }
 
-TEST(KlshSignatureStoreTest, MatchCountConsistentWithWords) {
+TEST(KlshStoreTest, MatchCountConsistentWithWords) {
   const Dataset data = MakeRandomDenseData(10, 5, 78);
   const LinearKernel lin;
   KlshParams params;
   params.num_anchors = 16;
   const KlshHasher hasher(data, &lin, params);
-  KlshSignatureStore store(&data, &hasher);
+  BitSignatureStore store = KlshStore(&data, &hasher);
   const uint32_t count = store.MatchCount(0, 1, 17, 150);
   uint32_t naive = 0;
   for (uint32_t i = 17; i < 150; ++i) {
@@ -525,7 +541,7 @@ TEST(KlshSignatureStoreTest, MatchCountConsistentWithWords) {
 }
 
 // ---------------------------------------------------------------------------
-// End to end: KernelAllPairs vs the exact kernel join
+// End to end: the kernel-cosine join vs the exact kernel join
 // ---------------------------------------------------------------------------
 
 // Clustered dense data: every intra-cluster pair is an RBF near-neighbour.
@@ -551,16 +567,39 @@ KernelWorkload MakeClusteredWorkload(uint32_t clusters, uint32_t per_cluster,
   return w;
 }
 
-TEST(KernelAllPairsTest, BayesLshRecallAgainstExactJoin) {
+// The workload's kernel, as the serving configs spell it.
+constexpr KernelSpec kWorkloadKernel{.tag = KernelTag::kRbf, .gamma = 0.4};
+
+PipelineResult KernelJoin(const Dataset& data, double t, VerifierKind verifier,
+                          uint32_t anchors) {
+  PipelineConfig cfg;
+  cfg.measure = Measure::kKernelCosine;
+  cfg.generator = GeneratorKind::kLsh;
+  cfg.verifier = verifier;
+  cfg.threshold = t;
+  cfg.kernel = kWorkloadKernel;
+  cfg.klsh.num_anchors = anchors;
+  return RunPipeline(data, cfg);
+}
+
+QuerySearchConfig KernelSearch(double t, uint32_t anchors, bool exact) {
+  QuerySearchConfig cfg;
+  cfg.measure = Measure::kKernelCosine;
+  cfg.threshold = t;
+  cfg.exact_verification = exact;
+  cfg.kernel = kWorkloadKernel;
+  cfg.klsh.num_anchors = anchors;
+  return cfg;
+}
+
+TEST(KlshJoinTest, BayesLshRecallAgainstExactJoin) {
   const KernelWorkload w = MakeClusteredWorkload(12, 10, 555);
   const double t = 0.6;
   const auto truth = KernelBruteForceJoin(w.data, w.kernel, t);
   ASSERT_GT(truth.size(), 100u);
 
-  KernelAllPairsConfig cfg;
-  cfg.threshold = t;
-  cfg.klsh.num_anchors = 96;
-  const auto result = KernelAllPairs(w.data, w.kernel, cfg);
+  const PipelineResult result =
+      KernelJoin(w.data, t, VerifierKind::kBayesLsh, 96);
 
   uint32_t found = 0;
   for (const auto& tp : truth) {
@@ -578,31 +617,25 @@ TEST(KernelAllPairsTest, BayesLshRecallAgainstExactJoin) {
   EXPECT_GT(result.candidates, truth.size() / 2);
 }
 
-TEST(KernelAllPairsTest, LiteVariantReportsExactKernelCosines) {
+TEST(KlshJoinTest, LiteVariantReportsExactKernelCosines) {
   const KernelWorkload w = MakeClusteredWorkload(8, 8, 556);
   const double t = 0.6;
-  KernelAllPairsConfig cfg;
-  cfg.threshold = t;
-  cfg.verifier = KernelVerifier::kBayesLshLite;
-  cfg.klsh.num_anchors = 64;
-  const auto result = KernelAllPairs(w.data, w.kernel, cfg);
+  const PipelineResult result =
+      KernelJoin(w.data, t, VerifierKind::kBayesLshLite, 64);
   for (const auto& p : result.pairs) {
     const double exact = KernelCosine(w.kernel, w.data.Row(p.a),
                                       w.data.Row(p.b));
     EXPECT_GE(p.sim, t);
     EXPECT_NEAR(p.sim, exact, 1e-9);
   }
-  EXPECT_GT(result.exact_kernel_evals, 0u);
+  EXPECT_GT(result.vstats.exact_computed, 0u);
 }
 
-TEST(KernelAllPairsTest, ExactVerifierMatchesTruthOnCandidates) {
+TEST(KlshJoinTest, ExactVerifierMatchesTruthOnCandidates) {
   const KernelWorkload w = MakeClusteredWorkload(8, 8, 557);
   const double t = 0.6;
-  KernelAllPairsConfig cfg;
-  cfg.threshold = t;
-  cfg.verifier = KernelVerifier::kExact;
-  cfg.klsh.num_anchors = 64;
-  const auto result = KernelAllPairs(w.data, w.kernel, cfg);
+  const PipelineResult result =
+      KernelJoin(w.data, t, VerifierKind::kExact, 64);
   // Every reported pair is a true pair (the verifier is exact); order is
   // lexicographic.
   const auto truth = KernelBruteForceJoin(w.data, w.kernel, t);
@@ -618,16 +651,13 @@ TEST(KernelAllPairsTest, ExactVerifierMatchesTruthOnCandidates) {
 }
 
 // ---------------------------------------------------------------------------
-// KernelQuerySearcher
+// Kernel-cosine queries
 // ---------------------------------------------------------------------------
 
-TEST(KernelQuerySearcherTest, ThresholdQueryMatchesBruteForce) {
+TEST(KlshQueryTest, ThresholdQueryMatchesBruteForce) {
   const KernelWorkload w = MakeClusteredWorkload(10, 10, 600);
   const double t = 0.6;
-  KernelQueryConfig cfg;
-  cfg.threshold = t;
-  cfg.klsh.num_anchors = 80;
-  const KernelQuerySearcher searcher(&w.data, &w.kernel, cfg);
+  const QuerySearcher searcher(&w.data, KernelSearch(t, 80, true));
 
   uint32_t truth_total = 0, found_total = 0;
   for (const uint32_t probe : {0u, 15u, 37u, 62u, 99u}) {
@@ -662,12 +692,9 @@ TEST(KernelQuerySearcherTest, ThresholdQueryMatchesBruteForce) {
   EXPECT_GE(static_cast<double>(found_total) / truth_total, 0.85);
 }
 
-TEST(KernelQuerySearcherTest, TopKTruncatesThresholdResults) {
+TEST(KlshQueryTest, TopKTruncatesThresholdResults) {
   const KernelWorkload w = MakeClusteredWorkload(6, 10, 601);
-  KernelQueryConfig cfg;
-  cfg.threshold = 0.5;
-  cfg.klsh.num_anchors = 60;
-  const KernelQuerySearcher searcher(&w.data, &w.kernel, cfg);
+  const QuerySearcher searcher(&w.data, KernelSearch(0.5, 60, true));
   const SparseVectorView q = w.data.Row(7);
   const auto all = searcher.Query(q);
   const auto top3 = searcher.QueryTopK(q, 3);
@@ -679,14 +706,10 @@ TEST(KernelQuerySearcherTest, TopKTruncatesThresholdResults) {
   EXPECT_NEAR(top3[0].sim, 1.0, 1e-9);
 }
 
-TEST(KernelQuerySearcherTest, EstimateModeSkipsExactKernelWork) {
+TEST(KlshQueryTest, EstimateModeSkipsExactKernelWork) {
   const KernelWorkload w = MakeClusteredWorkload(6, 10, 602);
-  KernelQueryConfig exact_cfg, est_cfg;
-  exact_cfg.threshold = est_cfg.threshold = 0.6;
-  exact_cfg.klsh.num_anchors = est_cfg.klsh.num_anchors = 60;
-  est_cfg.exact_verification = false;
-  const KernelQuerySearcher exact_searcher(&w.data, &w.kernel, exact_cfg);
-  const KernelQuerySearcher est_searcher(&w.data, &w.kernel, est_cfg);
+  const QuerySearcher exact_searcher(&w.data, KernelSearch(0.6, 60, true));
+  const QuerySearcher est_searcher(&w.data, KernelSearch(0.6, 60, false));
 
   const SparseVectorView q = w.data.Row(11);
   const auto exact_matches = exact_searcher.Query(q);
@@ -699,21 +722,6 @@ TEST(KernelQuerySearcherTest, EstimateModeSkipsExactKernelWork) {
     const double exact = KernelCosine(w.kernel, q, w.data.Row(m.id));
     EXPECT_GT(m.sim, exact - 0.3);
   }
-}
-
-TEST(KernelAllPairsTest, HashingCostIsLazy) {
-  // With BayesLSH verification, kernel evaluations stay far below the
-  // n * p cost of hashing every object to the full budget depth: only
-  // objects that appear in candidate pairs get verification-hashed at all.
-  const KernelWorkload w = MakeClusteredWorkload(10, 6, 558);
-  KernelAllPairsConfig cfg;
-  cfg.threshold = 0.7;
-  cfg.klsh.num_anchors = 64;
-  const auto result = KernelAllPairs(w.data, w.kernel, cfg);
-  const uint64_t n = w.data.num_vectors();
-  // Generation hashes every row once (n * p evals); verification adds at
-  // most another n * p, never more (kernel rows are cached per row).
-  EXPECT_LE(result.hash_kernel_evals, 2 * n * 64);
 }
 
 }  // namespace

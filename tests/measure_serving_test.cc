@@ -31,7 +31,6 @@
 #include "core/query_search.h"
 #include "core/sharded_index.h"
 #include "data/text_generator.h"
-#include "euclidean/nn_search.h"
 #include "kernel/kernels.h"
 #include "sim/similarity.h"
 #include "vec/sparse_vector.h"
@@ -295,24 +294,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::ValuesIn(kCases),
                        ::testing::Values(1u, 8u)),
     CaseName);
-
-TEST(EuclideanSearchStatsTest, MergeFromAddsCounters) {
-  EuclideanSearchStats a;
-  a.candidates = 3;
-  a.pruned = 1;
-  a.exact_computed = 2;
-  a.hashes_compared = 64;
-  EuclideanSearchStats b;
-  b.candidates = 5;
-  b.pruned = 4;
-  b.exact_computed = 1;
-  b.hashes_compared = 32;
-  a.MergeFrom(b);
-  EXPECT_EQ(a.candidates, 8u);
-  EXPECT_EQ(a.pruned, 5u);
-  EXPECT_EQ(a.exact_computed, 3u);
-  EXPECT_EQ(a.hashes_compared, 96u);
-}
 
 }  // namespace
 }  // namespace bayeslsh

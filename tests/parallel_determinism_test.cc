@@ -4,8 +4,11 @@
 // and the hashing-overhead accounting stays within the documented
 // prefetch-horizon slack of the single-threaded count.
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -69,16 +72,38 @@ struct Combo {
 class PipelineThreadDeterminismTest : public ::testing::TestWithParam<Combo> {
 };
 
+// Stable test names and printed parameters: a Combo printed as raw bytes
+// would show its uninitialized padding, which changes from build to build.
+std::string ComboLabel(const Combo& c) {
+  std::string measure = MeasureName(c.measure);
+  std::replace(measure.begin(), measure.end(), '-', '_');
+  static const char* const kVerifiers[] = {"Exact", "Mle", "BayesLsh",
+                                           "BayesLshLite"};
+  return measure +
+         (c.generator == GeneratorKind::kLsh ? "_Lsh_" : "_AllPairs_") +
+         kVerifiers[static_cast<int>(c.verifier)];
+}
+
+void PrintTo(const Combo& c, std::ostream* os) { *os << ComboLabel(c); }
+
+std::string ComboName(const ::testing::TestParamInfo<Combo>& info) {
+  return ComboLabel(info.param);
+}
+
 TEST_P(PipelineThreadDeterminismTest, IdenticalAcrossThreadCounts) {
   const Combo c = GetParam();
-  const Dataset data = c.measure == Measure::kCosine ? TextWeighted(21, 700)
-                                                     : GraphBinary(21, 700);
+  // Weighted text for the real-valued measures, the binary graph for the
+  // set measures.
+  const bool binary =
+      c.measure == Measure::kJaccard || c.measure == Measure::kBinaryCosine;
+  const Dataset data = binary ? GraphBinary(21, 700) : TextWeighted(21, 700);
   PipelineConfig cfg;
   cfg.measure = c.measure;
   cfg.generator = c.generator;
   cfg.verifier = c.verifier;
   cfg.threshold = c.threshold;
   cfg.seed = 42;
+  cfg.klsh.num_anchors = 64;  // KLSH only: keeps the eigensolves small.
 
   cfg.num_threads = 1;
   const PipelineResult base = RunPipeline(data, cfg);
@@ -154,7 +179,34 @@ INSTANTIATE_TEST_SUITE_P(
         Combo{Measure::kBinaryCosine, GeneratorKind::kLsh,
               VerifierKind::kBayesLsh, 0.7},
         Combo{Measure::kBinaryCosine, GeneratorKind::kLsh,
-              VerifierKind::kBayesLshLite, 0.7}));
+              VerifierKind::kBayesLshLite, 0.7},
+        // Weighted Jaccard (weighted text; ICWS bands and signatures).
+        Combo{Measure::kWeightedJaccard, GeneratorKind::kLsh,
+              VerifierKind::kExact, 0.4},
+        Combo{Measure::kWeightedJaccard, GeneratorKind::kLsh,
+              VerifierKind::kMle, 0.4},
+        Combo{Measure::kWeightedJaccard, GeneratorKind::kLsh,
+              VerifierKind::kBayesLsh, 0.4},
+        Combo{Measure::kWeightedJaccard, GeneratorKind::kLsh,
+              VerifierKind::kBayesLshLite, 0.4},
+        // Kernel cosine (weighted text, linear kernel; KLSH).
+        Combo{Measure::kKernelCosine, GeneratorKind::kLsh,
+              VerifierKind::kExact, 0.7},
+        Combo{Measure::kKernelCosine, GeneratorKind::kLsh,
+              VerifierKind::kMle, 0.7},
+        Combo{Measure::kKernelCosine, GeneratorKind::kLsh,
+              VerifierKind::kBayesLsh, 0.7},
+        Combo{Measure::kKernelCosine, GeneratorKind::kLsh,
+              VerifierKind::kBayesLshLite, 0.7},
+        // Euclidean (unit-norm weighted text, radius 0.8; p-stable). It
+        // verifies exactly: kBayesLsh runs as kBayesLshLite.
+        Combo{Measure::kEuclidean, GeneratorKind::kLsh, VerifierKind::kExact,
+              0.8},
+        Combo{Measure::kEuclidean, GeneratorKind::kLsh,
+              VerifierKind::kBayesLsh, 0.8},
+        Combo{Measure::kEuclidean, GeneratorKind::kLsh,
+              VerifierKind::kBayesLshLite, 0.8}),
+    ComboName);
 
 TEST(PipelineThreadShardingTest, LargeCandidateListExercisesShardedVerify) {
   // A low threshold guarantees enough candidates that the verification

@@ -3,10 +3,13 @@
 // naming, determinism and instrumentation.
 
 #include <cmath>
+#include <limits>
 #include <set>
+#include <stdexcept>
 
 #include <gtest/gtest.h>
 
+#include "core/index_io.h"
 #include "core/metrics.h"
 #include "core/pipeline.h"
 #include "data/graph_generator.h"
@@ -349,6 +352,135 @@ TEST(PipelineParamsTest, UniformPriorFallbackWorks) {
   const auto result = RunPipeline(data, cfg);
   const auto truth = InvertedIndexJoin(data, 0.5, Measure::kJaccard);
   EXPECT_GE(Recall(result.pairs, truth), 0.85);
+}
+
+// ---------------------------------------------------------------------------
+// Input validation
+// ---------------------------------------------------------------------------
+
+TEST(PipelineValidationTest, ThresholdOutsideTheMeasureDomainThrows) {
+  const Dataset binary = GraphBinary(61, 120);
+  const Dataset weighted = TextWeighted(61, 120);
+  for (const double t : {-0.5, 0.0, 1.5,
+                         std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_THROW(RunPipeline(binary, MakeConfig(Measure::kJaccard,
+                                                GeneratorKind::kAllPairs,
+                                                VerifierKind::kBayesLsh, t)),
+                 std::invalid_argument)
+        << "t=" << t;
+  }
+  // A Euclidean threshold is a radius: any positive value, never <= 0.
+  EXPECT_NO_THROW(RunPipeline(weighted, MakeConfig(Measure::kEuclidean,
+                                                   GeneratorKind::kLsh,
+                                                   VerifierKind::kExact, 1.5)));
+  for (const double r : {0.0, -1.0}) {
+    EXPECT_THROW(RunPipeline(weighted, MakeConfig(Measure::kEuclidean,
+                                                  GeneratorKind::kLsh,
+                                                  VerifierKind::kExact, r)),
+                 std::invalid_argument)
+        << "r=" << r;
+  }
+}
+
+TEST(PipelineValidationTest, UnsupportedGeneratorOrVerifierThrows) {
+  const Dataset data = TextWeighted(62, 120);
+  // The AllPairs generator covers the paper's three measures only.
+  for (const Measure m : {Measure::kWeightedJaccard, Measure::kKernelCosine,
+                          Measure::kEuclidean}) {
+    EXPECT_THROW(RunPipeline(data, MakeConfig(m, GeneratorKind::kAllPairs,
+                                              VerifierKind::kBayesLshLite,
+                                              0.5)),
+                 std::invalid_argument)
+        << MeasureName(m);
+  }
+  // Euclidean has no hash-only estimate to threshold.
+  EXPECT_THROW(RunPipeline(data, MakeConfig(Measure::kEuclidean,
+                                            GeneratorKind::kLsh,
+                                            VerifierKind::kMle, 0.5)),
+               std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Warm start for the serving-stack measures
+// ---------------------------------------------------------------------------
+
+class PipelineWarmIndexTest : public ::testing::TestWithParam<Measure> {};
+
+TEST_P(PipelineWarmIndexTest, IdenticalWithAndWithoutWarmIndex) {
+  const Measure measure = GetParam();
+  // Thresholds with matches on unit-norm weighted text; the Euclidean one
+  // is a radius.
+  const double t = measure == Measure::kWeightedJaccard ? 0.4
+                   : measure == Measure::kKernelCosine  ? 0.7
+                                                        : 0.8;
+  const Dataset data = TextWeighted(63, 300);
+  IndexBuildConfig icfg;
+  icfg.measure = measure;
+  icfg.threshold = t;
+  icfg.seed = 42;
+  icfg.klsh.num_anchors = 64;
+  icfg.prefetch_hashes = 128;
+  const auto index = PersistentIndex::Build(data, icfg);
+
+  for (const VerifierKind v :
+       {VerifierKind::kMle, VerifierKind::kBayesLsh,
+        VerifierKind::kBayesLshLite}) {
+    if (v == VerifierKind::kMle && measure == Measure::kEuclidean) continue;
+    for (const uint32_t threads : {1u, 8u}) {
+      PipelineConfig cfg = MakeConfig(measure, GeneratorKind::kLsh, v, t);
+      cfg.klsh.num_anchors = 64;
+      cfg.num_threads = threads;
+      const PipelineResult cold = RunPipeline(data, cfg);
+      cfg.warm_index = index.get();
+      const PipelineResult warm = RunPipeline(data, cfg);
+      EXPECT_EQ(warm.pairs, cold.pairs)
+          << warm.algorithm << ", " << threads << " threads";
+      EXPECT_FALSE(cold.pairs.empty());
+      EXPECT_LT(warm.verify_hashes_computed, cold.verify_hashes_computed);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ServingMeasures, PipelineWarmIndexTest,
+    ::testing::Values(Measure::kWeightedJaccard, Measure::kKernelCosine,
+                      Measure::kEuclidean),
+    [](const ::testing::TestParamInfo<Measure>& info) {
+      return MeasureName(info.param);
+    });
+
+TEST(PipelineWarmFamilyTest, DifferentHashFamilyRefused) {
+  const Dataset data = TextWeighted(64, 150);
+  // KLSH: the kernel and the anchors are part of the family.
+  IndexBuildConfig kcfg;
+  kcfg.measure = Measure::kKernelCosine;
+  kcfg.threshold = 0.7;
+  kcfg.kernel = {.tag = KernelTag::kRbf, .gamma = 0.5};
+  kcfg.klsh.num_anchors = 32;
+  const auto klsh_index = PersistentIndex::Build(data, kcfg);
+  PipelineConfig cfg = MakeConfig(Measure::kKernelCosine, GeneratorKind::kLsh,
+                                  VerifierKind::kBayesLsh, 0.7);
+  cfg.kernel = kcfg.kernel;
+  cfg.klsh.num_anchors = 32;
+  cfg.warm_index = klsh_index.get();
+  EXPECT_NO_THROW(RunPipeline(data, cfg));
+  cfg.kernel.gamma = 0.25;
+  EXPECT_THROW(RunPipeline(data, cfg), std::invalid_argument);
+  cfg.kernel.gamma = 0.5;
+  cfg.klsh.num_anchors = 16;
+  EXPECT_THROW(RunPipeline(data, cfg), std::invalid_argument);
+
+  // Euclidean: the radius sets the p-stable bucket width.
+  IndexBuildConfig ecfg;
+  ecfg.measure = Measure::kEuclidean;
+  ecfg.threshold = 0.8;
+  const auto euclidean_index = PersistentIndex::Build(data, ecfg);
+  cfg = MakeConfig(Measure::kEuclidean, GeneratorKind::kLsh,
+                   VerifierKind::kBayesLshLite, 0.8);
+  cfg.warm_index = euclidean_index.get();
+  EXPECT_NO_THROW(RunPipeline(data, cfg));
+  cfg.threshold = 0.9;
+  EXPECT_THROW(RunPipeline(data, cfg), std::invalid_argument);
 }
 
 }  // namespace

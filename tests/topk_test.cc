@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -121,6 +122,20 @@ TEST(TopKAllPairsTest, WorksWithLshGeneratorAndJaccard) {
     if (i > 0) {
       EXPECT_LE(top[i].sim, top[i - 1].sim);
     }
+  }
+}
+
+TEST(TopKAllPairsTest, RefusesRadiusAndKernelMeasures) {
+  // Top-k descends a similarity threshold and rescores exactly: neither a
+  // Euclidean radius nor the kernel cosine fits.
+  const Dataset data = MakeCorpus(200, 26);
+  TopKConfig cfg;
+  cfg.generator = GeneratorKind::kLsh;
+  cfg.k = 10;
+  for (const Measure m : {Measure::kEuclidean, Measure::kKernelCosine}) {
+    cfg.measure = m;
+    EXPECT_THROW(TopKAllPairs(data, cfg), std::invalid_argument)
+        << MeasureName(m);
   }
 }
 

@@ -5,9 +5,11 @@
 //   bayeslsh allpairs --input data.txt --measure cosine --threshold 0.7
 //            [--generator allpairs|lsh] [--verifier bayeslsh|bayeslsh-lite|
 //             exact|mle] [--epsilon E] [--delta D] [--gamma G] [--seed S]
-//            [--threads N] [--tfidf] [--normalize] [--output pairs.txt]
+//            [--kernel K --kernel-gamma G --anchors N] [--threads N]
+//            [--tfidf] [--normalize] [--output pairs.txt]
 //       Runs the full pipeline on a dataset file (see vec/io.h for the
-//       format) and writes one "a b similarity" line per result pair.
+//       format) and writes one "a b similarity" line per result pair (for
+//       euclidean, "a b distance").
 //
 //   bayeslsh index --input corpus --output corpus.idx [options]
 //       Builds the persistent serving index (banding buckets + prefetched
@@ -66,6 +68,7 @@
 // corrupt, truncated or version-mismatched index files).
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -75,6 +78,8 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <system_error>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -106,9 +111,18 @@ int Usage() {
       "(auto-detected); generate writes binary with --binary.\n"
       "\n"
       "allpairs options:\n"
-      "  --measure cosine|jaccard|binary-cosine   (default cosine)\n"
-      "  --generator allpairs|lsh                 (default allpairs)\n"
-      "  --verifier bayeslsh|bayeslsh-lite|exact|mle (default bayeslsh)\n"
+      "  --measure cosine|jaccard|binary-cosine|wjaccard|klsh|euclidean\n"
+      "                                           (default cosine)\n"
+      "  --threshold T   (for euclidean, the match radius; pairs print\n"
+      "                   their distances)\n"
+      "  --generator allpairs|lsh                 (default allpairs; the\n"
+      "                   allpairs generator covers cosine, jaccard and\n"
+      "                   binary-cosine)\n"
+      "  --verifier bayeslsh|bayeslsh-lite|exact|mle (default bayeslsh;\n"
+      "                   euclidean verifies exactly: bayeslsh runs as\n"
+      "                   bayeslsh-lite and mle is refused)\n"
+      "  --kernel linear|rbf|chi2 --kernel-gamma G --anchors N\n"
+      "                                           (klsh, as for index)\n"
       "  --epsilon E --delta D --gamma G          (default 0.03/0.05/0.03)\n"
       "  --threads N                              (0 = all cores; default 1)\n"
       "  --tfidf --normalize                      (input transforms)\n"
@@ -189,6 +203,13 @@ int Usage() {
   return 1;
 }
 
+// A malformed numeric flag value. Deliberately outside the std::exception
+// hierarchy: the commands map std::exception to data and I/O errors
+// (exit 2), while a bad flag is a usage error that main reports (exit 1).
+struct FlagError {
+  std::string message;
+};
+
 // Minimal flag parser: --key value pairs plus boolean --flags.
 struct Args {
   std::map<std::string, std::string> values;
@@ -213,15 +234,28 @@ struct Args {
     const auto it = values.find(key);
     return it == values.end() ? dflt : it->second;
   }
-  double GetDouble(const std::string& key, double dflt) const {
+  // The value of --key as a T (double or an unsigned integer type), or
+  // dflt when the flag is absent. Throws FlagError unless the whole value
+  // is a finite number that fits T.
+  template <typename T>
+  T GetNumber(const std::string& key, T dflt) const {
     const auto it = values.find(key);
-    return it == values.end() ? dflt : std::atof(it->second.c_str());
+    if (it == values.end()) return dflt;
+    const std::string& text = it->second;
+    T v{};
+    const auto [end, ec] =
+        std::from_chars(text.data(), text.data() + text.size(), v);
+    if (ec != std::errc() || end != text.data() + text.size() ||
+        !std::isfinite(static_cast<double>(v))) {
+      throw FlagError{"--" + key + " must be " +
+                      (std::is_integral_v<T> ? "a non-negative integer"
+                                             : "a finite number") +
+                      " (got '" + text + "')"};
+    }
+    return v;
   }
-  uint64_t GetUint(const std::string& key, uint64_t dflt) const {
-    const auto it = values.find(key);
-    return it == values.end()
-               ? dflt
-               : static_cast<uint64_t>(std::atoll(it->second.c_str()));
+  double GetDouble(const std::string& key, double dflt) const {
+    return GetNumber(key, dflt);
   }
   bool Has(const std::string& key) const {
     return flags.count(key) > 0 || values.count(key) > 0;
@@ -229,11 +263,8 @@ struct Args {
 };
 
 // Parses --measure into *out; returns false (after printing an error) on an
-// unknown name. The serving stack (index/query/serve and the dynamic
-// commands) accepts every measure; the batch allpairs pipeline passes
-// serving_measures = false and keeps its original three.
-bool ParseMeasure(const Args& args, Measure* out,
-                  bool serving_measures = false) {
+// unknown name.
+bool ParseMeasure(const Args& args, Measure* out) {
   const std::string measure = args.Get("measure", "cosine");
   if (measure == "cosine") {
     *out = Measure::kCosine;
@@ -241,19 +272,12 @@ bool ParseMeasure(const Args& args, Measure* out,
     *out = Measure::kJaccard;
   } else if (measure == "binary-cosine") {
     *out = Measure::kBinaryCosine;
-  } else if (measure == "wjaccard" || measure == "klsh" ||
-             measure == "euclidean") {
-    if (!serving_measures) {
-      std::fprintf(stderr,
-                   "error: measure '%s' is served through the index "
-                   "commands (bayeslsh index/query/serve), not the batch "
-                   "allpairs pipeline\n",
-                   measure.c_str());
-      return false;
-    }
-    *out = measure == "wjaccard" ? Measure::kWeightedJaccard
-           : measure == "klsh"   ? Measure::kKernelCosine
-                                 : Measure::kEuclidean;
+  } else if (measure == "wjaccard") {
+    *out = Measure::kWeightedJaccard;
+  } else if (measure == "klsh") {
+    *out = Measure::kKernelCosine;
+  } else if (measure == "euclidean") {
+    *out = Measure::kEuclidean;
   } else {
     std::fprintf(stderr, "error: unknown measure '%s'\n", measure.c_str());
     return false;
@@ -261,11 +285,12 @@ bool ParseMeasure(const Args& args, Measure* out,
   return true;
 }
 
-// Parses the KLSH-family flags (--kernel, --kernel-gamma, --anchors) into
-// an index build config; returns false (after printing an error) on an
+// Parses the KLSH-family flags (--kernel, --kernel-gamma, --anchors) of
+// `allpairs` and `index`; returns false (after printing an error) on an
 // unknown kernel name. No-ops for non-KLSH measures, so callers can apply
 // it unconditionally.
-bool ParseKlshFlags(const Args& args, IndexBuildConfig* cfg) {
+template <typename Config>
+bool ParseKlshFlags(const Args& args, Config* cfg) {
   if (cfg->measure != Measure::kKernelCosine) return true;
   const std::string kernel = args.Get("kernel", "linear");
   if (!ParseKernelTag(kernel, &cfg->kernel.tag)) {
@@ -275,27 +300,14 @@ bool ParseKlshFlags(const Args& args, IndexBuildConfig* cfg) {
     return false;
   }
   cfg->kernel.gamma = args.GetDouble("kernel-gamma", 1.0);
-  const auto anchors = static_cast<uint32_t>(args.GetUint("anchors", 0));
+  const auto anchors = args.GetNumber<uint32_t>("anchors", 0);
   if (anchors != 0) cfg->klsh.num_anchors = anchors;
   return true;
 }
 
-// Parses --threads into *out; returns false (after printing an error) on a
-// malformed value.
-bool ParseThreads(const Args& args, uint32_t* out) {
-  const std::string threads = args.Get("threads", "1");
-  char* end = nullptr;
-  const long long v = std::strtoll(threads.c_str(), &end, 10);
-  if (end == threads.c_str() || *end != '\0' || v < 0 ||
-      v > static_cast<long long>(UINT32_MAX)) {
-    std::fprintf(stderr,
-                 "error: --threads must be a non-negative integer "
-                 "(got '%s')\n",
-                 threads.c_str());
-    return false;
-  }
-  *out = static_cast<uint32_t>(v);
-  return true;
+// --threads: 0 = all cores, default 1.
+uint32_t ParseThreads(const Args& args) {
+  return args.GetNumber<uint32_t>("threads", 1);
 }
 
 int RunAllPairs(const Args& args) {
@@ -312,6 +324,7 @@ int RunAllPairs(const Args& args) {
 
   PipelineConfig cfg;
   if (!ParseMeasure(args, &cfg.measure)) return 1;
+  if (!ParseKlshFlags(args, &cfg)) return 1;
   // Cosine expects unit rows; normalize by default for cosine (opt-out by
   // passing pre-normalized data without --normalize is fine too).
   if (cfg.measure == Measure::kCosine &&
@@ -348,10 +361,16 @@ int RunAllPairs(const Args& args) {
   cfg.bayes.epsilon = args.GetDouble("epsilon", 0.03);
   cfg.bayes.delta = args.GetDouble("delta", 0.05);
   cfg.bayes.gamma = args.GetDouble("gamma", 0.03);
-  cfg.seed = args.GetUint("seed", 42);
-  if (!ParseThreads(args, &cfg.num_threads)) return 1;
+  cfg.seed = args.GetNumber<uint64_t>("seed", 42);
+  cfg.num_threads = ParseThreads(args);
 
-  const PipelineResult result = RunPipeline(data, cfg);
+  PipelineResult result;
+  try {
+    result = RunPipeline(data, cfg);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
 
   std::ostream* out = &std::cout;
   std::ofstream file;
@@ -364,8 +383,11 @@ int RunAllPairs(const Args& args) {
     }
     out = &file;
   }
+  // Euclidean scores are negated distances; print distances, as `query`
+  // does.
+  const double sim_scale = cfg.measure == Measure::kEuclidean ? -1.0 : 1.0;
   for (const auto& p : result.pairs) {
-    (*out) << p.a << ' ' << p.b << ' ' << p.sim << '\n';
+    (*out) << p.a << ' ' << p.b << ' ' << p.sim * sim_scale << '\n';
   }
 
   std::fprintf(stderr,
@@ -392,7 +414,7 @@ int RunIndex(const Args& args) {
   if (args.Has("tfidf")) data = TfIdfTransform(data);
 
   IndexBuildConfig cfg;
-  if (!ParseMeasure(args, &cfg.measure, /*serving_measures=*/true)) return 1;
+  if (!ParseMeasure(args, &cfg.measure)) return 1;
   if (!ParseKlshFlags(args, &cfg)) return 1;
   if (cfg.measure == Measure::kCosine &&
       (args.Has("normalize") || args.Has("tfidf"))) {
@@ -407,23 +429,23 @@ int RunIndex(const Args& args) {
     return 1;
   }
   cfg.threshold = args.GetDouble("threshold", 0.7);
-  cfg.banding.num_bands = static_cast<uint32_t>(args.GetUint("bands", 0));
+  cfg.banding.num_bands = args.GetNumber<uint32_t>("bands", 0);
   cfg.banding.hashes_per_band =
-      static_cast<uint32_t>(args.GetUint("band-hashes", 0));
-  cfg.bbit = static_cast<uint32_t>(args.GetUint("bbit", 0));
+      args.GetNumber<uint32_t>("band-hashes", 0);
+  cfg.bbit = args.GetNumber<uint32_t>("bbit", 0);
   if (args.Get("prefetch", "") == "full") {
     cfg.prefetch_hashes = kPrefetchFull;
   } else {
-    cfg.prefetch_hashes = static_cast<uint32_t>(args.GetUint("prefetch", 0));
+    cfg.prefetch_hashes = args.GetNumber<uint32_t>("prefetch", 0);
   }
-  cfg.seed = args.GetUint("seed", 42);
-  if (!ParseThreads(args, &cfg.num_threads)) return 1;
+  cfg.seed = args.GetNumber<uint64_t>("seed", 42);
+  cfg.num_threads = ParseThreads(args);
 
   // Old writers are still in the fleet, so `index` can emit the previous
   // wire layouts on demand; Save itself rejects a measure the requested
   // version cannot carry (the new measure tags require v3).
-  const auto format_version = static_cast<uint32_t>(
-      args.GetUint("format-version", kIndexFormatVersion));
+  const auto format_version =
+      args.GetNumber<uint32_t>("format-version", kIndexFormatVersion);
   if (format_version < 1 || format_version > kIndexFormatVersion) {
     std::fprintf(stderr, "error: --format-version must be 1..%u\n",
                  kIndexFormatVersion);
@@ -519,7 +541,7 @@ void ServeQueries(const Searcher& searcher, const Dataset& queries,
 // config. Returns false (after a diagnostic) on a malformed value.
 bool ParseDurabilityFlags(const Args& args, DynamicIndexConfig* cfg) {
   cfg->auto_compact_delta_rows =
-      static_cast<uint32_t>(args.GetUint("compact-delta-rows", 0));
+      args.GetNumber<uint32_t>("compact-delta-rows", 0);
   cfg->auto_compact_tombstone_fraction =
       args.GetDouble("compact-tombstones", 0.0);
   if (cfg->auto_compact_tombstone_fraction < 0.0 ||
@@ -556,8 +578,7 @@ void AttachWalFlag(const Args& args, DynamicIndex* dyn) {
 int RunQuery(const Args& args) {
   if (!args.Has("index") || !args.Has("query-file")) return Usage();
 
-  uint32_t num_threads = 1;
-  if (!ParseThreads(args, &num_threads)) return 1;
+  const uint32_t num_threads = ParseThreads(args);
   // Valid serving thresholds are positive; rejecting an explicit 0 up
   // front keeps plain and dynamic indexes consistent (0 is the dynamic
   // config's "use the build threshold" sentinel, never a user value).
@@ -659,7 +680,7 @@ int RunQuery(const Args& args) {
   if (args.Has("normalize") && measure == Measure::kCosine) {
     queries = L2NormalizeRows(queries);
   }
-  const auto top_k = static_cast<uint32_t>(args.GetUint("top-k", 0));
+  const auto top_k = args.GetNumber<uint32_t>("top-k", 0);
 
   std::ostream* out = &std::cout;
   std::ofstream file;
@@ -847,8 +868,7 @@ const char* BreakerStateName(BreakerState s) {
 
 int RunServe(const Args& args) {
   if (!args.Has("index")) return Usage();
-  uint32_t num_threads = 1;
-  if (!ParseThreads(args, &num_threads)) return 1;
+  const uint32_t num_threads = ParseThreads(args);
   // Positive up front; the (0, 1] similarity-measure bound is checked
   // after the load reveals the measure (Euclidean serves a radius).
   if (args.Has("threshold")) {
@@ -859,7 +879,7 @@ int RunServe(const Args& args) {
       return 1;
     }
   }
-  const auto num_shards = static_cast<uint32_t>(args.GetUint("shards", 2));
+  const auto num_shards = args.GetNumber<uint32_t>("shards", 2);
   if (num_shards == 0) {
     std::fprintf(stderr, "error: --shards must be at least 1\n");
     return 1;
@@ -943,7 +963,7 @@ int RunServe(const Args& args) {
   scfg.exact_verification = args.Has("exact");
   scfg.num_threads = num_threads;
   scfg.breaker.failure_threshold =
-      static_cast<uint32_t>(args.GetUint("breaker-failures", 3));
+      args.GetNumber<uint32_t>("breaker-failures", 3);
   scfg.breaker.open_seconds =
       args.GetDouble("breaker-open-ms", 1000.0) / 1000.0;
   scfg.shard_timeout_seconds =
@@ -953,11 +973,11 @@ int RunServe(const Args& args) {
   acfg.tokens_per_second = args.GetDouble("rate", 0.0);
   acfg.burst = args.GetDouble("burst", 0.0);
   acfg.max_in_flight =
-      static_cast<uint32_t>(args.GetUint("max-in-flight", 0));
+      args.GetNumber<uint32_t>("max-in-flight", 0);
 
   ServeOptions opts;
   opts.deadline_seconds = args.GetDouble("deadline-ms", 0.0) / 1000.0;
-  const auto top_k = static_cast<uint32_t>(args.GetUint("top-k", 0));
+  const auto top_k = args.GetNumber<uint32_t>("top-k", 0);
   const double drain_s = args.GetDouble("drain-timeout-ms", 5000.0) / 1000.0;
   const bool normalize =
       args.Has("normalize") && build.measure == Measure::kCosine;
@@ -1124,7 +1144,7 @@ int RunServe(const Args& args) {
 int RunAdd(const Args& args) {
   if (!args.Has("index") || !args.Has("input")) return Usage();
   DynamicIndexConfig cfg;
-  if (!ParseThreads(args, &cfg.num_threads)) return 1;
+  cfg.num_threads = ParseThreads(args);
   if (!ParseDurabilityFlags(args, &cfg)) return 1;
   const std::string index_path = args.Get("index", "");
   const std::string out_path = args.Get("output", index_path);
@@ -1206,7 +1226,7 @@ int RunRemove(const Args& args) {
     ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
   }
   DynamicIndexConfig cfg;
-  if (!ParseThreads(args, &cfg.num_threads)) return 1;
+  cfg.num_threads = ParseThreads(args);
   if (!ParseDurabilityFlags(args, &cfg)) return 1;
   const std::string index_path = args.Get("index", "");
   const std::string out_path = args.Get("output", index_path);
@@ -1241,7 +1261,7 @@ int RunRemove(const Args& args) {
 int RunCompact(const Args& args) {
   if (!args.Has("index")) return Usage();
   DynamicIndexConfig cfg;
-  if (!ParseThreads(args, &cfg.num_threads)) return 1;
+  cfg.num_threads = ParseThreads(args);
   if (!ParseDurabilityFlags(args, &cfg)) return 1;
   const std::string index_path = args.Get("index", "");
   const std::string out_path = args.Get("output", index_path);
@@ -1282,9 +1302,8 @@ int RunCompact(const Args& args) {
 int RunGenerate(const Args& args) {
   if (!args.Has("output")) return Usage();
   const std::string kind = args.Get("kind", "text");
-  const uint32_t vectors =
-      static_cast<uint32_t>(args.GetUint("vectors", 2000));
-  const uint64_t seed = args.GetUint("seed", 42);
+  const uint32_t vectors = args.GetNumber<uint32_t>("vectors", 2000);
+  const uint64_t seed = args.GetNumber<uint64_t>("seed", 42);
 
   Dataset data;
   if (kind == "text") {
@@ -1347,14 +1366,19 @@ int main(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string cmd = argv[1];
   const Args args = Args::Parse(argc, argv, 2);
-  if (cmd == "allpairs") return RunAllPairs(args);
-  if (cmd == "index") return RunIndex(args);
-  if (cmd == "query") return RunQuery(args);
-  if (cmd == "serve") return RunServe(args);
-  if (cmd == "add") return RunAdd(args);
-  if (cmd == "remove") return RunRemove(args);
-  if (cmd == "compact") return RunCompact(args);
-  if (cmd == "generate") return RunGenerate(args);
-  if (cmd == "stats") return RunStats(args);
+  try {
+    if (cmd == "allpairs") return RunAllPairs(args);
+    if (cmd == "index") return RunIndex(args);
+    if (cmd == "query") return RunQuery(args);
+    if (cmd == "serve") return RunServe(args);
+    if (cmd == "add") return RunAdd(args);
+    if (cmd == "remove") return RunRemove(args);
+    if (cmd == "compact") return RunCompact(args);
+    if (cmd == "generate") return RunGenerate(args);
+    if (cmd == "stats") return RunStats(args);
+  } catch (const FlagError& e) {
+    std::fprintf(stderr, "error: %s\n", e.message.c_str());
+    return 1;
+  }
   return Usage();
 }
