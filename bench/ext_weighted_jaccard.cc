@@ -46,7 +46,7 @@ std::vector<ScoredPair> ExactWeightedJoin(const Dataset& data, double t) {
       }
     }
   }
-  const CandidateList cands = DedupPairKeys(std::move(keys));
+  const CandidateList cands = DedupPairKeys(std::move(keys), nullptr);
   std::vector<ScoredPair> out;
   for (const auto& [a, b] : cands.pairs) {
     const double s = WeightedJaccardSimilarity(data.Row(a), data.Row(b));

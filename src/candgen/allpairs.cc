@@ -258,7 +258,7 @@ CandidateList AllPairsCandidates(const Dataset& data, double threshold,
                                  AllPairsStats* stats, ThreadPool* pool) {
   std::vector<uint64_t> keys;
   AllPairsCore(data, threshold, nullptr, &keys, stats, pool);
-  return DedupPairKeys(std::move(keys));
+  return DedupPairKeys(std::move(keys), pool);
 }
 
 }  // namespace bayeslsh

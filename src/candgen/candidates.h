@@ -14,9 +14,13 @@
 #include <utility>
 #include <vector>
 
+#include "common/thread_pool.h"
+
 namespace bayeslsh {
 
-// An unordered-unique list of candidate pairs (a < b in every pair).
+// A duplicate-free list of candidate pairs (a < b in every pair), sorted by
+// (a, b): every generator returns it in this order whatever its thread
+// count.
 struct CandidateList {
   std::vector<std::pair<uint32_t, uint32_t>> pairs;
 
@@ -27,9 +31,15 @@ struct CandidateList {
   uint64_t size() const { return pairs.size(); }
 };
 
-// Sorts pair keys, removes duplicates, and converts to a CandidateList.
-// Consumes (and frees) the keys vector. Keys encode (a << 32) | b.
-CandidateList DedupPairKeys(std::vector<uint64_t>&& keys);
+// Sorts pair keys, removes duplicates, and converts to a CandidateList
+// sorted by (a, b), with raw_emitted = keys.size(). Consumes (and frees)
+// the keys vector. Keys encode (a << 32) | b.
+//
+// With a multi-threaded pool, each worker sorts one equal-size piece of
+// `keys` in place and drops the piece's own duplicates; one merge then
+// writes the pieces' union straight into CandidateList::pairs. The result
+// is the sequential one, and no second key buffer is allocated.
+CandidateList DedupPairKeys(std::vector<uint64_t>&& keys, ThreadPool* pool);
 
 }  // namespace bayeslsh
 

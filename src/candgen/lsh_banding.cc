@@ -57,7 +57,8 @@ BandingShape ResolveBandingShape(Measure measure, double threshold,
 namespace {
 
 // Concatenates per-shard key vectors in shard order and deduplicates.
-CandidateList MergeShardKeys(std::vector<std::vector<uint64_t>>&& shard_keys) {
+CandidateList MergeShardKeys(std::vector<std::vector<uint64_t>>&& shard_keys,
+                             ThreadPool* pool) {
   size_t total = 0;
   for (const auto& keys : shard_keys) total += keys.size();
   std::vector<uint64_t> all;
@@ -66,7 +67,7 @@ CandidateList MergeShardKeys(std::vector<std::vector<uint64_t>>&& shard_keys) {
     all.insert(all.end(), keys.begin(), keys.end());
   }
   shard_keys.clear();
-  return DedupPairKeys(std::move(all));
+  return DedupPairKeys(std::move(all), pool);
 }
 
 // Groups (band_key, row) tuples and emits all intra-bucket pairs.
@@ -140,7 +141,7 @@ CandidateList CosineLshCandidates(BitSignatureStore* store, double threshold,
   } else {
     build_bands(0, 0, l);
   }
-  return MergeShardKeys(std::move(shard_keys));
+  return MergeShardKeys(std::move(shard_keys), pool);
 }
 
 CandidateList JaccardLshCandidates(IntSignatureStore* store, double threshold,
@@ -191,7 +192,7 @@ CandidateList JaccardLshCandidates(IntSignatureStore* store, double threshold,
   } else {
     build_bands(0, 0, l);
   }
-  return MergeShardKeys(std::move(shard_keys));
+  return MergeShardKeys(std::move(shard_keys), pool);
 }
 
 }  // namespace bayeslsh

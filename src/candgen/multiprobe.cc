@@ -160,7 +160,7 @@ CandidateList MultiProbeCosineCandidates(BitSignatureStore* store,
     keys.insert(keys.end(), band_keys[band].begin(), band_keys[band].end());
     raw += band_raw[band];
   }
-  CandidateList out = DedupPairKeys(std::move(keys));
+  CandidateList out = DedupPairKeys(std::move(keys), pool);
   out.raw_emitted = raw;
   return out;
 }

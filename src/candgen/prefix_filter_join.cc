@@ -230,7 +230,7 @@ CandidateList PrefixFilterCandidates(const Dataset& data, double threshold,
                                      ThreadPool* pool) {
   std::vector<uint64_t> keys;
   PrefixFilterCore(data, threshold, measure, nullptr, &keys, stats, pool);
-  return DedupPairKeys(std::move(keys));
+  return DedupPairKeys(std::move(keys), pool);
 }
 
 }  // namespace bayeslsh

@@ -55,6 +55,17 @@ void CheckThreshold(Measure m, double threshold, const std::string& who) {
 }
 
 BayesLshParams ResolveBayesParams(Measure m, BayesLshParams params) {
+  const std::pair<const char*, double> probabilities[] = {
+      {"epsilon", params.epsilon},
+      {"delta", params.delta},
+      {"gamma", params.gamma}};
+  for (const auto& [name, value] : probabilities) {
+    // Written so that NaN fails the test.
+    if (!(value > 0.0 && value < 1.0)) {
+      throw std::invalid_argument(std::string("BayesLshParams: ") + name +
+                                  " must be in (0, 1)");
+    }
+  }
   const MeasureTraits& t = TraitsOf(m);
   if (params.hashes_per_round == 0) params.hashes_per_round = t.round_hashes;
   if (params.max_hashes == 0) params.max_hashes = t.max_hashes;

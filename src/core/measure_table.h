@@ -74,7 +74,9 @@ const MeasureTraits& TraitsOf(Measure m);
 void CheckThreshold(Measure m, double threshold, const std::string& who);
 
 // `params` with hashes_per_round / max_hashes of 0 resolved to the
-// measure's defaults and the budget rounded down to whole rounds.
+// measure's defaults and the budget rounded down to whole rounds. Throws
+// std::invalid_argument unless epsilon, delta and gamma each lie in
+// (0, 1).
 BayesLshParams ResolveBayesParams(Measure m, BayesLshParams params);
 
 // The inputs that define a measure's hash families, gathered from

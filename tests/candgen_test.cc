@@ -425,12 +425,95 @@ TEST(LshBandingTest, ExplicitBandCountRespected) {
 TEST(DedupPairKeysTest, SortsAndDedups) {
   std::vector<uint64_t> keys = {PairKey(3, 4), PairKey(1, 2), PairKey(3, 4),
                                 PairKey(1, 2), PairKey(0, 9)};
-  const CandidateList list = DedupPairKeys(std::move(keys));
+  const CandidateList list = DedupPairKeys(std::move(keys), nullptr);
   ASSERT_EQ(list.size(), 3u);
   EXPECT_EQ(list.raw_emitted, 5u);
   EXPECT_EQ(list.pairs[0], (std::pair<uint32_t, uint32_t>{0, 9}));
   EXPECT_EQ(list.pairs[1], (std::pair<uint32_t, uint32_t>{1, 2}));
   EXPECT_EQ(list.pairs[2], (std::pair<uint32_t, uint32_t>{3, 4}));
+}
+
+// The parallel dedupe (sorted pieces merged into one list) must return the
+// sequential list and raw count through pools of 1, 3 and 8 threads.
+void ExpectParallelDedupMatchesSequential(const std::vector<uint64_t>& keys) {
+  std::vector<uint64_t> input = keys;
+  const CandidateList want = DedupPairKeys(std::move(input), nullptr);
+  ASSERT_EQ(want.raw_emitted, keys.size());
+  ASSERT_TRUE(std::is_sorted(want.pairs.begin(), want.pairs.end()));
+  ASSERT_EQ(std::adjacent_find(want.pairs.begin(), want.pairs.end()),
+            want.pairs.end());
+  for (const uint32_t threads : {1u, 3u, 8u}) {
+    ThreadPool pool(threads);
+    input = keys;
+    const CandidateList got = DedupPairKeys(std::move(input), &pool);
+    EXPECT_EQ(got.raw_emitted, want.raw_emitted)
+        << threads << " threads, " << keys.size() << " keys";
+    EXPECT_TRUE(got.pairs == want.pairs)
+        << threads << " threads, " << keys.size() << " keys";
+  }
+}
+
+TEST(DedupPairKeysTest, ParallelMatchesSequentialOnSmallInputs) {
+  ExpectParallelDedupMatchesSequential({});
+  ExpectParallelDedupMatchesSequential({PairKey(4, 7)});
+  // Fewer keys than pieces: some workers get none.
+  ExpectParallelDedupMatchesSequential({PairKey(9, 10), PairKey(1, 2)});
+  ExpectParallelDedupMatchesSequential({PairKey(5, 6), PairKey(0, 3),
+                                        PairKey(5, 6), PairKey(2, 8),
+                                        PairKey(0, 1)});
+  // All duplicates: every piece holds the same single key.
+  ExpectParallelDedupMatchesSequential(
+      std::vector<uint64_t>(1000, PairKey(3, 11)));
+}
+
+TEST(DedupPairKeysTest, ParallelMergesDuplicatesAcrossPieceBoundaries) {
+  // Descending distinct keys, then every boundary of the 3- and 8-way
+  // splits gets the same key on both of its sides.
+  const uint64_t n = 120;
+  std::vector<uint64_t> keys(n);
+  for (uint64_t i = 0; i < n; ++i) {
+    keys[i] = PairKey(static_cast<uint32_t>((n - i) % 7),
+                      static_cast<uint32_t>(1000 - i));
+  }
+  for (const uint32_t threads : {3u, 8u}) {
+    for (uint32_t s = 1; s < threads; ++s) {
+      const uint64_t b = ThreadPool::ShardBegin(n, s, threads);
+      keys[b] = keys[b - 1];
+    }
+  }
+  ExpectParallelDedupMatchesSequential(keys);
+}
+
+TEST(DedupPairKeysTest, ParallelMatchesSequentialOnAMillionKeys) {
+  // ~1 M random pair keys, ~10% of them copies of earlier keys, shuffled.
+  Xoshiro256StarStar rng(2012);
+  std::vector<uint64_t> keys;
+  keys.reserve(1000000);
+  while (keys.size() < 900000) {
+    const auto a = static_cast<uint32_t>(rng.NextBounded(20000));
+    const auto b = static_cast<uint32_t>(rng.NextBounded(20000));
+    if (a != b) keys.push_back(a < b ? PairKey(a, b) : PairKey(b, a));
+  }
+  while (keys.size() < 1000000) {
+    keys.push_back(keys[rng.NextBounded(900000)]);
+  }
+  std::shuffle(keys.begin(), keys.end(), rng);
+  ExpectParallelDedupMatchesSequential(keys);
+}
+
+TEST(DedupPairKeysTest, NestedInsideAPoolWorkerRunsAsOnePiece) {
+  const std::vector<uint64_t> keys = {PairKey(2, 3), PairKey(0, 5),
+                                      PairKey(2, 3), PairKey(1, 4)};
+  std::vector<uint64_t> input = keys;
+  const CandidateList want = DedupPairKeys(std::move(input), nullptr);
+  ThreadPool pool(3);
+  CandidateList got;
+  pool.RunShards(1, [&](uint32_t, uint64_t, uint64_t) {
+    std::vector<uint64_t> nested = keys;
+    got = DedupPairKeys(std::move(nested), &pool);
+  });
+  EXPECT_EQ(got.pairs, want.pairs);
+  EXPECT_EQ(got.raw_emitted, want.raw_emitted);
 }
 
 }  // namespace

@@ -398,13 +398,24 @@ allpairs_meets_threshold euclidean 5.0 '$3 < 0 || $3 > t'
 # measure's domain, a non-numeric value, or a generator the measure does
 # not support is one error line and exit 1.
 for bad in "--threshold -0.5" "--threshold abc" "--threshold 1.5" \
-           "--threshold 0.5 --seed xyz" "--threshold 0.5 --threads -1"; do
+           "--threshold 0.5 --seed xyz" "--threshold 0.5 --threads -1" \
+           "--threshold 0.3 --epsilon 2" "--threshold 0.3 --delta 1"; do
   # shellcheck disable=SC2086  # $bad is a flag list.
   "$CLI" allpairs --input corpus.txt --measure jaccard $bad \
     >ap_bad.txt 2>err.txt
   check_rc "allpairs $bad" 1 $?
   check_one_error_line "allpairs $bad" err.txt
   [ -s ap_bad.txt ] && { echo "FAIL: allpairs $bad printed pairs" >&2; fails=$((fails + 1)); }
+done
+# ... and so is a BayesLSH epsilon, delta or gamma outside (0, 1).
+for bad in "--epsilon 2" "--epsilon 0" "--gamma 1.5" "--delta 0" \
+           "--delta nan"; do
+  # shellcheck disable=SC2086  # $bad is a flag list.
+  "$CLI" allpairs --input corpus.txt --tfidf --measure cosine \
+    --generator lsh --threshold 0.7 $bad >ap_bad.txt 2>err.txt
+  check_rc "cosine allpairs $bad" 1 $?
+  check_one_error_line "cosine allpairs $bad" err.txt
+  [ -s ap_bad.txt ] && { echo "FAIL: cosine allpairs $bad printed pairs" >&2; fails=$((fails + 1)); }
 done
 "$CLI" allpairs --input corpus.txt --measure wjaccard --threshold 0.5 \
   2>err.txt

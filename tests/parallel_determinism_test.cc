@@ -1,6 +1,6 @@
 // The parallel engine's contract: RunPipeline (and the query/top-k paths
 // built on it) produce pair-for-pair identical results for num_threads
-// in {1, 2, 8}, across every generator × verifier × measure combination,
+// in {1, 2, 3, 8}, across every generator × verifier × measure combination,
 // and the hashing-overhead accounting stays within the documented
 // prefetch-horizon slack of the single-threaded count.
 
@@ -13,8 +13,12 @@
 
 #include <gtest/gtest.h>
 
+#include "candgen/allpairs.h"
 #include "candgen/multiprobe.h"
+#include "common/prng.h"
 #include "common/thread_pool.h"
+#include "core/cosine_posterior.h"
+#include "core/parallel_verify.h"
 #include "core/pipeline.h"
 #include "core/query_search.h"
 #include "core/topk_search.h"
@@ -49,15 +53,20 @@ Dataset GraphBinary(uint64_t seed, uint32_t nodes = 600) {
   return GenerateGraphAdjacency(cfg);
 }
 
+void ExpectSamePairsInOrder(const std::vector<ScoredPair>& base,
+                            const std::vector<ScoredPair>& got,
+                            uint32_t threads) {
+  ASSERT_EQ(base.size(), got.size()) << threads << " threads";
+  for (size_t i = 0; i < base.size(); ++i) {
+    EXPECT_EQ(base[i].a, got[i].a) << threads << " threads";
+    EXPECT_EQ(base[i].b, got[i].b) << threads << " threads";
+    EXPECT_EQ(base[i].sim, got[i].sim) << threads << " threads, pair " << i;
+  }
+}
+
 void ExpectIdentical(const PipelineResult& base, const PipelineResult& got,
                      uint32_t threads) {
-  ASSERT_EQ(base.pairs.size(), got.pairs.size()) << threads << " threads";
-  for (size_t i = 0; i < base.pairs.size(); ++i) {
-    EXPECT_EQ(base.pairs[i].a, got.pairs[i].a) << threads << " threads";
-    EXPECT_EQ(base.pairs[i].b, got.pairs[i].b) << threads << " threads";
-    EXPECT_EQ(base.pairs[i].sim, got.pairs[i].sim)
-        << threads << " threads, pair " << i;
-  }
+  ExpectSamePairsInOrder(base.pairs, got.pairs, threads);
   EXPECT_EQ(base.candidates, got.candidates) << threads << " threads";
   EXPECT_EQ(base.raw_candidates, got.raw_candidates) << threads << " threads";
 }
@@ -107,7 +116,9 @@ TEST_P(PipelineThreadDeterminismTest, IdenticalAcrossThreadCounts) {
 
   cfg.num_threads = 1;
   const PipelineResult base = RunPipeline(data, cfg);
-  for (uint32_t threads : {2u, 8u}) {
+  // 3 threads puts the dedupe pieces and the verification blocks on
+  // uneven boundaries.
+  for (uint32_t threads : {2u, 3u, 8u}) {
     cfg.num_threads = threads;
     const PipelineResult got = RunPipeline(data, cfg);
     ExpectIdentical(base, got, threads);
@@ -208,27 +219,116 @@ INSTANTIATE_TEST_SUITE_P(
               VerifierKind::kBayesLshLite, 0.8}),
     ComboName);
 
+// Runs `cfg` on `data` at 1, 3 and 8 threads, with enough candidates that
+// verification claims blocks at 8 threads instead of falling back to the
+// sequential engine, and checks every multi-threaded run against the
+// 1-thread one: the same pairs, estimates and order, the same verdict
+// counts, and a hashing tally inside the documented slack.
+void ExpectBlockClaimedVerifyIdentical(const Dataset& data,
+                                       PipelineConfig cfg) {
+  cfg.num_threads = 1;
+  const PipelineResult base = RunPipeline(data, cfg);
+  EXPECT_EQ(base.threads_used, 1u);
+  ASSERT_GE(base.candidates, kMinPairsPerShard * 8)
+      << "dataset too sparse to exercise the sharded path";
+  ASSERT_GT(base.pairs.size(), 0u);
+  for (const uint32_t threads : {3u, 8u}) {
+    cfg.num_threads = threads;
+    const PipelineResult got = RunPipeline(data, cfg);
+    EXPECT_EQ(got.threads_used, threads);
+    ExpectIdentical(base, got, threads);
+    EXPECT_EQ(base.vstats.accepted, got.vstats.accepted);
+    EXPECT_EQ(base.vstats.pruned, got.vstats.pruned);
+    EXPECT_EQ(base.vstats.forced_accepts, got.vstats.forced_accepts);
+    EXPECT_EQ(base.vstats.exact_computed, got.vstats.exact_computed);
+    EXPECT_EQ(base.vstats.hashes_compared, got.vstats.hashes_compared);
+    EXPECT_EQ(base.vstats.surviving_after_round,
+              got.vstats.surviving_after_round);
+    EXPECT_GE(got.verify_hashes_computed, base.verify_hashes_computed);
+    EXPECT_LE(got.verify_hashes_computed,
+              base.verify_hashes_computed * (threads + 1));
+  }
+}
+
 TEST(PipelineThreadShardingTest, LargeCandidateListExercisesShardedVerify) {
-  // A low threshold guarantees enough candidates that the verification
-  // actually shards at 8 threads (>= kMinPairsPerShard per worker) rather
-  // than falling back to the sequential engine.
-  const Dataset data = TextWeighted(22, 900);
+  // A low threshold guarantees enough candidates for AllPairs + BayesLSH.
   PipelineConfig cfg;
   cfg.measure = Measure::kCosine;
   cfg.generator = GeneratorKind::kAllPairs;
   cfg.verifier = VerifierKind::kBayesLsh;
   cfg.threshold = 0.4;
   cfg.seed = 7;
+  ExpectBlockClaimedVerifyIdentical(TextWeighted(22, 900), cfg);
+}
 
-  cfg.num_threads = 1;
-  const PipelineResult base = RunPipeline(data, cfg);
-  ASSERT_GE(base.candidates, 64u * 8u)
-      << "dataset too sparse to exercise the sharded path";
-  cfg.num_threads = 8;
-  const PipelineResult got = RunPipeline(data, cfg);
-  ExpectIdentical(base, got, 8);
-  EXPECT_EQ(got.threads_used, 8u);
-  EXPECT_EQ(base.threads_used, 1u);
+TEST(PipelineThreadShardingTest, CosineLshBayesLshIdenticalAcrossBlockClaims) {
+  PipelineConfig cfg;
+  cfg.measure = Measure::kCosine;
+  cfg.generator = GeneratorKind::kLsh;
+  cfg.verifier = VerifierKind::kBayesLsh;
+  cfg.threshold = 0.7;
+  cfg.seed = 9;
+  ExpectBlockClaimedVerifyIdentical(TextWeighted(27, 1200), cfg);
+}
+
+TEST(PipelineThreadShardingTest,
+     JaccardAllPairsLiteIdenticalAcrossBlockClaims) {
+  PipelineConfig cfg;
+  cfg.measure = Measure::kJaccard;
+  cfg.generator = GeneratorKind::kAllPairs;
+  cfg.verifier = VerifierKind::kBayesLshLite;
+  cfg.threshold = 0.3;
+  cfg.seed = 10;
+  ExpectBlockClaimedVerifyIdentical(GraphBinary(28, 1200), cfg);
+}
+
+TEST(VerifyThreadDeterminismTest, ParallelVerifiersKeepCandidateOrder) {
+  // RunPipeline sorts its output, so the parallel verifiers are driven
+  // directly here, on a shuffled candidate list where any reordering of
+  // the claimed blocks would show.
+  const Dataset data = TextWeighted(29, 900);
+  std::vector<std::pair<uint32_t, uint32_t>> pairs =
+      AllPairsCandidates(data, 0.4).pairs;
+  ASSERT_GE(pairs.size(), kMinPairsPerShard * 8);
+  Xoshiro256StarStar rng(5);
+  std::shuffle(pairs.begin(), pairs.end(), rng);
+
+  const auto gauss = std::make_shared<ImplicitGaussianSource>(uint64_t{37});
+  const CosinePosterior model(0.4);
+  const BayesLshParams params;
+  const uint32_t lite_hashes = 4 * params.hashes_per_round;
+  const auto exact = [&data](uint32_t a, uint32_t b) {
+    return SparseDot(data.Row(a), data.Row(b));
+  };
+  BitSignatureStore serial_store(&data, SrpHasher(gauss.get()));
+  VerifyStats base_stats, base_lite_stats;
+  const std::vector<ScoredPair> base =
+      BayesLshVerify(model, &serial_store, pairs, params, &base_stats);
+  const std::vector<ScoredPair> base_lite =
+      BayesLshLiteVerify(model, &serial_store, pairs, lite_hashes, exact, 0.4,
+                         params, &base_lite_stats);
+  ASSERT_GT(base.size(), 0u);
+  ASSERT_GT(base_lite.size(), 0u);
+
+  for (const uint32_t threads : {3u, 8u}) {
+    ThreadPool pool(threads);
+    BitSignatureStore store(&data, SrpHasher(gauss.get()));
+    VerifyStats stats, lite_stats;
+    ExpectSamePairsInOrder(
+        base,
+        BayesLshVerifyParallel(model, &store, pairs, params, &pool, &stats),
+        threads);
+    ExpectSamePairsInOrder(
+        base_lite,
+        BayesLshLiteVerifyParallel(model, &store, pairs, lite_hashes, exact,
+                                   0.4, params, &pool, &lite_stats),
+        threads);
+    EXPECT_EQ(base_stats.accepted, stats.accepted);
+    EXPECT_EQ(base_stats.pruned, stats.pruned);
+    EXPECT_EQ(base_stats.surviving_after_round, stats.surviving_after_round);
+    EXPECT_EQ(base_lite_stats.accepted, lite_stats.accepted);
+    EXPECT_EQ(base_lite_stats.exact_computed, lite_stats.exact_computed);
+  }
 }
 
 TEST(TopKThreadDeterminismTest, IdenticalAcrossThreadCounts) {

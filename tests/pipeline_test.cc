@@ -382,6 +382,40 @@ TEST(PipelineValidationTest, ThresholdOutsideTheMeasureDomainThrows) {
   }
 }
 
+TEST(PipelineValidationTest, BayesParamsOutsideTheUnitIntervalThrow) {
+  const Dataset weighted = TextWeighted(64, 120);
+  const Dataset binary = GraphBinary(64, 120);
+  const struct {
+    const char* name;
+    double BayesLshParams::*field;
+  } params[] = {{"epsilon", &BayesLshParams::epsilon},
+                {"delta", &BayesLshParams::delta},
+                {"gamma", &BayesLshParams::gamma}};
+  for (const auto& [name, field] : params) {
+    for (const double bad : {-0.1, 0.0, 1.0, 1.5, 2.0,
+                             std::numeric_limits<double>::quiet_NaN()}) {
+      PipelineConfig cosine = MakeConfig(
+          Measure::kCosine, GeneratorKind::kLsh, VerifierKind::kBayesLsh, 0.7);
+      cosine.bayes.*field = bad;
+      EXPECT_THROW(RunPipeline(weighted, cosine), std::invalid_argument)
+          << name << "=" << bad;
+      PipelineConfig jaccard =
+          MakeConfig(Measure::kJaccard, GeneratorKind::kAllPairs,
+                     VerifierKind::kBayesLshLite, 0.3);
+      jaccard.bayes.*field = bad;
+      EXPECT_THROW(RunPipeline(binary, jaccard), std::invalid_argument)
+          << name << "=" << bad;
+    }
+  }
+  // Anything strictly inside the interval is accepted.
+  PipelineConfig loose = MakeConfig(Measure::kCosine, GeneratorKind::kLsh,
+                                    VerifierKind::kBayesLsh, 0.7);
+  loose.bayes.epsilon = 0.5;
+  loose.bayes.delta = 0.2;
+  loose.bayes.gamma = 0.2;
+  EXPECT_NO_THROW(RunPipeline(weighted, loose));
+}
+
 TEST(PipelineValidationTest, UnsupportedGeneratorOrVerifierThrows) {
   const Dataset data = TextWeighted(62, 120);
   // The AllPairs generator covers the paper's three measures only.

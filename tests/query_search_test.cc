@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <set>
+#include <stdexcept>
 
 #include <gtest/gtest.h>
 
@@ -191,6 +192,21 @@ TEST(QuerySearcherTest, EmptyQueryReturnsNothing) {
   cfg.threshold = 0.5;
   const QuerySearcher searcher(&data, cfg);
   EXPECT_TRUE(searcher.Query(SparseVectorView{}).empty());
+}
+
+TEST(QuerySearcherTest, BayesParamsOutsideTheUnitIntervalThrow) {
+  const Dataset data = TextWeighted(12, 200);
+  for (double BayesLshParams::*field :
+       {&BayesLshParams::epsilon, &BayesLshParams::delta,
+        &BayesLshParams::gamma}) {
+    for (const double bad : {0.0, 1.0, 2.0, std::nan("")}) {
+      QuerySearchConfig cfg;
+      cfg.measure = Measure::kCosine;
+      cfg.threshold = 0.7;
+      cfg.bayes.*field = bad;
+      EXPECT_THROW(QuerySearcher(&data, cfg), std::invalid_argument) << bad;
+    }
+  }
 }
 
 TEST(QuerySearcherTest, StatsArePopulated) {
