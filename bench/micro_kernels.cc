@@ -99,9 +99,9 @@ bool RunKernel(BenchJsonWriter* writer, const char* name, uint64_t iters,
 }
 
 // Serial EstimateAt loop vs one EstimateAtBatch pass over the same block
-// of match counts — the locality win behind QuerySearchConfig's
-// posterior_batch. Both caches are primed, so this times the memo-hit
-// path the verification inner loop actually runs.
+// of match counts — the locality win behind QuerySearcher's verify loop,
+// which drives candidates in blocks of 8. Both caches are primed, so this
+// times the memo-hit path the verification inner loop actually runs.
 bool RunPosteriorBatch(BenchJsonWriter* writer) {
   const CosinePosterior model(0.7);
   InferenceCache<CosinePosterior> serial_cache(&model, 32, 256, 0.03, 0.05,

@@ -1,6 +1,7 @@
 #include "core/query_search.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <functional>
 #include <memory>
@@ -8,6 +9,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "candgen/banding_index.h"
@@ -29,6 +31,11 @@ namespace {
 
 // Below this many candidates per worker a query is verified sequentially.
 constexpr uint64_t kMinQueryCandidatesPerShard = 16;
+
+// Candidates the verify loop drives side by side, so each round's
+// posterior updates share one batched inference-cache pass.
+// perfbench/blsh_trace.cc replays the serial path with the same width.
+constexpr uint32_t kVerifyBlock = 8;
 
 // A mutex-guarded pool of inference caches. Every serving path leases the
 // caches it needs for one call (one for a serial query, one per worker for
@@ -104,15 +111,32 @@ class CacheLease {
   std::vector<InferenceCache<Model>*> caches_;
 };
 
+// A query's verification signature, hashed on demand: To(n) extends it to
+// cover hash positions [0, n) and returns it. `extend` appends to the
+// signature in the store's layout; a copy carries its own signature and
+// extension state.
+template <typename Word>
+class QuerySignature {
+ public:
+  using Extend = std::function<void(uint32_t n, std::vector<Word>* sig)>;
+
+  explicit QuerySignature(Extend extend) : extend_(std::move(extend)) {}
+
+  const Word* To(uint32_t n) {
+    extend_(n, &sig_);
+    return sig_.data();
+  }
+
+ private:
+  Extend extend_;
+  std::vector<Word> sig_;
+};
+
 void SortMatches(std::vector<QueryMatch>* out) {
   std::sort(out->begin(), out->end(),
             [](const QueryMatch& a, const QueryMatch& b) {
               return a.sim != b.sim ? a.sim > b.sim : a.id < b.id;
             });
-}
-
-void MergeStats(const QueryStats& from, QueryStats* into) {
-  if (into != nullptr) into->MergeFrom(from);
 }
 
 }  // namespace
@@ -183,8 +207,12 @@ struct QuerySearcher::Impl {
 
   // Resolves parameters, models, cache pools, hashers, empty stores and
   // the worker pool — everything except the banding buckets, which the two
-  // constructors provide differently.
-  void Init(const Dataset* d, const QuerySearchConfig& config);
+  // constructors provide differently. The hash families are built for
+  // `family_threshold`: the serving threshold for a fresh build, the build
+  // threshold for a warm start, whose buckets and signatures were hashed
+  // with it (for Euclidean it sets the p-stable width).
+  void Init(const Dataset* d, const QuerySearchConfig& config,
+            double family_threshold);
 
   // Candidate ids from the buckets the query falls into (sorted, unique).
   std::vector<uint32_t> CollectCandidates(const SparseVectorView& q) const;
@@ -228,82 +256,87 @@ struct QuerySearcher::Impl {
     };
   }
 
-  // --- verification of one candidate against the current query ---
-  // Returns true with the similarity in *sim if the candidate is kept.
-  // `cache` is the caller's leased inference cache for the active measure.
-  template <typename Cache, typename EnsureQuery, typename MatchRange>
-  bool VerifyCandidate(uint32_t row, const SparseVectorView& q,
-                       const EnsureQuery& ensure_query,
-                       const MatchRange& match_range, Cache& cache,
-                       QueryStats* stats, double* sim) const {
-    const uint32_t kk = bayes.hashes_per_round;
-    const uint32_t budget = ServeBudget();
-    uint32_t m = 0, n = 0;
-    while (n < budget) {
-      ensure_query(n + kk);
-      m += match_range(row, n, n + kk);
-      n += kk;
-      if (stats != nullptr) stats->hashes_compared += kk;
-      if (m < cache.MinMatches(n)) {
-        if (stats != nullptr) ++stats->pruned;
-        return false;
-      }
-      if (!cfg.exact_verification) {
-        const auto er = cache.EstimateAt(m, n);
-        if (er.concentrated) {
-          *sim = er.estimate;
-          return true;
-        }
-      }
-    }
-    if (cfg.exact_verification) {
-      const double s = ExactSim(row, q);
-      if (s >= score_threshold) {
-        *sim = s;
-        return true;
-      }
-      return false;
-    }
-    // Estimation mode, budget exhausted: forced accept (cf. Algorithm 1).
-    // (Unreachable for Euclidean — exact verification is forced — but the
-    // dispatch stays total: the MAP distance estimate, negated.)
-    const int mi = static_cast<int>(m), ni = static_cast<int>(n);
-    if (cos_model.has_value()) {
-      *sim = cos_model->Estimate(mi, ni);
-    } else if (bbit_model.has_value()) {
-      *sim = bbit_model->Estimate(mi, ni);
-    } else if (euc_model.has_value()) {
-      *sim = -euc_model->Estimate(mi, ni);
-    } else {
-      *sim = jac_model->Estimate(mi, ni);
-    }
-    return true;
+  // The engaged posterior model, the pool its inference caches are leased
+  // from, and the store it verifies against, handed to
+  // f(model, cache_pool, store) — the searcher's one dispatch on the
+  // measure.
+  template <typename F>
+  void WithModel(F&& f) const {
+    if (cos_model.has_value()) return f(*cos_model, cos_pool, *bits);
+    if (bbit_model.has_value()) return f(*bbit_model, bbit_pool, *bbits);
+    if (euc_model.has_value()) return f(*euc_model, euc_pool, *ints);
+    f(*jac_model, jac_pool, *ints);
   }
 
-  // Default block width for batched posterior evaluation (see
-  // QuerySearchConfig::posterior_batch).
-  static constexpr uint32_t kDefaultPosteriorBatch = 8;
+  // The query's verification signature in `store`'s layout, one overload
+  // per store kind: packed bit words, full-width hash values, or packed
+  // b-bit groups (the query is hashed with the full-width minwise hasher
+  // and the low b bits packed into the store's group layout).
+  QuerySignature<uint64_t> VerificationQuery(const BitSignatureStore&,
+                                             const SparseVectorView& q) const {
+    return QuerySignature<uint64_t>(
+        [chunk = QueryBitChunks(q, /*generation=*/false)](
+            uint32_t n, std::vector<uint64_t>* words) {
+          while (words->size() < WordsForBits(n)) {
+            words->push_back(chunk(static_cast<uint32_t>(words->size())));
+          }
+        });
+  }
 
-  // --- blocked verification (posterior_batch != 1) ---
-  // Drives a block of candidates round-by-round, pushing every survivor's
-  // posterior update through one InferenceCache::EstimateAtBatch call per
-  // round. Each candidate's (m, n) trajectory — and therefore its prune /
-  // accept decision, similarity, and stats contribution — is exactly the
-  // one VerifyCandidate computes; only the cache-call grouping changes
-  // (the memo is order-invariant, so hit/miss tallies also agree).
-  // Accepted candidates are appended in candidate order, so the output is
-  // identical to the serial loop even before the caller's similarity sort
-  // (tests/batched_posterior_test.cc).
-  template <typename Cache, typename EnsureQuery, typename MatchRange>
-  void VerifyBlocked(const SparseVectorView& q,
-                     std::span<const uint32_t> candidates,
-                     const EnsureQuery& ensure_query,
-                     const MatchRange& match_range, Cache& cache,
-                     QueryStats* stats, std::vector<QueryMatch>* out) const {
+  QuerySignature<uint32_t> VerificationQuery(const IntSignatureStore& store,
+                                             const SparseVectorView& q) const {
+    return QuerySignature<uint32_t>(
+        [chunk = QueryIntChunks(q, /*generation=*/false),
+         chunk_ints = store.hasher().chunk_ints()](
+            uint32_t n, std::vector<uint32_t>* hashes) {
+          while (hashes->size() < n) {
+            const auto c = static_cast<uint32_t>(hashes->size()) / chunk_ints;
+            hashes->resize(hashes->size() + chunk_ints);
+            chunk(c, hashes->data() + c * chunk_ints);
+          }
+        });
+  }
+
+  QuerySignature<uint64_t> VerificationQuery(const BbitSignatureStore& store,
+                                             const SparseVectorView& q) const {
+    return QuerySignature<uint64_t>(
+        [h = &*ver.minwise, q, b = store.bits_per_hash(),
+         full = std::vector<uint32_t>()](uint32_t n,
+                                         std::vector<uint64_t>* words) mutable {
+          const auto have = static_cast<uint32_t>(full.size());
+          if (n <= have) return;
+          const uint32_t want = (n + kMinhashChunkInts - 1) /
+                                kMinhashChunkInts * kMinhashChunkInts;
+          full.resize(want);
+          for (uint32_t c = have / kMinhashChunkInts;
+               c < want / kMinhashChunkInts; ++c) {
+            h->HashChunk(q, c, full.data() + c * kMinhashChunkInts);
+          }
+          const uint32_t values_per_word = 64 / b;
+          words->resize((want + values_per_word - 1) / values_per_word, 0);
+          PackBbitValues(full.data() + have, have, want, b, words->data());
+        });
+  }
+
+  // The verify loop: BayesLSH (paper Algorithm 1), or BayesLSH-Lite's
+  // pruning rounds plus exact verification (Algorithm 2), over
+  // `candidates`, appending the accepted ones to *out in candidate order.
+  // Candidates run in blocks of kVerifyBlock, round by round: a round
+  // extends the query signature once, adds each undecided candidate's
+  // matches over the round's hashes (matcher.MatchAgainstQuery — the store
+  // on the serial path, a worker's overflow shard on the sharded one),
+  // prunes against the precomputed minimum match count, and pushes the
+  // survivors' posterior updates through one batched inference-cache pass
+  // (§4.3). A candidate's (m, n) trajectory depends on no other candidate
+  // and the cache memo is order-invariant, so decisions, similarities,
+  // stats and cache tallies are those of a one-at-a-time loop.
+  template <typename Model, typename Matcher, typename Word>
+  void Verify(const SparseVectorView& q, std::span<const uint32_t> candidates,
+              QuerySignature<Word>& query, Matcher& matcher,
+              const Model& model, InferenceCache<Model>& cache,
+              QueryStats& stats, std::vector<QueryMatch>* out) const {
     const uint32_t kk = bayes.hashes_per_round;
     const uint32_t budget = ServeBudget();
-    const uint32_t block = cfg.posterior_batch == 0 ? kDefaultPosteriorBatch
-                                                    : cfg.posterior_batch;
     struct Slot {
       uint32_t row = 0;
       uint32_t m = 0;
@@ -311,358 +344,148 @@ struct QuerySearcher::Impl {
       bool done = false;
       bool accepted = false;
     };
-    std::vector<Slot> slots;
-    std::vector<uint32_t> ms;   // Survivor match counts, gathered per round.
-    std::vector<uint32_t> idx;  // Slot index behind each ms entry.
-    std::vector<typename Cache::EstimateResult> res;
-    for (size_t base = 0; base < candidates.size(); base += block) {
+    std::array<Slot, kVerifyBlock> slots;
+    std::array<uint32_t, kVerifyBlock> ms;   // Survivor match counts.
+    std::array<uint32_t, kVerifyBlock> idx;  // Slot behind each ms entry.
+    std::array<typename InferenceCache<Model>::EstimateResult, kVerifyBlock>
+        res;
+    for (size_t base = 0; base < candidates.size(); base += kVerifyBlock) {
       const auto bsz = static_cast<uint32_t>(
-          std::min<size_t>(block, candidates.size() - base));
-      slots.assign(bsz, Slot{});
-      for (uint32_t i = 0; i < bsz; ++i) slots[i].row = candidates[base + i];
+          std::min<size_t>(kVerifyBlock, candidates.size() - base));
+      for (uint32_t i = 0; i < bsz; ++i) {
+        slots[i] = Slot{};
+        slots[i].row = candidates[base + i];
+      }
       uint32_t active = bsz;
       uint32_t n = 0;
       while (active > 0 && n < budget) {
-        ensure_query(n + kk);
-        for (auto& s : slots) {
-          if (s.done) continue;
-          s.m += match_range(s.row, n, n + kk);
-          if (stats != nullptr) stats->hashes_compared += kk;
+        const Word* qsig = query.To(n + kk);
+        for (uint32_t i = 0; i < bsz; ++i) {
+          if (slots[i].done) continue;
+          slots[i].m += matcher.MatchAgainstQuery(slots[i].row, qsig, n,
+                                                  n + kk);
+          stats.hashes_compared += kk;
         }
         n += kk;
         const uint32_t min_m = cache.MinMatches(n);
-        ms.clear();
-        idx.clear();
+        uint32_t survivors = 0;
         for (uint32_t i = 0; i < bsz; ++i) {
-          auto& s = slots[i];
+          Slot& s = slots[i];
           if (s.done) continue;
           if (s.m < min_m) {
             s.done = true;
             --active;
-            if (stats != nullptr) ++stats->pruned;
-            continue;
-          }
-          if (!cfg.exact_verification) {
-            ms.push_back(s.m);
-            idx.push_back(i);
+            ++stats.pruned;
+          } else if (!cfg.exact_verification) {
+            ms[survivors] = s.m;
+            idx[survivors++] = i;
           }
         }
-        if (!ms.empty()) {
-          res.resize(ms.size());
-          cache.EstimateAtBatch(ms.data(), static_cast<uint32_t>(ms.size()),
-                                n, res.data());
-          for (size_t j = 0; j < ms.size(); ++j) {
-            if (!res[j].concentrated) continue;
-            auto& s = slots[idx[j]];
-            s.done = true;
-            s.accepted = true;
-            s.sim = res[j].estimate;
-            --active;
-          }
+        if (survivors == 0) continue;
+        cache.EstimateAtBatch(ms.data(), survivors, n, res.data());
+        for (uint32_t j = 0; j < survivors; ++j) {
+          if (!res[j].concentrated) continue;
+          Slot& s = slots[idx[j]];
+          s.done = s.accepted = true;
+          s.sim = res[j].estimate;
+          --active;
         }
       }
       // Budget exhausted: the still-undecided slots all saw n hashes.
-      for (auto& s : slots) {
+      for (uint32_t i = 0; i < bsz; ++i) {
+        Slot& s = slots[i];
         if (s.done) continue;
         if (cfg.exact_verification) {
-          const double sim = ExactSim(s.row, q);
-          if (sim >= score_threshold) {
-            s.accepted = true;
-            s.sim = sim;
-          }
-          continue;
-        }
-        // Forced accept (cf. Algorithm 1), as in VerifyCandidate.
-        const int mi = static_cast<int>(s.m), ni = static_cast<int>(n);
-        if (cos_model.has_value()) {
-          s.sim = cos_model->Estimate(mi, ni);
-        } else if (bbit_model.has_value()) {
-          s.sim = bbit_model->Estimate(mi, ni);
-        } else if (euc_model.has_value()) {
-          s.sim = -euc_model->Estimate(mi, ni);
+          s.sim = ExactSim(s.row, q);
+          s.accepted = s.sim >= score_threshold;
         } else {
-          s.sim = jac_model->Estimate(mi, ni);
+          // Forced accept at the MAP estimate (cf. Algorithm 1). Euclidean
+          // always verifies exactly, but its estimate is a distance: it
+          // would go on the score axis negated.
+          s.sim = model.Estimate(static_cast<int>(s.m), static_cast<int>(n));
+          if constexpr (std::is_same_v<Model, EuclideanPosterior>) {
+            s.sim = -s.sim;
+          }
+          s.accepted = true;
         }
-        s.accepted = true;
       }
-      for (const auto& s : slots) {
-        if (s.accepted) out->push_back({s.row, s.sim});
-      }
-    }
-  }
-
-  // --- serial verification paths (one per store kind) ---
-  // Used by the serial Query() fallback and by QueryBatch workers. Safe
-  // for concurrent callers: every row access goes through the store's
-  // MatchAgainstQuery (lock-free once frozen). posterior_batch != 1 routes
-  // through VerifyBlocked above; 1 keeps the per-candidate loop.
-  // Bit-store serial verification (SRP cosine, binary cosine, KLSH — all
-  // through the cosine posterior).
-  void VerifyBitsSerial(const SparseVectorView& q,
-                        std::span<const uint32_t> candidates,
-                        InferenceCache<CosinePosterior>& cache,
-                        QueryStats* stats,
-                        std::vector<QueryMatch>* out) const {
-    const auto hash_chunk = QueryBitChunks(q, /*generation=*/false);
-    std::vector<uint64_t> qbits;
-    auto hash_query_to = [&](uint32_t n_bits) {
-      while (qbits.size() < WordsForBits(n_bits)) {
-        qbits.push_back(hash_chunk(static_cast<uint32_t>(qbits.size())));
-      }
-    };
-    auto match_range = [&](uint32_t row, uint32_t from, uint32_t to) {
-      return bits->MatchAgainstQuery(row, qbits.data(), from, to);
-    };
-    if (cfg.posterior_batch != 1) {
-      VerifyBlocked(q, candidates, hash_query_to, match_range, cache, stats,
-                    out);
-      return;
-    }
-    for (uint32_t row : candidates) {
-      double sim = 0.0;
-      if (VerifyCandidate(row, q, hash_query_to, match_range, cache, stats,
-                          &sim)) {
-        out->push_back({row, sim});
+      for (uint32_t i = 0; i < bsz; ++i) {
+        if (slots[i].accepted) out->push_back({slots[i].row, slots[i].sim});
       }
     }
   }
 
-  // Int-store serial verification (minwise Jaccard, ICWS weighted Jaccard,
-  // p-stable Euclidean). Cache is the leased inference cache of whichever
-  // posterior model the measure verifies through.
-  template <typename Cache>
-  void VerifyIntsSerial(const SparseVectorView& q,
-                        std::span<const uint32_t> candidates, Cache& cache,
-                        QueryStats* stats,
-                        std::vector<QueryMatch>* out) const {
-    const uint32_t chunk_ints = ints->hasher().chunk_ints();
-    const auto hash_chunk = QueryIntChunks(q, /*generation=*/false);
-    std::vector<uint32_t> qints;
-    auto hash_query_to = [&](uint32_t n_hashes) {
-      while (qints.size() < n_hashes) {
-        const auto chunk = static_cast<uint32_t>(qints.size()) / chunk_ints;
-        qints.resize(qints.size() + chunk_ints);
-        hash_chunk(chunk, qints.data() + chunk * chunk_ints);
-      }
-    };
-    auto match_range = [&](uint32_t row, uint32_t from, uint32_t to) {
-      return ints->MatchAgainstQuery(row, qints.data(), from, to);
-    };
-    if (cfg.posterior_batch != 1) {
-      VerifyBlocked(q, candidates, hash_query_to, match_range, cache, stats,
-                    out);
-      return;
-    }
-    for (uint32_t row : candidates) {
-      double sim = 0.0;
-      if (VerifyCandidate(row, q, hash_query_to, match_range, cache, stats,
-                          &sim)) {
-        out->push_back({row, sim});
-      }
-    }
-  }
-
-  // b-bit minwise verification: hash the query with the full-width minwise
-  // hasher, pack the low b bits into the store's group layout, and compare
-  // word-parallel against the collection rows.
-  void VerifyBbitSerial(const SparseVectorView& q,
-                        std::span<const uint32_t> candidates,
-                        InferenceCache<BbitMinwisePosterior>& cache,
-                        QueryStats* stats,
-                        std::vector<QueryMatch>* out) const {
-    const uint32_t b = bbits->bits_per_hash();
-    const uint32_t values_per_word = 64 / b;
-    std::vector<uint32_t> qints;
-    std::vector<uint64_t> qwords;
-    auto hash_query_to = [&](uint32_t n_hashes) {
-      const uint32_t have = static_cast<uint32_t>(qints.size());
-      if (n_hashes <= have) return;
-      const uint32_t want = (n_hashes + kMinhashChunkInts - 1) /
-                            kMinhashChunkInts * kMinhashChunkInts;
-      qints.resize(want);
-      for (uint32_t c = have / kMinhashChunkInts; c < want / kMinhashChunkInts;
-           ++c) {
-        ver.minwise->HashChunk(q, c, qints.data() + c * kMinhashChunkInts);
-      }
-      qwords.resize((want + values_per_word - 1) / values_per_word, 0);
-      PackBbitValues(qints.data() + have, have, want, b, qwords.data());
-    };
-    auto match_range = [&](uint32_t row, uint32_t from, uint32_t to) {
-      return bbits->MatchAgainstQuery(row, qwords.data(), from, to);
-    };
-    if (cfg.posterior_batch != 1) {
-      VerifyBlocked(q, candidates, hash_query_to, match_range, cache, stats,
-                    out);
-      return;
-    }
-    for (uint32_t row : candidates) {
-      double sim = 0.0;
-      if (VerifyCandidate(row, q, hash_query_to, match_range, cache, stats,
-                          &sim)) {
-        out->push_back({row, sim});
-      }
-    }
-  }
-
-  // --- within-query sharded paths (caller must hold pool_mu_) ---
-  // The query signature is hashed to the full budget up front (shared
-  // read-only), candidate rows are prefetched to one chunk, and each
-  // worker runs the same per-candidate loop with its leased inference
-  // cache and a private overflow store. The caller's final similarity
-  // sort makes the output independent of the thread count. On a frozen
-  // store the whole path is read-only: the growth lock is a no-op, the
-  // prefetch is skipped, and overflow shards never materialize rows.
-  void VerifyBitsSharded(const SparseVectorView& q,
-                         std::span<const uint32_t> candidates,
-                         const CacheLease<CosinePosterior>& caches,
-                         QueryStats* stats,
-                         std::vector<QueryMatch>* out) const {
+  // Within-query sharded verification (the caller holds pool_mu_): the
+  // query is hashed to the full budget up front, candidate rows are
+  // prefetched to one round, and each worker runs the verify loop over its
+  // contiguous range of the candidates against a private overflow shard,
+  // whose beyond-horizon rows are folded back into the store afterwards.
+  // The caller's similarity sort makes the output independent of the
+  // thread count. On a frozen store the whole path is read-only: the
+  // growth lock is a no-op, the prefetch is skipped, and overflow shards
+  // never materialize rows.
+  template <typename Model, typename Store, typename Word>
+  void VerifySharded(const SparseVectorView& q,
+                     std::span<const uint32_t> candidates, Store& store,
+                     QuerySignature<Word>& query, const Model& model,
+                     CachePool<Model>& cache_pool, QueryStats& stats,
+                     std::vector<QueryMatch>* out) const {
     ThreadPool* p = pool.get();
-    const uint32_t kk = bayes.hashes_per_round;
-    const auto hash_chunk = QueryBitChunks(q, /*generation=*/false);
-    std::vector<uint64_t> qbits(WordsForBits(ServeBudget()));
-    for (uint32_t c = 0; c < qbits.size(); ++c) {
-      qbits[c] = hash_chunk(c);
-    }
+    const CacheLease<Model> caches(&cache_pool, p->num_threads());
+    stats.threads_used = p->num_threads();
+    query.To(ServeBudget());
 
-    auto growth_lock = bits->GrowthLock();
-    if (!bits->frozen()) {
+    auto growth_lock = store.GrowthLock();
+    if (!store.frozen()) {
+      const uint32_t chunk = store.chunk_hashes();
       const uint32_t horizon =
-          (kk + kBitsPerWord - 1) / kBitsPerWord * kBitsPerWord;
-      bits->AddBitsComputed(ParallelReduce(
-          p, candidates.size(), uint64_t{0},
-          [&](uint32_t, uint64_t b, uint64_t e) {
-            uint64_t work = 0;
-            for (uint64_t i = b; i < e; ++i) {
-              work += bits->EnsureBitsUncounted(candidates[i], horizon);
-            }
-            return work;
-          },
-          [](uint64_t x, uint64_t y) { return x + y; }));
+          (bayes.hashes_per_round + chunk - 1) / chunk * chunk;
+      store.AddComputed(
+          ParallelWorkSum(p, candidates.size(), [&](uint64_t i) {
+            return store.EnsureRowUncounted(candidates[i], horizon);
+          }));
     }
 
     struct Shard {
       std::vector<QueryMatch> out;
       QueryStats stats;
-      std::optional<BitOverflowShard> overflow;
+      std::optional<typename Store::OverflowShard> overflow;
     };
     std::vector<Shard> shards(p->num_threads());
     p->RunShards(candidates.size(), [&](uint32_t s, uint64_t begin,
                                         uint64_t end) {
       Shard& sh = shards[s];
-      BitOverflowShard& overflow = sh.overflow.emplace(&*bits);
-      auto no_ensure = [](uint32_t) {};
-      auto match_range = [&](uint32_t row, uint32_t from, uint32_t to) {
-        return MatchingBits(qbits.data(), overflow.RowWords(row, to), from,
-                            to);
-      };
-      for (uint64_t i = begin; i < end; ++i) {
-        double sim = 0.0;
-        if (VerifyCandidate(candidates[i], q, no_ensure, match_range,
-                            caches[s], &sh.stats, &sim)) {
-          sh.out.push_back({candidates[i], sim});
-        }
-      }
+      // A private copy of the full-budget signature: never extended.
+      QuerySignature<Word> worker_query = query;
+      Verify(q, candidates.subspan(begin, end - begin), worker_query,
+             sh.overflow.emplace(&store), model, caches[s], sh.stats,
+             &sh.out);
     });
     uint64_t overflow_total = 0;
     for (Shard& sh : shards) {
       out->insert(out->end(), sh.out.begin(), sh.out.end());
-      if (stats != nullptr) {
-        stats->pruned += sh.stats.pruned;
-        stats->hashes_compared += sh.stats.hashes_compared;
-      }
+      stats.MergeFrom(sh.stats);
       if (sh.overflow.has_value()) {
         overflow_total += sh.overflow->computed();
         // Fold beyond-horizon signatures back into the persistent store
         // so later queries reuse them (the hashing is already counted).
-        sh.overflow->MergeInto(&*bits);
+        sh.overflow->MergeInto(&store);
       }
     }
-    bits->AddBitsComputed(overflow_total);
-  }
-
-  template <typename Model>
-  void VerifyIntsSharded(const SparseVectorView& q,
-                         std::span<const uint32_t> candidates,
-                         const CacheLease<Model>& caches, QueryStats* stats,
-                         std::vector<QueryMatch>* out) const {
-    ThreadPool* p = pool.get();
-    const uint32_t kk = bayes.hashes_per_round;
-    const uint32_t chunk_ints = ints->hasher().chunk_ints();
-    const auto hash_chunk = QueryIntChunks(q, /*generation=*/false);
-    const uint32_t chunks = (ServeBudget() + chunk_ints - 1) / chunk_ints;
-    std::vector<uint32_t> qints(chunks * chunk_ints);
-    for (uint32_t c = 0; c < chunks; ++c) {
-      hash_chunk(c, qints.data() + c * chunk_ints);
-    }
-
-    auto growth_lock = ints->GrowthLock();
-    if (!ints->frozen()) {
-      const uint32_t horizon =
-          (kk + chunk_ints - 1) / chunk_ints * chunk_ints;
-      ints->AddHashesComputed(ParallelReduce(
-          p, candidates.size(), uint64_t{0},
-          [&](uint32_t, uint64_t b, uint64_t e) {
-            uint64_t work = 0;
-            for (uint64_t i = b; i < e; ++i) {
-              work += ints->EnsureHashesUncounted(candidates[i], horizon);
-            }
-            return work;
-          },
-          [](uint64_t x, uint64_t y) { return x + y; }));
-    }
-
-    struct Shard {
-      std::vector<QueryMatch> out;
-      QueryStats stats;
-      std::optional<IntOverflowShard> overflow;
-    };
-    std::vector<Shard> shards(p->num_threads());
-    p->RunShards(candidates.size(), [&](uint32_t s, uint64_t begin,
-                                        uint64_t end) {
-      Shard& sh = shards[s];
-      IntOverflowShard& overflow = sh.overflow.emplace(&*ints);
-      auto no_ensure = [](uint32_t) {};
-      auto match_range = [&](uint32_t row, uint32_t from, uint32_t to) {
-        const uint32_t* h = overflow.RowHashes(row, to);
-        uint32_t m = 0;
-        for (uint32_t i = from; i < to; ++i) m += (h[i] == qints[i]);
-        return m;
-      };
-      for (uint64_t i = begin; i < end; ++i) {
-        double sim = 0.0;
-        if (VerifyCandidate(candidates[i], q, no_ensure, match_range,
-                            caches[s], &sh.stats, &sim)) {
-          sh.out.push_back({candidates[i], sim});
-        }
-      }
-    });
-    uint64_t overflow_total = 0;
-    for (Shard& sh : shards) {
-      out->insert(out->end(), sh.out.begin(), sh.out.end());
-      if (stats != nullptr) {
-        stats->pruned += sh.stats.pruned;
-        stats->hashes_compared += sh.stats.hashes_compared;
-      }
-      if (sh.overflow.has_value()) {
-        overflow_total += sh.overflow->computed();
-        // Fold beyond-horizon signatures back into the persistent store
-        // so later queries reuse them (the hashing is already counted).
-        sh.overflow->MergeInto(&*ints);
-      }
-    }
-    ints->AddHashesComputed(overflow_total);
+    store.AddComputed(overflow_total);
   }
 };
 
 void QuerySearcher::Impl::Init(const Dataset* d,
-                               const QuerySearchConfig& config) {
+                               const QuerySearchConfig& config,
+                               double family_threshold) {
   assert(d != nullptr);
   data = d;
   cfg = config;
+  CheckThreshold(config.measure, config.threshold, "QuerySearchConfig");
   const MeasureFamily& fam = family.emplace(
       MeasureSpec{.measure = config.measure,
-                  .threshold = config.threshold,
+                  .threshold = family_threshold,
                   .seed = config.seed,
                   .bbit = config.bbit,
                   .kernel = config.kernel,
@@ -676,7 +499,7 @@ void QuerySearcher::Impl::Init(const Dataset* d,
   // within the radius" (query_search.h). Forced before ServeBudget() is
   // read so the cache budget is the lite budget.
   if (traits.distance) cfg.exact_verification = true;
-  score_threshold = fam.score_threshold();
+  score_threshold = traits.distance ? -config.threshold : config.threshold;
   bayes = ResolveBayesParams(config.measure, config.bayes);
   lite_h = config.lite_max_hashes != 0 ? config.lite_max_hashes
                                        : traits.lite_hashes;
@@ -767,7 +590,7 @@ QuerySearcher::QuerySearcher(const Dataset* data,
                              const QuerySearchConfig& config)
     : impl_(std::make_unique<Impl>()) {
   Impl& im = *impl_;
-  im.Init(data, config);
+  im.Init(data, config, config.threshold);
 
   // Build the banding buckets over the collection with the generation-seed
   // hash family (a separate, throwaway store: banding hashes are not
@@ -817,7 +640,7 @@ QuerySearcher::QuerySearcher(const PersistentIndex* index,
   cfg2.kernel = index->kernel_spec();
   cfg2.klsh = index->klsh_params();
   cfg2.klsh_anchors = index->klsh_anchors();
-  im.Init(&index->data(), cfg2);
+  im.Init(&index->data(), cfg2, index->build_threshold());
   // Serve from the index's recorded shape and buckets; adopt its
   // prefetched verification signatures (copies — many searchers can share
   // one loaded index).
@@ -888,60 +711,45 @@ uint64_t QuerySearcher::hashes_computed() const {
 std::vector<QueryMatch> QuerySearcher::Query(const SparseVectorView& q,
                                              QueryStats* stats) const {
   Impl& im = *impl_;
-  // threads_used starts at the serial answer; only the sharded branch
-  // below overwrites it — so a busy-pool try-lock fallback reports the
-  // truth, not the configured thread count.
-  if (stats != nullptr) *stats = QueryStats{.threads_used = 1};
+  // threads_used starts at the serial answer; only the sharded path
+  // overwrites it — so a busy-pool try-lock fallback reports the truth,
+  // not the configured thread count.
+  QueryStats qs{.threads_used = 1};
   std::vector<QueryMatch> out;
-  if (q.empty()) return out;
+  if (!q.empty()) {
+    // 1. Collect candidates from the buckets the query falls into.
+    const std::vector<uint32_t> candidates = im.CollectCandidates(q);
+    qs.candidates = candidates.size();
 
-  // 1. Collect candidates from the buckets the query falls into.
-  const std::vector<uint32_t> candidates = im.CollectCandidates(q);
-  if (stats != nullptr) stats->candidates = candidates.size();
-
-  // 2. Verify each candidate with incremental Bayesian pruning, using
-  //    verification-seed hashes (independent of the banding hashes).
-  //
-  // With a pool, enough candidates, and no batch in flight, verification
-  // shards over the candidate list. b-bit verification always runs the
-  // serial loop (no overflow-shard protocol). Every path produces
-  // identical results, so a busy pool degrades to sequential instead of
-  // blocking.
-  ThreadPool* pool = im.pool.get();
-  const bool want_sharded =
-      pool != nullptr && !im.bbits.has_value() &&
-      candidates.size() >= kMinQueryCandidatesPerShard * pool->num_threads();
-  std::unique_lock<std::mutex> pool_lock(im.pool_mu_, std::defer_lock);
-  if (want_sharded && pool_lock.try_lock()) {
-    if (stats != nullptr) stats->threads_used = pool->num_threads();
-    if (im.bits.has_value()) {
-      const CacheLease<CosinePosterior> caches(&im.cos_pool,
-                                               pool->num_threads());
-      im.VerifyBitsSharded(q, candidates, caches, stats, &out);
-    } else if (im.euc_model.has_value()) {
-      const CacheLease<EuclideanPosterior> caches(&im.euc_pool,
-                                                  pool->num_threads());
-      im.VerifyIntsSharded(q, candidates, caches, stats, &out);
-    } else {
-      const CacheLease<JaccardPosterior> caches(&im.jac_pool,
-                                                pool->num_threads());
-      im.VerifyIntsSharded(q, candidates, caches, stats, &out);
-    }
-  } else if (im.bits.has_value()) {
-    const CacheLease<CosinePosterior> cache(&im.cos_pool, 1);
-    im.VerifyBitsSerial(q, candidates, cache[0], stats, &out);
-  } else if (im.bbits.has_value()) {
-    const CacheLease<BbitMinwisePosterior> cache(&im.bbit_pool, 1);
-    im.VerifyBbitSerial(q, candidates, cache[0], stats, &out);
-  } else if (im.euc_model.has_value()) {
-    const CacheLease<EuclideanPosterior> cache(&im.euc_pool, 1);
-    im.VerifyIntsSerial(q, candidates, cache[0], stats, &out);
-  } else {
-    const CacheLease<JaccardPosterior> cache(&im.jac_pool, 1);
-    im.VerifyIntsSerial(q, candidates, cache[0], stats, &out);
+    // 2. Verify them with incremental Bayesian pruning, using
+    //    verification-seed hashes (independent of the banding hashes).
+    //
+    // With a pool, enough candidates, and no batch in flight, verification
+    // shards over the candidate list. b-bit verification always runs
+    // serially (no overflow-shard protocol). Every path produces identical
+    // results, so a busy pool degrades to serial instead of blocking.
+    ThreadPool* pool = im.pool.get();
+    std::unique_lock<std::mutex> pool_lock(im.pool_mu_, std::defer_lock);
+    const bool sharded =
+        pool != nullptr && !im.bbits.has_value() &&
+        candidates.size() >=
+            kMinQueryCandidatesPerShard * pool->num_threads() &&
+        pool_lock.try_lock();
+    im.WithModel([&](const auto& model, auto& cache_pool, auto& store) {
+      auto query = im.VerificationQuery(store, q);
+      using Store = std::remove_reference_t<decltype(store)>;
+      if constexpr (requires { typename Store::OverflowShard; }) {
+        if (sharded) {
+          return im.VerifySharded(q, candidates, store, query, model,
+                                  cache_pool, qs, &out);
+        }
+      }
+      const CacheLease cache(&cache_pool, 1);
+      im.Verify(q, candidates, query, store, model, cache[0], qs, &out);
+    });
+    SortMatches(&out);
   }
-
-  SortMatches(&out);
+  if (stats != nullptr) *stats = qs;
   return out;
 }
 
@@ -961,71 +769,33 @@ std::vector<std::vector<QueryMatch>> QuerySearcher::QueryBatch(
   if (stats != nullptr) stats->threads_used = workers;
   std::vector<QueryStats> worker_stats(workers);
 
-  // Runs serve_one(worker, i) for every query index i: sharded over
-  // queries with exclusive use of the pool, or inline without one.
-  // Workers write only their own slots of `results`/`worker_stats`, so
-  // the merged output is deterministic for any thread count.
-  auto run = [&](const auto& serve_one) {
-    if (pool == nullptr) {
-      for (uint64_t i = 0; i < queries.size(); ++i) serve_one(0u, i);
-      return;
-    }
+  // Serves every query, sharded over queries with exclusive use of the
+  // pool, or inline without one. Workers write only their own slots of
+  // `results`/`worker_stats`, so the merged output is deterministic for
+  // any thread count.
+  im.WithModel([&](const auto& model, auto& cache_pool, auto& store) {
+    const CacheLease caches(&cache_pool, workers);
+    auto serve = [&](uint32_t w, uint64_t begin, uint64_t end) {
+      for (uint64_t i = begin; i < end; ++i) {
+        if (queries[i].empty()) continue;
+        QueryStats qs;
+        const std::vector<uint32_t> cand = im.CollectCandidates(queries[i]);
+        qs.candidates = cand.size();
+        auto query = im.VerificationQuery(store, queries[i]);
+        im.Verify(queries[i], cand, query, store, model, caches[w], qs,
+                  &results[i]);
+        SortMatches(&results[i]);
+        if (top_k != 0 && results[i].size() > top_k) results[i].resize(top_k);
+        worker_stats[w].MergeFrom(qs);
+      }
+    };
+    if (pool == nullptr) return serve(0, 0, queries.size());
     std::lock_guard<std::mutex> lock(im.pool_mu_);
-    pool->RunShards(queries.size(), [&](uint32_t s, uint64_t b, uint64_t e) {
-      for (uint64_t i = b; i < e; ++i) serve_one(s, i);
-    });
-  };
-
-  auto finish_query = [&](uint32_t w, uint64_t i, const QueryStats& qs) {
-    SortMatches(&results[i]);
-    if (top_k != 0 && results[i].size() > top_k) results[i].resize(top_k);
-    MergeStats(qs, &worker_stats[w]);
-  };
-
-  if (im.bits.has_value()) {
-    const CacheLease<CosinePosterior> caches(&im.cos_pool, workers);
-    run([&](uint32_t w, uint64_t i) {
-      if (queries[i].empty()) return;
-      QueryStats qs;
-      const std::vector<uint32_t> cand = im.CollectCandidates(queries[i]);
-      qs.candidates = cand.size();
-      im.VerifyBitsSerial(queries[i], cand, caches[w], &qs, &results[i]);
-      finish_query(w, i, qs);
-    });
-  } else if (im.bbits.has_value()) {
-    const CacheLease<BbitMinwisePosterior> caches(&im.bbit_pool, workers);
-    run([&](uint32_t w, uint64_t i) {
-      if (queries[i].empty()) return;
-      QueryStats qs;
-      const std::vector<uint32_t> cand = im.CollectCandidates(queries[i]);
-      qs.candidates = cand.size();
-      im.VerifyBbitSerial(queries[i], cand, caches[w], &qs, &results[i]);
-      finish_query(w, i, qs);
-    });
-  } else if (im.euc_model.has_value()) {
-    const CacheLease<EuclideanPosterior> caches(&im.euc_pool, workers);
-    run([&](uint32_t w, uint64_t i) {
-      if (queries[i].empty()) return;
-      QueryStats qs;
-      const std::vector<uint32_t> cand = im.CollectCandidates(queries[i]);
-      qs.candidates = cand.size();
-      im.VerifyIntsSerial(queries[i], cand, caches[w], &qs, &results[i]);
-      finish_query(w, i, qs);
-    });
-  } else {
-    const CacheLease<JaccardPosterior> caches(&im.jac_pool, workers);
-    run([&](uint32_t w, uint64_t i) {
-      if (queries[i].empty()) return;
-      QueryStats qs;
-      const std::vector<uint32_t> cand = im.CollectCandidates(queries[i]);
-      qs.candidates = cand.size();
-      im.VerifyIntsSerial(queries[i], cand, caches[w], &qs, &results[i]);
-      finish_query(w, i, qs);
-    });
-  }
+    pool->RunShards(queries.size(), serve);
+  });
 
   if (stats != nullptr) {
-    for (const QueryStats& ws : worker_stats) MergeStats(ws, stats);
+    for (const QueryStats& ws : worker_stats) stats->MergeFrom(ws);
   }
   return results;
 }

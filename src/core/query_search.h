@@ -93,18 +93,6 @@ struct QuerySearchConfig {
   // the master seed.
   std::shared_ptr<const Dataset> klsh_anchors;
 
-  // Posterior-evaluation block width: serial verification drives this many
-  // candidates side by side, pushing every survivor's posterior update
-  // through one batched inference-cache pass per round
-  // (InferenceCache::EstimateAtBatch) instead of one lookup per candidate.
-  // 0 selects the default block of 8; 1 restores the strictly
-  // per-candidate loop. Results and QueryStats are identical for every
-  // setting (asserted by tests/batched_posterior_test.cc) — this is a
-  // locality knob, not a semantics knob. Within-query *sharded*
-  // verification (num_threads > 1 on a large candidate list) stays
-  // per-candidate; its results are identical either way.
-  uint32_t posterior_batch = 0;
-
   // Worker threads for the index build, QueryBatch() query sharding, and
   // within-query verification sharding (0 = all hardware threads, 1 =
   // sequential). Concurrent calls are safe at any setting — see the class
@@ -185,9 +173,12 @@ class QuerySearcher {
   // searcher. config must agree with the index on measure, seed, bbit and
   // (when set explicitly) banding shape — IndexError otherwise; the
   // threshold may differ, but thresholds below the index's build threshold
-  // raise the banding false-negative rate beyond the configured ε. Query
-  // results are pair-for-pair identical to a fresh build with the same
-  // config (signatures are pure functions of (seed, row)).
+  // raise the banding false-negative rate beyond the configured ε. Queries
+  // hash with the index's families, built for its build threshold (for
+  // Euclidean, the p-stable width of the build radius). Query results are
+  // pair-for-pair identical to a fresh build with the same config
+  // (signatures are pure functions of (seed, row)) — for Euclidean, when
+  // served at the build radius.
   QuerySearcher(const PersistentIndex* index,
                 const QuerySearchConfig& config);
 
@@ -210,7 +201,7 @@ class QuerySearcher {
   // Batched multi-client serving: answers queries[i] into slot i of the
   // result, sharding over *queries* (one pool shard, inference cache and
   // stats accumulator per worker, merged in query order). Each query runs
-  // the same per-candidate loop as Query(), so results are pair-for-pair
+  // the same verify loop as Query(), so results are pair-for-pair
   // identical to a serial Query() loop, for any thread count. top_k != 0
   // truncates each query's matches as QueryTopK would. *stats, when
   // given, receives the per-query stats summed in query order — exactly

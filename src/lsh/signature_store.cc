@@ -295,9 +295,13 @@ const std::vector<uint64_t>& BitOverflowShard::Row(uint32_t row,
   return w;
 }
 
-const uint64_t* BitOverflowShard::RowWords(uint32_t row, uint32_t n_bits) {
-  if (n_bits <= base_->NumBits(row)) return base_->Words(row);
-  return Row(row, n_bits).data();
+uint32_t BitOverflowShard::MatchAgainstQuery(uint32_t row,
+                                             const uint64_t* query_words,
+                                             uint32_t from, uint32_t to) {
+  assert(from <= to);
+  const uint64_t* w =
+      to <= base_->NumBits(row) ? base_->Words(row) : Row(row, to).data();
+  return MatchingBits(query_words, w, from, to);
 }
 
 void BitOverflowShard::MergeInto(BitSignatureStore* store) {
@@ -342,9 +346,13 @@ const std::vector<uint32_t>& IntOverflowShard::Row(uint32_t row,
   return h;
 }
 
-const uint32_t* IntOverflowShard::RowHashes(uint32_t row, uint32_t n_hashes) {
-  if (n_hashes <= base_->NumHashes(row)) return base_->Hashes(row);
-  return Row(row, n_hashes).data();
+uint32_t IntOverflowShard::MatchAgainstQuery(uint32_t row,
+                                             const uint32_t* query_hashes,
+                                             uint32_t from, uint32_t to) {
+  assert(from <= to);
+  const uint32_t* h =
+      to <= base_->NumHashes(row) ? base_->Hashes(row) : Row(row, to).data();
+  return CountIntMatches(h, query_hashes, from, to);
 }
 
 void IntOverflowShard::MergeInto(IntSignatureStore* store) {

@@ -404,10 +404,11 @@ class IntSignatureStore final : public SignatureStoreBase {
 
 // --- per-shard overflow stores (phase B of the two-phase protocol) ---
 //
-// Each verification worker owns one shard. MatchCount serves ranges covered
-// by the shared store's prefetched signatures read-only; a pair that needs
-// deeper hashes copies the shared prefix of each endpoint once and extends
-// the copy locally with the same hasher (hash values are a pure function of
+// Each verification worker owns one shard. MatchCount (row against row) and
+// MatchAgainstQuery (row against a query signature) serve ranges covered
+// by the shared store's prefetched signatures read-only; a row that needs
+// deeper hashes copies the shared prefix once and extends the copy
+// locally with the same hasher (hash values are a pure function of
 // (hasher, row, chunk), so results are identical to sequential growth).
 // computed() reports only locally computed hashes — copies of prefetched
 // prefixes are never double-counted.
@@ -418,10 +419,12 @@ class BitOverflowShard {
 
   uint32_t MatchCount(uint32_t a, uint32_t b, uint32_t from, uint32_t to);
 
-  // Words of `row` covering at least n_bits: the shared store's array when
-  // it already does, else the shard-local extension (query-mode matching
-  // compares one store row against an external query signature).
-  const uint64_t* RowWords(uint32_t row, uint32_t n_bits);
+  // BitSignatureStore::MatchAgainstQuery through this shard: positions the
+  // shared store already covers are read from it, deeper ones from the
+  // shard-local extension of the row (the within-query sharded path of
+  // core/query_search.h).
+  uint32_t MatchAgainstQuery(uint32_t row, const uint64_t* query_words,
+                             uint32_t from, uint32_t to);
 
   // Folds this shard's extended rows back into `store` (which must be the
   // base it was built over) so later phases and queries reuse the hashing
@@ -447,9 +450,9 @@ class IntOverflowShard {
 
   uint32_t MatchCount(uint32_t a, uint32_t b, uint32_t from, uint32_t to);
 
-  // Hashes of `row` covering at least n_hashes (see
-  // BitOverflowShard::RowWords).
-  const uint32_t* RowHashes(uint32_t row, uint32_t n_hashes);
+  // See BitOverflowShard::MatchAgainstQuery.
+  uint32_t MatchAgainstQuery(uint32_t row, const uint32_t* query_hashes,
+                             uint32_t from, uint32_t to);
 
   // See BitOverflowShard::MergeInto.
   void MergeInto(IntSignatureStore* store);

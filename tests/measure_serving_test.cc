@@ -295,5 +295,32 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(1u, 8u)),
     CaseName);
 
+// A warm searcher serving a Euclidean index below its build radius hashes
+// queries with the index's p-stable width (2 x the build radius), the one
+// its buckets and signatures were hashed with, so every indexed row still
+// finds itself at distance 0 — at any thread count.
+TEST(MeasureServingEuclidean, WarmBelowBuildRadiusFindsEveryRow) {
+  constexpr MeasureCase kRadius9 = {"euclidean", Measure::kEuclidean, 9.0};
+  const Dataset data = TextWeighted(31, 400);
+  Dataset copy = data;
+  const std::unique_ptr<PersistentIndex> index =
+      PersistentIndex::Build(std::move(copy), BuildConfigFor(kRadius9, 1));
+
+  for (uint32_t threads : {1u, 4u}) {
+    QuerySearchConfig cfg = ServeConfigFor(kRadius9, threads);
+    cfg.threshold = 6.0;
+    const QuerySearcher warm(index.get(), cfg);
+    uint32_t rows = 0, found = 0;
+    for (uint32_t row = 0; row < data.num_vectors(); ++row) {
+      if (data.Row(row).empty()) continue;
+      ++rows;
+      for (const QueryMatch& m : warm.Query(data.Row(row))) {
+        if (m.id == row && m.sim == 0.0) ++found;
+      }
+    }
+    EXPECT_EQ(found, rows) << threads << " threads";
+  }
+}
+
 }  // namespace
 }  // namespace bayeslsh

@@ -32,13 +32,14 @@
 namespace bayeslsh {
 namespace {
 
-Dataset TextWeighted(uint64_t seed, uint32_t docs = 600) {
+Dataset TextWeighted(uint64_t seed, uint32_t docs = 600,
+                     uint32_t cluster_size = 4) {
   TextCorpusConfig cfg;
   cfg.num_docs = docs;
   cfg.vocab_size = 3000;
   cfg.avg_doc_len = 50;
-  cfg.num_clusters = docs / 12;
-  cfg.cluster_size = 4;
+  cfg.num_clusters = docs / (3 * cluster_size);
+  cfg.cluster_size = cluster_size;
   cfg.seed = seed;
   return L2NormalizeRows(TfIdfTransform(GenerateTextCorpus(cfg)));
 }
@@ -355,18 +356,21 @@ TEST(TopKThreadDeterminismTest, IdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(QuerySearchThreadDeterminismTest, IdenticalAcrossThreadCounts) {
-  const Dataset data = TextWeighted(24, 600);
-  QuerySearchConfig cfg;
-  cfg.measure = Measure::kCosine;
-  cfg.threshold = 0.5;
-  cfg.seed = 13;
-
+// Query() at 1 and 4 threads must agree on the matches, their sims, and
+// the candidates / pruned / hashes_compared counters. At 4 threads a
+// query with at least 64 candidates verifies them on the within-query
+// sharded path (workers' overflow shards), the rest serially: each case
+// must shard at least one query and prune at least one candidate, or it
+// proves nothing about the sharded loop.
+void ExpectQueryIdenticalAcrossThreads(const Dataset& data,
+                                       QuerySearchConfig cfg) {
   cfg.num_threads = 1;
   const QuerySearcher serial(&data, cfg);
   cfg.num_threads = 4;
   const QuerySearcher parallel(&data, cfg);
 
+  uint32_t sharded = 0;
+  uint64_t pruned = 0;
   for (uint32_t row = 0; row < 40; ++row) {
     QueryStats s1, s4;
     const auto r1 = serial.Query(data.Row(row), &s1);
@@ -377,7 +381,76 @@ TEST(QuerySearchThreadDeterminismTest, IdenticalAcrossThreadCounts) {
       EXPECT_EQ(r1[i].sim, r4[i].sim) << "query row " << row;
     }
     EXPECT_EQ(s1.candidates, s4.candidates) << "query row " << row;
+    EXPECT_EQ(s1.pruned, s4.pruned) << "query row " << row;
+    EXPECT_EQ(s1.hashes_compared, s4.hashes_compared) << "query row " << row;
+    EXPECT_EQ(s1.threads_used, 1u);
+    if (s4.threads_used == 4) ++sharded;
+    pruned += s1.pruned;
   }
+  EXPECT_GT(sharded, 0u) << "no query reached the sharded path";
+  EXPECT_GT(pruned, 0u) << "no candidate was pruned";
+}
+
+// Both verification modes of one measure.
+void ExpectBothModesIdenticalAcrossThreads(const Dataset& data,
+                                           QuerySearchConfig cfg) {
+  for (bool exact : {false, true}) {
+    SCOPED_TRACE(exact ? "exact verification" : "estimation");
+    cfg.exact_verification = exact;
+    ExpectQueryIdenticalAcrossThreads(data, cfg);
+  }
+}
+
+QuerySearchConfig QueryConfig(Measure measure, double threshold,
+                              uint64_t seed) {
+  QuerySearchConfig cfg;
+  cfg.measure = measure;
+  cfg.threshold = threshold;
+  cfg.seed = seed;
+  return cfg;
+}
+
+TEST(QuerySearchThreadDeterminismTest, IdenticalAcrossThreadCounts) {
+  ExpectBothModesIdenticalAcrossThreads(
+      TextWeighted(24, 600), QueryConfig(Measure::kCosine, 0.5, 13));
+}
+
+TEST(QuerySearchThreadDeterminismTest, JaccardExactVerification) {
+  QuerySearchConfig cfg = QueryConfig(Measure::kJaccard, 0.4, 17);
+  cfg.exact_verification = true;
+  ExpectQueryIdenticalAcrossThreads(GraphBinary(25, 600), cfg);
+}
+
+TEST(QuerySearchThreadDeterminismTest, JaccardEstimation) {
+  ExpectQueryIdenticalAcrossThreads(GraphBinary(25, 600),
+                                    QueryConfig(Measure::kJaccard, 0.4, 17));
+}
+
+TEST(QuerySearchThreadDeterminismTest, BinaryCosine) {
+  ExpectBothModesIdenticalAcrossThreads(
+      GraphBinary(27, 600), QueryConfig(Measure::kBinaryCosine, 0.4, 19));
+}
+
+TEST(QuerySearchThreadDeterminismTest, WeightedJaccard) {
+  // Clusters of 100 near-duplicates give the queries enough candidates to
+  // shard: unrelated documents almost never collide under ICWS.
+  ExpectBothModesIdenticalAcrossThreads(
+      TextWeighted(28, 600, 100),
+      QueryConfig(Measure::kWeightedJaccard, 0.4, 21));
+}
+
+TEST(QuerySearchThreadDeterminismTest, KernelCosine) {
+  QuerySearchConfig cfg = QueryConfig(Measure::kKernelCosine, 0.5, 23);
+  cfg.kernel.tag = KernelTag::kRbf;
+  cfg.kernel.gamma = 1.0;
+  cfg.klsh.num_anchors = 64;
+  ExpectBothModesIdenticalAcrossThreads(TextWeighted(29, 600), cfg);
+}
+
+TEST(QuerySearchThreadDeterminismTest, EuclideanLite) {
+  // Euclidean verifies exactly only.
+  ExpectQueryIdenticalAcrossThreads(
+      TextWeighted(30, 600), QueryConfig(Measure::kEuclidean, 1.0, 25));
 }
 
 TEST(MultiProbeThreadDeterminismTest, IdenticalAcrossThreadCounts) {
@@ -405,30 +478,6 @@ TEST(MultiProbeThreadDeterminismTest, IdenticalAcrossThreadCounts) {
       EXPECT_EQ(base.pairs[i], got.pairs[i]) << threads << " threads";
     }
     EXPECT_EQ(base.raw_emitted, got.raw_emitted) << threads << " threads";
-  }
-}
-
-TEST(QuerySearchThreadDeterminismTest, JaccardExactVerification) {
-  const Dataset data = GraphBinary(25, 600);
-  QuerySearchConfig cfg;
-  cfg.measure = Measure::kJaccard;
-  cfg.threshold = 0.4;
-  cfg.exact_verification = true;
-  cfg.seed = 17;
-
-  cfg.num_threads = 1;
-  const QuerySearcher serial(&data, cfg);
-  cfg.num_threads = 4;
-  const QuerySearcher parallel(&data, cfg);
-
-  for (uint32_t row = 0; row < 40; ++row) {
-    const auto r1 = serial.Query(data.Row(row));
-    const auto r4 = parallel.Query(data.Row(row));
-    ASSERT_EQ(r1.size(), r4.size()) << "query row " << row;
-    for (size_t i = 0; i < r1.size(); ++i) {
-      EXPECT_EQ(r1[i].id, r4[i].id);
-      EXPECT_EQ(r1[i].sim, r4[i].sim);
-    }
   }
 }
 
