@@ -1,5 +1,6 @@
 // Micro-kernel timings for the signature hot paths, scalar vs SIMD
-// dispatch (common/simd_ops.h), plus serial vs batched posterior
+// dispatch (common/simd_ops.h and the Gaussian kernel behind
+// ImplicitGaussianSource::FillChunk), plus serial vs batched posterior
 // evaluation (InferenceCache::EstimateAtBatch). Each kernel runs twice —
 // once with SetForceScalar(true) and once with the default dispatch — so
 // every run records the before/after delta of the vectorized paths as
@@ -14,6 +15,7 @@
 // of three repeats to damp scheduler noise.
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -26,6 +28,7 @@
 #include "core/cosine_posterior.h"
 #include "core/inference_cache.h"
 #include "lsh/bbit_minwise.h"
+#include "lsh/gaussian_source.h"
 
 namespace bayeslsh {
 namespace {
@@ -155,7 +158,8 @@ int Run(int argc, char** argv) {
   BenchJsonWriter writer("micro_kernels", bench::BenchJsonPath(argc, argv),
                          bench::BenchThreads(argc, argv));
 
-  bench::PrintHeader("micro-kernels: signature match + posterior batching");
+  bench::PrintHeader(
+      "micro-kernels: signature match, Gaussian chunks, posterior batching");
   std::printf("SIMD: compiled_in=%s enabled=%s\n", simd::CompiledIn() ? "yes" : "no",
               simd::Enabled() ? "yes" : "no (dispatch falls back to scalar)");
   std::printf("%-26s %12s %12s %10s\n", "kernel", "scalar Mc/s",
@@ -215,6 +219,22 @@ int Run(int argc, char** argv) {
     ok = RunKernel(&writer, "count_equal_u32_128", 4'000'000,
                    [&](uint64_t) {
                      return simd::CountEqualU32(a.data(), b.data(), 128);
+                   }) &&
+         ok;
+  }
+
+  {
+    // One 64-component Gaussian chunk per call, the unit SRP and p-stable
+    // hashing consume; the checksum folds every component's bit pattern.
+    const ImplicitGaussianSource source(bench::BenchSeed());
+    ok = RunKernel(&writer, "gaussian_chunk_64", 200'000,
+                   [&](uint64_t i) {
+                     double g[kSrpChunkBits];
+                     source.FillChunk(static_cast<DimId>(i),
+                                      static_cast<uint32_t>(i % 8), g);
+                     uint64_t sum = 0;
+                     for (const double x : g) sum += std::bit_cast<uint64_t>(x);
+                     return sum;
                    }) &&
          ok;
   }

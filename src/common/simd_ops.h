@@ -2,17 +2,20 @@
 //
 // The build carries no -march flags (binaries must run on any x86-64), so
 // the AVX2 bodies live in simd_ops.cc behind __attribute__((target("avx2")))
-// and are reached only after a one-time cpuid probe. Three knobs control
-// dispatch, from coarsest to finest:
+// and are reached only after a one-time cpuid probe. The fourth AVX2
+// kernel, the Gaussian components behind SRP and p-stable hashing
+// (ImplicitGaussianSource::FillChunk), lives in lsh/gaussian_source.cc and
+// dispatches through Enabled() below. Three knobs control dispatch of all
+// four, from coarsest to finest:
 //
 //   - -DBAYESLSH_DISABLE_SIMD (CMake option): the AVX2 bodies are not
-//     compiled at all; every kernel below IS the scalar loop.
+//     compiled at all; every kernel IS its scalar loop.
 //   - CPU probe: on hardware without AVX2 the scalar loop runs.
 //   - SetForceScalar(true): per-process test hook that routes dispatch to
 //     the scalar loop even on AVX2 hardware, so the differential suite can
 //     exercise both paths in one binary.
 //
-// All kernels operate on runs of FULL words — callers (MatchingBits,
+// The three compare kernels below operate on runs of FULL words — callers (MatchingBits,
 // MatchingBbitGroups, the int-store match loop) mask partial head/tail
 // words themselves. Scalar and AVX2 variants are exact drop-ins for each
 // other; tests/simd_kernels_test.cc enforces this bit-for-bit.

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cassert>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <cstdio>
 #include <cstring>
@@ -542,6 +543,11 @@ uint32_t DynamicIndex::Add(const SparseVectorView& v) {
             "DynamicIndex::Add: dimension " + std::to_string(v.indices[i]) +
             " out of range (num_dims " + std::to_string(im.num_dims) + ")");
       }
+      if (!std::isfinite(v.values[i])) {
+        throw std::invalid_argument(
+            "DynamicIndex::Add: non-finite weight at dimension " +
+            std::to_string(v.indices[i]));
+      }
     }
     // Durability order: log + flush FIRST, apply second — a mutation is
     // never observable (nor acknowledged) unless it is already on disk.
@@ -589,8 +595,15 @@ std::vector<QueryMatch> DynamicIndex::Query(const SparseVectorView& q,
   QueryStats base_stats, delta_stats;
   const std::vector<QueryMatch> base_matches =
       im.base_searcher->Query(q, stats != nullptr ? &base_stats : nullptr);
+  // An empty delta finds nothing and reports zero counters with
+  // threads_used 1, never above the base's, so skipping it saves a
+  // generation hashing and changes no stat. The base is always queried:
+  // an empty base's QueryBatch still reports its pool width.
   const std::vector<QueryMatch> delta_matches =
-      im.delta_searcher->Query(q, stats != nullptr ? &delta_stats : nullptr);
+      im.delta_data.num_vectors() == 0
+          ? std::vector<QueryMatch>{}
+          : im.delta_searcher->Query(
+                q, stats != nullptr ? &delta_stats : nullptr);
   uint64_t ghosts = 0;
   std::vector<QueryMatch> merged = im.MergeSegments(
       base_matches, delta_matches, stats != nullptr ? &ghosts : nullptr);
@@ -620,8 +633,13 @@ std::vector<std::vector<QueryMatch>> DynamicIndex::QueryBatch(
   QueryStats base_stats, delta_stats;
   const auto base_results = im.base_searcher->QueryBatch(
       queries, stats != nullptr ? &base_stats : nullptr, /*top_k=*/0);
-  const auto delta_results = im.delta_searcher->QueryBatch(
-      queries, stats != nullptr ? &delta_stats : nullptr, /*top_k=*/0);
+  // Skips an empty delta, as Query does.
+  const auto delta_results =
+      im.delta_data.num_vectors() == 0
+          ? std::vector<std::vector<QueryMatch>>(queries.size())
+          : im.delta_searcher->QueryBatch(
+                queries, stats != nullptr ? &delta_stats : nullptr,
+                /*top_k=*/0);
   uint64_t ghosts = 0;
   std::vector<std::vector<QueryMatch>> results(queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {

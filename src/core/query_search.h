@@ -156,6 +156,8 @@ struct QueryStats {
     rejected_overload += other.rejected_overload;
     threads_used = std::max(threads_used, other.threads_used);
   }
+
+  friend bool operator==(const QueryStats&, const QueryStats&) = default;
 };
 
 // Threshold / top-k search over a fixed collection.

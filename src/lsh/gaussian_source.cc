@@ -1,14 +1,20 @@
 #include "lsh/gaussian_source.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <cstring>
 #include <string>
 
 #include "common/prng.h"
+#include "common/simd_ops.h"
 #include "lsh/inverse_normal_cdf.h"
 #include "vec/binary_io.h"
+
+#if BAYESLSH_SIMD_AVX2
+#include <immintrin.h>
+#endif
 
 namespace bayeslsh {
 
@@ -27,8 +33,117 @@ double GaussianSource::Component(uint32_t hash_index, DimId dim) const {
   return buf[hash_index % kSrpChunkBits];
 }
 
+#if BAYESLSH_SIMD_AVX2
+namespace {
+
+// The AVX2 body of ImplicitGaussianSource::FillChunk, four components at a
+// time. It returns exactly the scalar loop's doubles, so signatures never
+// depend on which path hashed them:
+//  - 64x64-bit multiplies keep their low 64 bits, built from three
+//    32x32->64 VPMULUDQ products, and the hash index chunk * 64 + j is
+//    formed in uint32_t as the scalar sum is (it wraps for chunk >= 2^26);
+//  - bits >> 11 converts to double exactly (two 32-bit halves through the
+//    2^52 / 2^84 exponent trick), then + 0.5 and * 2^-53 round separately;
+//  - the central region evaluates acklam::kA/kB in the scalar operation
+//    order. target("avx2") only: with FMA available the compiler could
+//    contract a multiply-add into one rounding;
+//  - tail lanes (p outside [kPLow, kPHigh], ~4.85% of components) are
+//    collected in a bit mask and recomputed after the loop by the scalar
+//    InverseNormalCdf, so std::log/std::log1p/std::sqrt stay the only
+//    transcendental evaluations.
+
+__attribute__((target("avx2"))) inline __m256i MulLo64(__m256i a,
+                                                       uint64_t b) {
+  const __m256i vb = _mm256_set1_epi64x(static_cast<long long>(b));
+  const __m256i vb_hi = _mm256_set1_epi64x(static_cast<long long>(b >> 32));
+  const __m256i cross =
+      _mm256_add_epi64(_mm256_mul_epu32(_mm256_srli_epi64(a, 32), vb),
+                       _mm256_mul_epu32(a, vb_hi));
+  return _mm256_add_epi64(_mm256_mul_epu32(a, vb),
+                          _mm256_slli_epi64(cross, 32));
+}
+
+// Mix64(z) of common/prng.h, per 64-bit lane.
+__attribute__((target("avx2"))) inline __m256i Mix64x4(__m256i z) {
+  z = _mm256_add_epi64(z, _mm256_set1_epi64x(0x9e3779b97f4a7c15LL));
+  z = MulLo64(_mm256_xor_si256(z, _mm256_srli_epi64(z, 30)),
+              0xbf58476d1ce4e5b9ULL);
+  z = MulLo64(_mm256_xor_si256(z, _mm256_srli_epi64(z, 27)),
+              0x94d049bb133111ebULL);
+  return _mm256_xor_si256(z, _mm256_srli_epi64(z, 31));
+}
+
+__attribute__((target("avx2"))) void FillChunkAvx2(uint64_t seed, DimId dim,
+                                                    uint32_t chunk,
+                                                    double* out) {
+  using namespace acklam;
+  const __m256i vseed = _mm256_set1_epi64x(static_cast<long long>(seed));
+  const __m256i dim_mix =
+      _mm256_set1_epi64x(static_cast<long long>(Mix64(dim)));
+  const __m256i low32 = _mm256_set1_epi64x(0xffffffffLL);
+  const __m256i exp52 = _mm256_set1_epi64x(0x4330000000000000LL);  // 2^52
+  const __m256i exp84 = _mm256_set1_epi64x(0x4530000000000000LL);  // 2^84
+  const __m256d two84_52 = _mm256_set1_pd(0x1.0p84 + 0x1.0p52);
+  const __m256d half = _mm256_set1_pd(0.5);
+  const __m256d p_low = _mm256_set1_pd(kPLow);
+  const __m256d p_high = _mm256_set1_pd(kPHigh);
+
+  // The uint32_t product wraps like the scalar's; base + 63 stays below
+  // 2^32 because base is a multiple of 64, so the lanes need no wrap.
+  const uint32_t base = chunk * kSrpChunkBits;
+  __m256i index = _mm256_add_epi64(_mm256_set1_epi64x(base),
+                                   _mm256_setr_epi64x(0, 1, 2, 3));
+  uint64_t tails = 0;
+  for (uint32_t j = 0; j < kSrpChunkBits; j += 4) {
+    // Mix64(seed, base + j, dim) of common/prng.h.
+    const __m256i bits = Mix64x4(
+        _mm256_xor_si256(vseed, Mix64x4(_mm256_xor_si256(index, dim_mix))));
+    index = _mm256_add_epi64(index, _mm256_set1_epi64x(4));
+
+    // ToOpenUnitUniform: (double(bits >> 11) + 0.5) * 2^-53.
+    const __m256i u53 = _mm256_srli_epi64(bits, 11);
+    const __m256d hi = _mm256_sub_pd(
+        _mm256_castsi256_pd(
+            _mm256_or_si256(_mm256_srli_epi64(u53, 32), exp84)),
+        two84_52);
+    const __m256d lo = _mm256_castsi256_pd(
+        _mm256_or_si256(_mm256_and_si256(u53, low32), exp52));
+    const __m256d p = _mm256_mul_pd(
+        _mm256_add_pd(_mm256_add_pd(hi, lo), half), _mm256_set1_pd(0x1.0p-53));
+
+    const __m256d tail = _mm256_or_pd(_mm256_cmp_pd(p, p_low, _CMP_LT_OQ),
+                                      _mm256_cmp_pd(p, p_high, _CMP_GT_OQ));
+    tails |= static_cast<uint64_t>(_mm256_movemask_pd(tail)) << j;
+
+    const __m256d q = _mm256_sub_pd(p, half);
+    const __m256d r = _mm256_mul_pd(q, q);
+    __m256d num = _mm256_set1_pd(kA[0]);
+    for (int i = 1; i < 6; ++i) {
+      num = _mm256_add_pd(_mm256_mul_pd(num, r), _mm256_set1_pd(kA[i]));
+    }
+    __m256d den = _mm256_set1_pd(kB[0]);
+    for (int i = 1; i < 5; ++i) {
+      den = _mm256_add_pd(_mm256_mul_pd(den, r), _mm256_set1_pd(kB[i]));
+    }
+    den = _mm256_add_pd(_mm256_mul_pd(den, r), _mm256_set1_pd(1.0));
+    const __m256d central = _mm256_div_pd(_mm256_mul_pd(num, q), den);
+    // Tail lanes carry p through to the scalar pass below.
+    _mm256_storeu_pd(out + j, _mm256_blendv_pd(central, p, tail));
+  }
+  for (; tails != 0; tails &= tails - 1) {
+    const int j = std::countr_zero(tails);
+    out[j] = InverseNormalCdf(out[j]);
+  }
+}
+
+}  // namespace
+#endif  // BAYESLSH_SIMD_AVX2
+
 void ImplicitGaussianSource::FillChunk(DimId dim, uint32_t chunk,
                                        double* out) const {
+#if BAYESLSH_SIMD_AVX2
+  if (simd::Enabled()) return FillChunkAvx2(seed_, dim, chunk, out);
+#endif
   const uint32_t base = chunk * kSrpChunkBits;
   for (uint32_t j = 0; j < kSrpChunkBits; ++j) {
     const uint64_t bits = Mix64(seed_, base + j, dim);

@@ -53,7 +53,9 @@ class GaussianSource {
 };
 
 // Counter-based source: component (i, d) = Phi^-1(U(i, d)) where U is a
-// uniform derived from Mix64(seed, i, d).
+// uniform derived from Mix64(seed, i, d). FillChunk takes an AVX2 path when
+// simd::Enabled() (common/simd_ops.h); it returns the scalar loop's doubles
+// bit for bit, so signatures never depend on the dispatch.
 class ImplicitGaussianSource : public GaussianSource {
  public:
   explicit ImplicitGaussianSource(uint64_t seed) : seed_(seed) {}

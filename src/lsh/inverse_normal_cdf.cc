@@ -5,27 +5,8 @@
 
 namespace bayeslsh {
 
-namespace {
-
-// Coefficients of Peter Acklam's inverse-normal-CDF approximation.
-constexpr double kA[6] = {-3.969683028665376e+01, 2.209460984245205e+02,
-                          -2.759285104469687e+02, 1.383577518672690e+02,
-                          -3.066479806614716e+01, 2.506628277459239e+00};
-constexpr double kB[5] = {-5.447609879822406e+01, 1.615858368580409e+02,
-                          -1.556989798598866e+02, 6.680131188771972e+01,
-                          -1.328068155288572e+01};
-constexpr double kC[6] = {-7.784894002430293e-03, -3.223964580411365e-01,
-                          -2.400758277161838e+00, -2.549732539343734e+00,
-                          4.374664141464968e+00,  2.938163982698783e+00};
-constexpr double kD[4] = {7.784695709041462e-03, 3.224671290700398e-01,
-                          2.445134137142996e+00, 3.754408661907416e+00};
-
-constexpr double kPLow = 0.02425;
-constexpr double kPHigh = 1.0 - kPLow;
-
-}  // namespace
-
 double InverseNormalCdf(double p) {
+  using namespace acklam;
   assert(p > 0.0 && p < 1.0);
   if (p < kPLow) {
     // Lower tail.

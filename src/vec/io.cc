@@ -1,6 +1,7 @@
 #include "vec/io.h"
 
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -126,6 +127,11 @@ Dataset ReadDataset(std::istream& in) {
         throw IoError("ReadDataset: malformed weight in row " +
                       std::to_string(i));
       }
+      // from_chars accepts "nan" and "inf"; no hash family can project them.
+      if (!std::isfinite(w)) {
+        throw IoError("ReadDataset: non-finite weight in row " +
+                      std::to_string(i));
+      }
       if (dim >= num_dims) {
         throw IoError("ReadDataset: dim out of range in row " +
                       std::to_string(i));
@@ -200,6 +206,10 @@ Dataset ReadDatasetBinary(std::istream& in) {
       if (indices[e] >= num_dims ||
           (e > indptr[r] && indices[e] <= indices[e - 1])) {
         throw IoError("ReadDatasetBinary: corrupt indices in row " +
+                      std::to_string(r));
+      }
+      if (!std::isfinite(values[e])) {
+        throw IoError("ReadDatasetBinary: non-finite weight in row " +
                       std::to_string(r));
       }
     }

@@ -50,6 +50,19 @@ check_rc "batched frozen query" 0 $?
 cmp -s matches.txt batch.txt || { echo "FAIL: --batch output differs from serial loop" >&2; fails=$((fails + 1)); }
 grep -q '"qps"' batch_err.txt || { echo "FAIL: --qps-report emitted no qps line" >&2; fails=$((fails + 1)); }
 
+# A data file with a non-finite weight is refused like any malformed
+# weight: one error line naming the row, exit 2, and no index written.
+for w in nan NaN inf -inf infinity; do
+  printf '%%BayesLSH sparse 1.0\n2 4\n0:1 1:0.5\n2:1 3:%s\n' "$w" \
+    > nonfinite.txt
+  "$CLI" index --input nonfinite.txt --output nonfinite.idx \
+    --measure cosine --threshold 0.6 2>err.txt
+  check_rc "index with weight $w" 2 $?
+  check_one_error_line "index with weight $w" err.txt
+  grep -q 'row 1' err.txt || { echo "FAIL: weight $w error does not name the row" >&2; fails=$((fails + 1)); }
+  [ ! -e nonfinite.idx ] || { echo "FAIL: index with weight $w wrote a file" >&2; fails=$((fails + 1)); rm -f nonfinite.idx; }
+done
+
 # Usage errors: exit 1.
 "$CLI" index --input corpus.txt 2>/dev/null
 check_rc "index without --output" 1 $?
@@ -347,6 +360,16 @@ check_rc "serve mutations" 0 $?
 grep -q '^added 200$' serve_mut.txt || { echo "FAIL: serve add did not assign the next dense id" >&2; fails=$((fails + 1)); }
 grep -q '^removed 200$' serve_mut.txt || { echo "FAIL: serve remove failed" >&2; fails=$((fails + 1)); }
 [ "$(grep -c '^error: id ' serve_mut.txt)" -eq 2 ] || { echo "FAIL: dead/unknown ids must answer in-band errors" >&2; fails=$((fails + 1)); }
+
+# Non-finite weights never reach a hash family: serve answers each such
+# line with one in-band error (1e300 overflows the float cast) and leaves
+# the index unchanged.
+printf 'add 0:nan 1:1\nadd 0:1e300\nquery 0:inf\nstats\nquit\n' \
+  | "$CLI" serve --index serve.idx --shards 4 --normalize \
+    >serve_nonfinite.txt 2>/dev/null
+check_rc "serve with non-finite weights" 0 $?
+[ "$(grep -c '^error: ' serve_nonfinite.txt)" -eq 3 ] || { echo "FAIL: non-finite weights must each answer one error" >&2; fails=$((fails + 1)); }
+grep -q '"num_live": 200,' serve_nonfinite.txt || { echo "FAIL: a rejected non-finite add changed num_live" >&2; fails=$((fails + 1)); }
 
 # Admission control: with a starved token bucket the second query is
 # rejected immediately and counted, and the server keeps serving.

@@ -8,7 +8,9 @@
 // round-trip and corruption rejection, and concurrent serving (the
 // DynamicIndex* tests run under TSan in CI).
 
+#include <cmath>
 #include <cstdint>
+#include <filesystem>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -331,22 +333,55 @@ class DynamicIndexEdge : public ::testing::Test {
 };
 
 // With an empty delta, serving must equal a warm searcher over the base
-// alone (the delta segment contributes nothing, and ids are identity).
+// alone (the delta segment contributes nothing, and ids are identity):
+// matches and every QueryStats field, through Query and QueryBatch, at 1
+// and 4 threads — the empty delta is skipped, and that must not show.
+// Once a row is added, the delta serves it.
 TEST_F(DynamicIndexEdge, EmptyDeltaServesLikeBaseSearcher) {
-  const auto base = PersistentIndex::Build(base_bytes_, cfg_build());
-  QuerySearchConfig qcfg;
-  qcfg.measure = Measure::kCosine;
-  qcfg.threshold = 0.6;
-  qcfg.seed = 42;
-  const QuerySearcher warm(base.get(), qcfg);
-  uint64_t total = 0;
-  for (uint32_t qid = 0; qid < 25; ++qid) {
-    const SparseVectorView q = corpus_.Row(qid);
-    const auto expect = warm.Query(q);
-    EXPECT_EQ(dyn_->Query(q), expect) << "qid=" << qid;
-    total += expect.size();
+  std::vector<SparseVectorView> queries;
+  for (uint32_t qid = 0; qid < 25; ++qid) queries.push_back(corpus_.Row(qid));
+  const SparseVectorView added = corpus_.Row(kBaseRows);
+  const auto has = [](const std::vector<QueryMatch>& ms, uint32_t id) {
+    for (const QueryMatch& m : ms) {
+      if (m.id == id) return true;
+    }
+    return false;
+  };
+  for (const uint32_t threads : {1u, 4u}) {
+    DynamicIndexConfig dcfg;
+    dcfg.num_threads = threads;
+    DynamicIndex dyn(PersistentIndex::Build(base_bytes_, cfg_build()), dcfg);
+    const auto base = PersistentIndex::Build(base_bytes_, cfg_build());
+    QuerySearchConfig qcfg;
+    qcfg.measure = Measure::kCosine;
+    qcfg.threshold = 0.6;
+    qcfg.seed = 42;
+    qcfg.num_threads = threads;
+    const QuerySearcher warm(base.get(), qcfg);
+
+    uint64_t total = 0;
+    for (uint32_t qid = 0; qid < queries.size(); ++qid) {
+      QueryStats got, want;
+      const auto expect = warm.Query(queries[qid], &want);
+      EXPECT_EQ(dyn.Query(queries[qid], &got), expect)
+          << "qid=" << qid << " threads=" << threads;
+      EXPECT_EQ(got, want) << "qid=" << qid << " threads=" << threads;
+      total += expect.size();
+    }
+    EXPECT_GT(total, 0u);
+    QueryStats got, want;
+    EXPECT_EQ(dyn.QueryBatch(queries, &got, 0),
+              warm.QueryBatch(queries, &want, 0))
+        << "threads=" << threads;
+    EXPECT_EQ(got, want) << "threads=" << threads;
+    EXPECT_EQ(got.threads_used, threads);
+
+    const uint32_t id = dyn.Add(added);
+    EXPECT_TRUE(has(dyn.Query(added), id)) << "threads=" << threads;
+    const std::vector<SparseVectorView> one = {added};
+    EXPECT_TRUE(has(dyn.QueryBatch(one, nullptr, 0)[0], id))
+        << "threads=" << threads;
   }
-  EXPECT_GT(total, 0u);
 }
 
 TEST_F(DynamicIndexEdge, RemoveOfNonexistentIdIsRejected) {
@@ -387,6 +422,31 @@ TEST_F(DynamicIndexEdge, AddValidatesDimensions) {
   // Failed adds change nothing.
   EXPECT_EQ(dyn_->num_delta_rows(), 0u);
   EXPECT_EQ(dyn_->num_live(), kBaseRows);
+}
+
+// A NaN or infinite weight has no projection: Add rejects it before the
+// WAL append, so neither the log nor the index changes.
+TEST_F(DynamicIndexEdge, AddRejectsNonFiniteWeights) {
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "dyn_nonfinite_add";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string wal = (dir / "wal.log").string();
+  dyn_->AttachWal(wal);
+  dyn_->Add(corpus_.Row(kBaseRows));
+  const uintmax_t wal_bytes = std::filesystem::file_size(wal);
+  const uint32_t live = dyn_->num_live();
+  for (const float bad : {std::nanf(""), INFINITY, -INFINITY}) {
+    const DimId dims[] = {0, 1};
+    const float vals[] = {1.0f, bad};
+    EXPECT_THROW(dyn_->Add(SparseVectorView{{dims, 2}, {vals, 2}}),
+                 std::invalid_argument)
+        << bad;
+    EXPECT_EQ(dyn_->num_live(), live);
+    EXPECT_EQ(dyn_->num_delta_rows(), 1u);
+    EXPECT_EQ(std::filesystem::file_size(wal), wal_bytes);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(DynamicIndexEdge, EmptyVectorIsAddableButNeverMatches) {

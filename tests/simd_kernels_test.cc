@@ -1,22 +1,29 @@
-// Differential equivalence suite for the SIMD signature kernels
-// (common/simd_ops.h): the AVX2 and scalar paths must be exact drop-ins
-// for each other, and the word-masking callers (MatchingBits,
-// MatchingBbitGroups) must agree with a naive bit-level reference at
-// every boundary alignment. Every sweep runs twice — dispatched (AVX2
-// when the CPU has it) and with SetForceScalar(true) — so one binary
-// exercises both paths and the differential check is independent of the
-// host CPU. The suite runs under Release, Debug and TSan in CI, plus a
-// -DBAYESLSH_DISABLE_SIMD=ON leg where the kernels compile to the scalar
-// loops only.
+// Differential equivalence suite for the SIMD kernels (common/simd_ops.h,
+// and the Gaussian kernel behind ImplicitGaussianSource::FillChunk): the
+// AVX2 and scalar paths must be exact drop-ins for each other, and the
+// word-masking callers (MatchingBits, MatchingBbitGroups) must agree with
+// a naive bit-level reference at every boundary alignment. Every sweep
+// runs twice — dispatched (AVX2 when the CPU has it) and with
+// SetForceScalar(true) — so one binary exercises both paths and the
+// differential check is independent of the host CPU. The suite runs
+// under Release, Debug and TSan in CI, plus a -DBAYESLSH_DISABLE_SIMD=ON
+// leg where the kernels compile to the scalar loops only.
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <random>
 #include <vector>
 
 #include "common/bit_ops.h"
+#include "common/prng.h"
 #include "common/simd_ops.h"
+#include "euclidean/pstable_hasher.h"
 #include "gtest/gtest.h"
 #include "lsh/bbit_minwise.h"
+#include "lsh/gaussian_source.h"
+#include "lsh/inverse_normal_cdf.h"
+#include "lsh/srp_hasher.h"
 
 namespace bayeslsh {
 namespace {
@@ -226,6 +233,120 @@ TEST(SimdKernelsTest, SeededRandomLargeArrays) {
               NaiveMatchingBits(a, b, from, to))
         << "iter=" << iter << " from=" << from << " to=" << to;
   }
+}
+
+// Saved index files store signatures that the running build's query
+// hashes are compared against, so the hash families' values are part of
+// the on-disk contract. These literals were recorded before the AVX2
+// Gaussian kernel existed; both dispatch modes must keep reproducing them.
+TEST(SimdKernelsTest, GaussianFamiliesGolden) {
+  struct Component {
+    uint32_t dim;
+    uint32_t chunk;
+    uint32_t j;
+    double value;
+  };
+  // One central, one lower-tail and one upper-tail component per point
+  // where the chunk has them; chunk 2^26 is the first whose hash index
+  // chunk * 64 + j wraps in uint32_t.
+  const Component golden[] = {
+      {0u, 0u, 0, -0x1.bb22d90f2341dp-3},
+      {0u, 0u, 4, -0x1.1be729d0ef7e4p+1},
+      {4242u, 1u, 1, -0x1.0d00df720a3fcp-2},
+      {4242u, 1u, 58, -0x1.031db18baaa13p+1},
+      {4242u, 1u, 0, 0x1.82859ba1181a5p+1},
+      {2147483647u, 3u, 0, 0x1.51c84dd88e5fdp+0},
+      {2147483647u, 3u, 1, -0x1.16bba6352039dp+1},
+      {2147483647u, 3u, 44, 0x1.19b5bffbf00fep+1},
+      {4294967295u, 67108863u, 0, 0x1.2cb9eb2c46183p-1},
+      {4294967295u, 67108863u, 25, -0x1.4909f53a56561p+1},
+      {4294967295u, 67108863u, 58, 0x1.07b680405fe7fp+1},
+      {4294967295u, 67108864u, 0, -0x1.499cb42eba9e3p-1},
+      {4294967295u, 67108864u, 8, 0x1.0a59374c9ed9p+1},
+  };
+  const uint64_t srp_words[] = {0xc9140b6598571f58ULL, 0x5d22e909c6d5fb28ULL,
+                                0x0bcbe2fe66e583a8ULL};
+  const int32_t pstable_chunk5[kPstableChunkHashes] = {
+      1, 1,  1,  0, 0,  0,  1,  0, 1, -1, 0, 1, -1, 0,  0,  0,   //
+      0, 0,  -1, -1, 1, 0,  1,  1, 1, 1,  1, 1, 1,  0,  -1, -1,  //
+      0, 0,  1,  1, -1, 0,  1,  1, 0, -1, 0, 0, 0,  0,  0,  0,   //
+      0, -2, -1, 0, -1, -1, -1, 0, 0, 0,  0, 0, 0,  -1, 0,  0};
+  const std::vector<DimId> idx = {3, 1000, 70000};
+  const std::vector<float> val = {0.5f, -1.25f, 2.0f};
+  const SparseVectorView v{idx, val};
+
+  const ImplicitGaussianSource source(kSeed);
+  const SrpHasher srp(&source);
+  const PstableHasher pstable(kSeed, 4.0);
+  for (int force = 0; force <= 1; ++force) {
+    ScopedForceScalar guard(force != 0);
+    for (const Component& c : golden) {
+      double g[kSrpChunkBits];
+      source.FillChunk(c.dim, c.chunk, g);
+      EXPECT_EQ(std::bit_cast<uint64_t>(g[c.j]),
+                std::bit_cast<uint64_t>(c.value))
+          << "dim=" << c.dim << " chunk=" << c.chunk << " j=" << c.j
+          << " force=" << force;
+    }
+    for (uint32_t chunk = 0; chunk < 3; ++chunk) {
+      EXPECT_EQ(srp.HashChunk(v, chunk), srp_words[chunk])
+          << "chunk=" << chunk << " force=" << force;
+    }
+    int32_t buckets[kPstableChunkHashes];
+    pstable.HashChunk(v, 5, buckets);
+    for (uint32_t j = 0; j < kPstableChunkHashes; ++j) {
+      EXPECT_EQ(buckets[j], pstable_chunk5[j])
+          << "j=" << j << " force=" << force;
+    }
+  }
+}
+
+// FillChunk under forced scalar and default dispatch must write identical
+// bytes, across the seed, dim and chunk extremes and in all three regions
+// of the inverse normal CDF (the AVX2 body evaluates the tails apart).
+TEST(SimdKernelsTest, GaussianChunkScalarVsDispatch) {
+  const uint64_t seeds[] = {0, 1, kSeed, 0x0123456789abcdefULL,
+                            ~uint64_t{0}};
+  const DimId dims[] = {0, 1, 2, 63, 1000, 2147483647u, 4294967295u};
+  const uint32_t chunks[] = {0,         1,         2,         63,
+                             64,        65,        67108863u, 67108864u,
+                             67108865u, 4294967295u};
+  std::mt19937_64 rng(kSeed + 7);
+  uint64_t lower = 0, central = 0, upper = 0;
+  const auto check = [&](uint64_t seed, DimId dim, uint32_t chunk) {
+    const ImplicitGaussianSource source(seed);
+    double scalar[kSrpChunkBits];
+    double dispatched[kSrpChunkBits];
+    {
+      ScopedForceScalar guard(true);
+      source.FillChunk(dim, chunk, scalar);
+    }
+    source.FillChunk(dim, chunk, dispatched);
+    ASSERT_EQ(std::memcmp(scalar, dispatched, sizeof(scalar)), 0)
+        << "seed=" << seed << " dim=" << dim << " chunk=" << chunk;
+    for (uint32_t j = 0; j < kSrpChunkBits; ++j) {
+      const double p = ToOpenUnitUniform(
+          Mix64(seed, chunk * kSrpChunkBits + j, dim));
+      if (p < acklam::kPLow) {
+        ++lower;
+      } else if (p > acklam::kPHigh) {
+        ++upper;
+      } else {
+        ++central;
+      }
+    }
+  };
+  for (const uint64_t seed : seeds) {
+    for (const DimId dim : dims) {
+      for (const uint32_t chunk : chunks) check(seed, dim, chunk);
+    }
+    for (int i = 0; i < 200; ++i) {
+      check(seed, static_cast<DimId>(rng()), static_cast<uint32_t>(rng()));
+    }
+  }
+  EXPECT_GT(lower, 0u);
+  EXPECT_GT(central, 0u);
+  EXPECT_GT(upper, 0u);
 }
 
 TEST(SimdKernelsTest, ForceScalarFlipsDispatch) {

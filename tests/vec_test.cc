@@ -2,7 +2,9 @@
 // transforms and text I/O.
 
 #include <cmath>
+#include <cstring>
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -317,6 +319,34 @@ TEST(IoTest, RejectsMalformedEntries) {
 TEST(IoTest, RejectsOutOfRangeDims) {
   std::stringstream ss("%BayesLSH sparse 1.0\n1 5\n7:1.0\n");
   EXPECT_THROW(ReadDataset(ss), IoError);
+}
+
+TEST(IoTest, RejectsNonFiniteWeights) {
+  for (const char* weight : {"nan", "NaN", "inf", "-inf", "infinity"}) {
+    std::stringstream ss(std::string("%BayesLSH sparse 1.0\n2 5\n0:1\n3:") +
+                         weight + "\n");
+    try {
+      ReadDataset(ss);
+      ADD_FAILURE() << "accepted weight " << weight;
+    } catch (const IoError& e) {
+      EXPECT_NE(std::string(e.what()).find("row 1"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(IoTest, BinaryRejectsNonFiniteWeights) {
+  const Dataset d = SampleDataset();
+  std::stringstream ss;
+  WriteDatasetBinary(d, ss);
+  // The values array ends the stream; overwrite its last float.
+  for (const float bad : {std::nanf(""), INFINITY, -INFINITY}) {
+    std::string bytes = ss.str();
+    std::memcpy(bytes.data() + bytes.size() - sizeof(float), &bad,
+                sizeof(float));
+    std::stringstream corrupt(bytes);
+    EXPECT_THROW(ReadDatasetBinary(corrupt), IoError) << bad;
+  }
 }
 
 TEST(IoTest, FileRoundTrip) {

@@ -68,6 +68,7 @@
 // corrupt, truncated or version-mismatched index files).
 
 #include <algorithm>
+#include <cfloat>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -789,9 +790,10 @@ std::unique_ptr<DynamicIndex> OpenDynamic(const std::string& path,
 
 // Parses the serve protocol's vector tokens — "dim:val" pairs, or bare
 // "dim" meaning weight 1.0 (the binary-measure shorthand) — into sorted
-// parallel arrays. On any malformed token, duplicate or out-of-range
-// dimension, or an empty vector, fills *error and returns false: protocol
-// errors answer the one client line, they never kill the server.
+// parallel arrays. On any malformed token, non-finite or float-overflowing
+// weight, duplicate or out-of-range dimension, or an empty vector, fills
+// *error and returns false: protocol errors answer the one client line,
+// they never kill the server.
 bool ParseServeVector(const std::vector<std::string>& tokens, size_t first,
                       uint32_t num_dims, std::vector<uint32_t>* indices,
                       std::vector<float>* values, std::string* error) {
@@ -816,6 +818,11 @@ bool ParseServeVector(const std::vector<std::string>& tokens, size_t first,
       val = std::strtod(val_part.c_str(), &end);
       if (val_part.empty() || *end != '\0') {
         *error = "malformed entry '" + tok + "' (want dim:val or dim)";
+        return false;
+      }
+      // Also false for NaN; checked before the float cast overflows.
+      if (!(std::abs(val) <= FLT_MAX)) {
+        *error = "weight in '" + tok + "' is not a finite float";
         return false;
       }
     }
