@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Local wrapper for the tier-1 verification: configure, build, run every
-# test suite, and check the docs' markdown links. Mirrors what CI runs on
-# each push.
+# test suite, check the docs' markdown links, and smoke-run the repository
+# benchmark. Mirrors what CI runs on each push.
 #
 #   scripts/check.sh            # Release build into ./build
 #   BUILD_DIR=out scripts/check.sh
@@ -22,4 +22,13 @@ fi
 # shellcheck disable=SC2086  # CMAKE_ARGS is intentionally word-split.
 cmake -B "$BUILD_DIR" -S . ${CMAKE_ARGS:-}
 cmake --build "$BUILD_DIR" -j
-cd "$BUILD_DIR" && ctest --output-on-failure -j
+(cd "$BUILD_DIR" && ctest --output-on-failure -j)
+
+# perfbench/ builds the library in its own tree (CI's perfbench-smoke job
+# is its only build) and calls the config structs and PersistentIndex
+# directly, so a tiny run of every workload catches a break there.
+if command -v python3 >/dev/null 2>&1; then
+  python3 perfbench/run.py --smoke
+else
+  echo "warning: python3 not found, skipping the perfbench smoke run" >&2
+fi

@@ -7,6 +7,7 @@
 
 #include "common/bit_ops.h"
 #include "common/prng.h"
+#include "core/measure_table.h"
 #include "euclidean/pstable_hasher.h"
 #include "lsh/srp_hasher.h"
 
@@ -28,10 +29,11 @@ uint32_t DeriveNumBands(double collision_prob_at_threshold, uint32_t k,
 
 BandingShape ResolveBandingShape(Measure measure, double threshold,
                                  const LshBandingParams& params) {
-  const bool cosine = measure == Measure::kCosine ||
-                      measure == Measure::kBinaryCosine ||
-                      measure == Measure::kKernelCosine;
-  const bool euclidean = measure == Measure::kEuclidean;
+  // Bit-signature measures band SRP-law bits (KLSH included); a distance
+  // measure bands p-stable buckets.
+  const MeasureTraits& traits = TraitsOf(measure);
+  const bool cosine = traits.bit_signatures;
+  const bool euclidean = traits.distance;
   BandingShape shape;
   shape.hashes_per_band =
       params.hashes_per_band != 0 ? params.hashes_per_band

@@ -91,10 +91,10 @@ struct DynamicIndex::Impl {
 
   // Invariants of the index's whole lifetime (compaction preserves all
   // of them), cached so the lock-free accessors never dereference `base`
-  // while a concurrent compaction is replacing it.
-  Measure measure = Measure::kCosine;
+  // while a concurrent compaction is replacing it. `spec` is the base's
+  // hash family: every segment and compaction hashes with it.
+  MeasureSpec spec;
   uint32_t num_dims = 0;
-  uint64_t seed = 0;
 
   // Frozen base segment: the persistent index plus a warm searcher over
   // it. base_ids maps physical base row -> logical id (strictly
@@ -162,7 +162,8 @@ struct DynamicIndex::Impl {
   std::unique_ptr<QuerySearcher> MakeDeltaSearcher() {
     QuerySearchConfig delta_cfg = serve_cfg;
     delta_cfg.num_threads = 1;
-    auto searcher = std::make_unique<QuerySearcher>(&delta_data, delta_cfg);
+    auto searcher =
+        std::make_unique<QuerySearcher>(&delta_data, delta_cfg, spec);
     searcher->SyncAppendedRows();
     return searcher;
   }
@@ -350,21 +351,14 @@ struct DynamicIndex::Impl {
       adopt.source_rows.push_back(SignatureAdoption::kFreshRow);
     }
 
+    // Keep the old base's family, KLSH anchors included: adoption
+    // requires it (signatures are functions of the family), and so does
+    // segment identity.
     IndexBuildConfig build_cfg;
-    build_cfg.measure = old_base->measure();
-    build_cfg.threshold = old_base->build_threshold();
+    static_cast<MeasureSpec&>(build_cfg) = spec;
     build_cfg.banding.hashes_per_band = old_base->hashes_per_band();
     build_cfg.banding.num_bands = old_base->num_bands();
-    build_cfg.seed = old_base->seed();
-    build_cfg.bbit = old_base->bbit();
     build_cfg.num_threads = cfg.num_threads;
-    // Keep the old base's KLSH family: adoption requires it (signatures
-    // are functions of the anchors), and so does segment identity.
-    if (old_base->measure() == Measure::kKernelCosine) {
-      build_cfg.kernel = old_base->kernel_spec();
-      build_cfg.klsh = old_base->klsh_params();
-      build_cfg.klsh_anchors = old_base->klsh_anchors();
-    }
     std::unique_ptr<PersistentIndex> new_base = PersistentIndex::Build(
         std::move(builder).Build(), build_cfg, &adopt);
     // The warm searcher copies every signature row, O(corpus) — build it
@@ -487,28 +481,20 @@ DynamicIndex::DynamicIndex(std::unique_ptr<PersistentIndex> base,
   Impl& im = *impl_;
   im.cfg = cfg;
   im.base = std::move(base);
-  im.measure = im.base->measure();
+  // The delta and every compaction hash with the base's family — for
+  // KLSH its kernel and anchors, never resampled from their own (smaller)
+  // corpus; for Euclidean the p-stable width of the build radius — or
+  // segment signatures would disagree.
+  im.spec = im.base->spec();
   im.num_dims = im.base->data().num_dims();
-  im.seed = im.base->seed();
-  im.serve_cfg.measure = im.base->measure();
-  im.serve_cfg.threshold =
-      cfg.threshold != 0.0 ? cfg.threshold : im.base->build_threshold();
+  static_cast<MeasureSpec&>(im.serve_cfg) = im.spec;
+  if (cfg.threshold != 0.0) im.serve_cfg.threshold = cfg.threshold;
   im.serve_cfg.exact_verification = cfg.exact_verification;
-  im.serve_cfg.seed = im.base->seed();
-  im.serve_cfg.bbit = im.base->bbit();
   // Pin the delta's banding shape to the base's so every segment (and
   // every future compaction) generates candidates identically.
   im.serve_cfg.banding.hashes_per_band = im.base->hashes_per_band();
   im.serve_cfg.banding.num_bands = im.base->num_bands();
   im.serve_cfg.num_threads = cfg.num_threads;
-  // Same for the KLSH hash family: the delta and every compaction must
-  // hash against the base's kernel and anchors, never resample from their
-  // own (smaller) corpus — or segment signatures would disagree.
-  if (im.measure == Measure::kKernelCosine) {
-    im.serve_cfg.kernel = im.base->kernel_spec();
-    im.serve_cfg.klsh = im.base->klsh_params();
-    im.serve_cfg.klsh_anchors = im.base->klsh_anchors();
-  }
 
   const uint32_t n = im.base->data().num_vectors();
   im.base_ids.resize(n);
@@ -949,17 +935,11 @@ Dataset DynamicIndex::LiveCorpus(std::vector<uint32_t>* ids) const {
   return std::move(builder).Build();
 }
 
-Measure DynamicIndex::measure() const { return impl_->measure; }
+const MeasureSpec& DynamicIndex::spec() const { return impl_->spec; }
+
+Measure DynamicIndex::measure() const { return impl_->spec.measure; }
 
 uint32_t DynamicIndex::num_dims() const { return impl_->num_dims; }
-
-double DynamicIndex::serve_threshold() const {
-  return impl_->serve_cfg.threshold;
-}
-
-uint64_t DynamicIndex::seed() const { return impl_->seed; }
-
-uint32_t DynamicIndex::bbit() const { return impl_->serve_cfg.bbit; }
 
 uint32_t DynamicIndex::num_bands() const {
   return impl_->serve_cfg.banding.num_bands;
@@ -967,18 +947,6 @@ uint32_t DynamicIndex::num_bands() const {
 
 uint32_t DynamicIndex::hashes_per_band() const {
   return impl_->serve_cfg.banding.hashes_per_band;
-}
-
-const KernelSpec& DynamicIndex::kernel_spec() const {
-  return impl_->serve_cfg.kernel;
-}
-
-const KlshParams& DynamicIndex::klsh_params() const {
-  return impl_->serve_cfg.klsh;
-}
-
-std::shared_ptr<const Dataset> DynamicIndex::klsh_anchors() const {
-  return impl_->serve_cfg.klsh_anchors;
 }
 
 uint32_t DynamicIndex::num_base_rows() const {

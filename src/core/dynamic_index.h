@@ -282,22 +282,15 @@ class DynamicIndex {
   // over K shards.
   Dataset LiveCorpus(std::vector<uint32_t>* ids = nullptr) const;
 
-  // Shape and config accessors (safe from any thread).
+  // Shape and config accessors (safe from any thread). spec() is the
+  // base's hash family (its threshold is the build threshold), pinned at
+  // construction and kept by every compaction: the delta segment hashes
+  // with it, and so does anything that rebuilds the index elsewhere.
+  const MeasureSpec& spec() const;
   Measure measure() const;
   uint32_t num_dims() const;
-  double serve_threshold() const;
-  uint64_t seed() const;
-  uint32_t bbit() const;             // 0 = full-width hashes.
   uint32_t num_bands() const;        // Banding shape shared by all
   uint32_t hashes_per_band() const;  //   segments and compactions.
-
-  // kKernelCosine only (defaults / null otherwise): the kernel spec,
-  // KLSH family shape, and anchor rows shared by every segment — the
-  // family is pinned by the base at construction and survives
-  // compaction, so these are stable for the life of the index.
-  const KernelSpec& kernel_spec() const;
-  const KlshParams& klsh_params() const;
-  std::shared_ptr<const Dataset> klsh_anchors() const;
 
   uint32_t num_base_rows() const;   // Physical rows in the frozen base.
   uint32_t num_delta_rows() const;  // Physical rows in the delta.

@@ -1,5 +1,6 @@
 #include "core/index_io.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <fstream>
@@ -28,48 +29,6 @@ namespace {
 // 8 bytes: name + format generation + an 'E' endianness canary in the same
 // trailing position as the dataset magic (vec/io.cc).
 constexpr char kIndexMagic[8] = {'B', 'L', 'S', 'H', 'I', 'X', '1', 'E'};
-
-uint8_t MeasureTag(Measure m) {
-  switch (m) {
-    case Measure::kCosine:
-      return 0;
-    case Measure::kJaccard:
-      return 1;
-    case Measure::kBinaryCosine:
-      return 2;
-    case Measure::kWeightedJaccard:
-      return 3;
-    case Measure::kKernelCosine:
-      return 4;
-    case Measure::kEuclidean:
-      return 5;
-  }
-  return 255;
-}
-
-// Measures whose tag (and, for the kernel cosine, measure-config section)
-// only format v3 can carry.
-constexpr uint8_t kFirstV3MeasureTag = 3;
-
-Measure MeasureFromTag(uint8_t tag) {
-  switch (tag) {
-    case 0:
-      return Measure::kCosine;
-    case 1:
-      return Measure::kJaccard;
-    case 2:
-      return Measure::kBinaryCosine;
-    case 3:
-      return Measure::kWeightedJaccard;
-    case 4:
-      return Measure::kKernelCosine;
-    case 5:
-      return Measure::kEuclidean;
-    default:
-      throw IndexError("index header: unknown measure tag " +
-                       std::to_string(tag));
-  }
-}
 
 // Read-only istream buffer over an in-memory region (the mmap'd index
 // file). Fully seekable — the section readers use tellg/seekg both to
@@ -148,29 +107,16 @@ struct PersistentIndex::MappedFile {
 PersistentIndex::~PersistentIndex() = default;
 
 SignatureKind PersistentIndex::signature_kind() const {
-  // Derived from the config fields, not the store pointers, so the
-  // fingerprint is well-defined during Load before stores exist.
-  switch (measure_) {
-    case Measure::kCosine:
-    case Measure::kBinaryCosine:
-      return SignatureKind::kSrpBits;
-    case Measure::kKernelCosine:
-      return SignatureKind::kKlshBits;
-    case Measure::kJaccard:
-      return bbit_ != 0 ? SignatureKind::kBbitPacked
-                        : SignatureKind::kMinwiseInts;
-    case Measure::kWeightedJaccard:
-      return SignatureKind::kIcwsInts;
-    case Measure::kEuclidean:
-      return SignatureKind::kPstableInts;
-  }
-  return SignatureKind::kSrpBits;
+  // Derived from the spec, not the store pointers, so the fingerprint is
+  // well-defined during Load before stores exist.
+  return spec_.bbit != 0 ? SignatureKind::kBbitPacked
+                         : TraitsOf(spec_.measure).signature_kind;
 }
 
 uint64_t PersistentIndex::Fingerprint(uint32_t format_version) const {
-  uint64_t fp = Mix64(format_version, MeasureTag(measure_));
-  fp = Mix64(fp, static_cast<uint64_t>(signature_kind()), bbit_);
-  fp = Mix64(fp, seed_, std::bit_cast<uint64_t>(threshold_));
+  uint64_t fp = Mix64(format_version, TraitsOf(spec_.measure).tag);
+  fp = Mix64(fp, static_cast<uint64_t>(signature_kind()), spec_.bbit);
+  fp = Mix64(fp, spec_.seed, std::bit_cast<uint64_t>(spec_.threshold));
   fp = Mix64(fp, k_, l_);
   fp = Mix64(fp, data_.num_vectors(), data_.num_dims());
   return Mix64(fp, data_.nnz());
@@ -183,15 +129,7 @@ std::unique_ptr<PersistentIndex> PersistentIndex::Build(
   index->data_ = std::move(data);
   const Dataset& d = index->data_;
   // Validates the config (threshold domain, bbit, kernel) before any work.
-  const MeasureFamily family(
-      {.measure = cfg.measure,
-       .threshold = cfg.threshold,
-       .seed = cfg.seed,
-       .bbit = cfg.bbit,
-       .kernel = cfg.kernel,
-       .klsh = cfg.klsh,
-       .klsh_anchors = cfg.klsh_anchors},
-      &d, "IndexBuildConfig");
+  const MeasureFamily family(cfg, &d, "IndexBuildConfig");
   if (adopt != nullptr && adopt->source == nullptr) adopt = nullptr;
   if (adopt != nullptr) {
     const PersistentIndex& src = *adopt->source;
@@ -217,15 +155,7 @@ std::unique_ptr<PersistentIndex> PersistentIndex::Build(
     }
   }
 
-  index->measure_ = cfg.measure;
-  index->threshold_ = cfg.threshold;
-  index->seed_ = cfg.seed;
-  index->bbit_ = cfg.bbit;
-  if (family.kernel() != nullptr) {
-    index->kernel_spec_ = cfg.kernel;
-    index->klsh_params_ = family.klsh_params();
-    index->klsh_anchors_ = family.klsh_anchors();
-  }
+  index->spec_ = family.spec();
   const BandingShape shape =
       ResolveBandingShape(cfg.measure, cfg.threshold, cfg.banding);
   // The load path rejects k outside [1, 64] (a cosine band key is one
@@ -256,8 +186,7 @@ std::unique_ptr<PersistentIndex> PersistentIndex::Build(
   // index hashed against the same kernel and anchors.
   if (adopt != nullptr && family.kernel() != nullptr) {
     const PersistentIndex& src = *adopt->source;
-    if (!family.SameKlshFamily(src.kernel_spec(), src.klsh_params(),
-                               src.klsh_anchors().get())) {
+    if (!family.SameKlshFamily(src.spec())) {
       throw std::invalid_argument(
           "SignatureAdoption: KLSH source index kernel/anchors disagree "
           "with the build config");
@@ -321,9 +250,9 @@ std::unique_ptr<PersistentIndex> PersistentIndex::Build(
 void PersistentIndex::InitStore(const HashStream& verification) {
   if (verification.bits != nullptr) {
     bits_ = std::make_unique<BitSignatureStore>(&data_, verification.bits);
-  } else if (bbit_ != 0) {
+  } else if (spec_.bbit != 0) {
     bbits_ = std::make_unique<BbitSignatureStore>(
-        &data_, *verification.minwise, bbit_);
+        &data_, *verification.minwise, spec_.bbit);
   } else {
     ints_ = std::make_unique<IntSignatureStore>(&data_, verification.ints);
   }
@@ -336,19 +265,21 @@ void PersistentIndex::Save(std::ostream& out,
     throw IndexError("index save: unsupported format version " +
                      std::to_string(format_version));
   }
-  if (MeasureTag(measure_) >= kFirstV3MeasureTag && format_version < 3) {
-    throw IndexError("index save: measure requires format version 3");
+  const MeasureTraits& row = TraitsOf(spec_.measure);
+  if (format_version < row.min_format_version) {
+    throw IndexError("index save: measure requires format version " +
+                     std::to_string(row.min_format_version));
   }
   // v2 and later page-align the signature blob for zero-copy loads.
   const bool align_blob = format_version >= 2;
   out.write(kIndexMagic, sizeof(kIndexMagic));
   WritePod(out, format_version);
-  WritePod(out, MeasureTag(measure_));
+  WritePod(out, row.tag);
   WritePod(out, static_cast<uint8_t>(signature_kind()));
-  WritePod(out, static_cast<uint8_t>(bbit_));
+  WritePod(out, static_cast<uint8_t>(spec_.bbit));
   WritePod(out, static_cast<uint8_t>(0));  // Reserved.
-  WritePod(out, seed_);
-  WritePod(out, threshold_);
+  WritePod(out, spec_.seed);
+  WritePod(out, spec_.threshold);
   WritePod(out, k_);
   WritePod(out, l_);
   const uint64_t fp = Fingerprint(format_version);
@@ -357,13 +288,13 @@ void PersistentIndex::Save(std::ostream& out,
   // v3 KLSH measure-config section: the hash family is a function of the
   // kernel and anchors, so both are part of the index — a loaded index
   // must serve bit-for-bit the signatures it stored.
-  if (measure_ == Measure::kKernelCosine) {
-    WritePod(out, static_cast<uint8_t>(kernel_spec_.tag));
-    WritePod(out, kernel_spec_.gamma);
-    WritePod(out, klsh_params_.num_anchors);
-    WritePod(out, klsh_params_.subset_size);
-    WritePod(out, static_cast<uint8_t>(klsh_params_.direction));
-    WriteDatasetBinary(*klsh_anchors_, out);
+  if (spec_.measure == Measure::kKernelCosine) {
+    WritePod(out, static_cast<uint8_t>(spec_.kernel.tag));
+    WritePod(out, spec_.kernel.gamma);
+    WritePod(out, spec_.klsh.num_anchors);
+    WritePod(out, spec_.klsh.subset_size);
+    WritePod(out, static_cast<uint8_t>(spec_.klsh.direction));
+    WriteDatasetBinary(*spec_.klsh_anchors, out);
   }
   banding_.Save(out);
   store()->Save(out, align_blob);
@@ -409,15 +340,23 @@ std::unique_ptr<PersistentIndex> PersistentIndex::LoadInternal(
           " — load and re-save it to upgrade");
     }
     std::unique_ptr<PersistentIndex> index(new PersistentIndex());
+    MeasureSpec& spec = index->spec_;
     const auto measure_tag = ReadPod<uint8_t>(in, "index header: measure");
-    index->measure_ = MeasureFromTag(measure_tag);
-    if (measure_tag >= kFirstV3MeasureTag && version < 3) {
+    const auto rows = MeasureRows();
+    const auto row = std::ranges::find(rows, measure_tag, &MeasureTraits::tag);
+    if (row == rows.end()) {
+      throw IndexError("index header: unknown measure tag " +
+                       std::to_string(measure_tag));
+    }
+    spec.measure = row->measure;
+    if (version < row->min_format_version) {
       throw IndexError("index header: measure tag " +
                        std::to_string(measure_tag) +
-                       " requires format version 3");
+                       " requires format version " +
+                       std::to_string(row->min_format_version));
     }
     const auto sig_kind = ReadPod<uint8_t>(in, "index header: kind");
-    index->bbit_ = ReadPod<uint8_t>(in, "index header: bbit");
+    spec.bbit = ReadPod<uint8_t>(in, "index header: bbit");
     // Policy since v1: the reserved byte must be zero. It is outside the
     // fingerprint chain, so without this check a flipped reserved byte
     // would load silently — and a future format that assigns it meaning
@@ -428,8 +367,8 @@ std::unique_ptr<PersistentIndex> PersistentIndex::LoadInternal(
           "index header: reserved byte must be zero (got " +
           std::to_string(reserved) + ")");
     }
-    index->seed_ = ReadPod<uint64_t>(in, "index header: seed");
-    index->threshold_ = ReadPod<double>(in, "index header: threshold");
+    spec.seed = ReadPod<uint64_t>(in, "index header: seed");
+    spec.threshold = ReadPod<double>(in, "index header: threshold");
     index->k_ = ReadPod<uint32_t>(in, "index header: hashes_per_band");
     index->l_ = ReadPod<uint32_t>(in, "index header: num_bands");
     const auto stored_fp =
@@ -437,12 +376,12 @@ std::unique_ptr<PersistentIndex> PersistentIndex::LoadInternal(
 
     // Signature kind must cohere with the measure before any store is
     // constructed.
-    if (index->bbit_ != 0 && index->measure_ != Measure::kJaccard) {
+    if (spec.bbit != 0 && spec.measure != Measure::kJaccard) {
       throw IndexError("index header: b-bit width is Jaccard-only");
     }
     const auto kind = static_cast<SignatureKind>(sig_kind);
     if ((kind == SignatureKind::kBbitPacked) !=
-        (index->bbit_ != 0 && IsValidBbitWidth(index->bbit_))) {
+        (spec.bbit != 0 && IsValidBbitWidth(spec.bbit))) {
       throw IndexError("index header: inconsistent b-bit width");
     }
     if (kind != index->signature_kind()) {
@@ -458,33 +397,31 @@ std::unique_ptr<PersistentIndex> PersistentIndex::LoadInternal(
     // v3 KLSH measure-config section (kernel spec + family shape +
     // anchors) — read before the banding so the stores below can rebuild
     // the hash family the file's signatures came from.
-    if (index->measure_ == Measure::kKernelCosine) {
+    if (spec.measure == Measure::kKernelCosine) {
       const auto ktag = ReadPod<uint8_t>(in, "klsh section: kernel tag");
       if (ktag > static_cast<uint8_t>(KernelTag::kChiSquare)) {
         throw IndexError("klsh section: unknown kernel tag " +
                          std::to_string(ktag));
       }
-      index->kernel_spec_.tag = static_cast<KernelTag>(ktag);
-      index->kernel_spec_.gamma =
-          ReadPod<double>(in, "klsh section: gamma");
-      index->klsh_params_.num_anchors =
+      spec.kernel.tag = static_cast<KernelTag>(ktag);
+      spec.kernel.gamma = ReadPod<double>(in, "klsh section: gamma");
+      spec.klsh.num_anchors =
           ReadPod<uint32_t>(in, "klsh section: num_anchors");
-      index->klsh_params_.subset_size =
+      spec.klsh.subset_size =
           ReadPod<uint32_t>(in, "klsh section: subset_size");
       const auto dir = ReadPod<uint8_t>(in, "klsh section: direction");
       if (dir > static_cast<uint8_t>(KlshDirection::kSubsetClt)) {
         throw IndexError("klsh section: unknown direction " +
                          std::to_string(dir));
       }
-      index->klsh_params_.direction = static_cast<KlshDirection>(dir);
+      spec.klsh.direction = static_cast<KlshDirection>(dir);
       Dataset anchors = ReadDatasetBinary(in);
       if (anchors.num_vectors() == 0 ||
-          anchors.num_vectors() != index->klsh_params_.num_anchors) {
+          anchors.num_vectors() != spec.klsh.num_anchors) {
         throw IndexError("klsh section: anchor count disagrees with the "
                          "section header");
       }
-      index->klsh_anchors_ =
-          std::make_shared<const Dataset>(std::move(anchors));
+      spec.klsh_anchors = std::make_shared<const Dataset>(std::move(anchors));
     }
     index->banding_ = BandingIndex::Load(in, index->data_.num_vectors());
     if (index->banding_.num_bands() != index->l_ ||
@@ -497,14 +434,7 @@ std::unique_ptr<PersistentIndex> PersistentIndex::LoadInternal(
     // came from. Header values the fingerprint vouches for can still
     // name an invalid family (a radius of 0); that fails as a load error.
     try {
-      const MeasureFamily family({.measure = index->measure_,
-                                  .threshold = index->threshold_,
-                                  .seed = index->seed_,
-                                  .bbit = index->bbit_,
-                                  .kernel = index->kernel_spec_,
-                                  .klsh = index->klsh_params_,
-                                  .klsh_anchors = index->klsh_anchors_},
-                                 &index->data_, "index header");
+      const MeasureFamily family(spec, &index->data_, "index header");
       index->InitStore(family.Verification());
     } catch (const std::invalid_argument& e) {
       throw IndexError(e.what());

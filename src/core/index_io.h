@@ -77,40 +77,21 @@ inline constexpr uint32_t kIndexMinFormatVersion = 1;
 // materialized.
 inline constexpr uint32_t kPrefetchFull = 0xffffffffu;
 
-struct IndexBuildConfig {
-  Measure measure = Measure::kCosine;
-
-  // Similarity threshold the banding shape is derived for. Serving at a
-  // higher threshold is always safe; serving below the build threshold
-  // raises the banding false-negative rate beyond the configured ε.
-  double threshold = 0.7;
-
+// The hash family (MeasureSpec) plus how to build the index. The spec's
+// threshold is the similarity threshold (or Euclidean radius) the banding
+// shape is derived for. Serving at a higher threshold is always safe;
+// serving below the build threshold raises the banding false-negative
+// rate beyond the configured ε. For kKernelCosine the built index
+// persists its anchors, and every component hashing against the index
+// must use them (warm searchers adopt them with the index's spec). Null
+// klsh_anchors samples min(klsh.num_anchors, data rows) from the dataset
+// with the master seed; compaction passes the base index's spec, anchors
+// included, so adopted signatures stay valid.
+struct IndexBuildConfig : MeasureSpec {
   // Banding shape; 0 fields are resolved exactly as by QuerySearcher
   // (ResolveBandingShape), so a fresh searcher and an index built from the
   // same config agree.
   LshBandingParams banding;
-
-  // Master seed; generation/verification hash streams are derived from it
-  // exactly as in the pipeline (core/pipeline.h).
-  uint64_t seed = 42;
-
-  // Jaccard only: store verification signatures as b-bit minwise
-  // (lsh/bbit_minwise.h) with this width; 0 keeps full 32-bit hashes.
-  uint32_t bbit = 0;
-
-  // kKernelCosine only (mirrors QuerySearchConfig): the kernel the measure
-  // is defined against and the KLSH hash-family shape. klsh.seed is
-  // ignored — the master `seed` above derives the hash streams.
-  KernelSpec kernel;
-  KlshParams klsh;
-
-  // kKernelCosine only: pre-sampled anchor rows. The built index persists
-  // its anchors, and every component hashing against the index must use
-  // them (warm searchers adopt them automatically). Null samples
-  // min(klsh.num_anchors, data rows) from the dataset with the master
-  // seed; compaction passes the base index's anchors here so adopted
-  // signatures stay valid.
-  std::shared_ptr<const Dataset> klsh_anchors;
 
   // Verification hashes prefetched per row at build time, rounded up to
   // whole chunks; 0 selects one verification round (32 cosine bits / 16
@@ -202,24 +183,22 @@ class PersistentIndex {
   void SaveFile(const std::string& path,
                 uint32_t format_version = kIndexFormatVersion) const;
 
+  // The hash family the index was built with: its threshold is the build
+  // threshold and, for kKernelCosine, it holds the kernel, the family
+  // shape and the anchor rows (the kernel fields of the other measures
+  // are defaults). Every component that rebuilds the index's family —
+  // warm searchers, delta segments, compaction, shards — takes it whole.
+  const MeasureSpec& spec() const { return spec_; }
+
   const Dataset& data() const { return data_; }
-  Measure measure() const { return measure_; }
-  double build_threshold() const { return threshold_; }
-  uint64_t seed() const { return seed_; }
+  Measure measure() const { return spec_.measure; }
+  double build_threshold() const { return spec_.threshold; }
+  uint64_t seed() const { return spec_.seed; }
   uint32_t hashes_per_band() const { return k_; }
   uint32_t num_bands() const { return l_; }
-  uint32_t bbit() const { return bbit_; }
+  uint32_t bbit() const { return spec_.bbit; }
   SignatureKind signature_kind() const;
   const BandingIndex& banding() const { return banding_; }
-
-  // kKernelCosine only (defaults / null otherwise): the kernel spec, KLSH
-  // family shape, and anchor rows the index was built with. Warm searchers
-  // adopt all three so their hash family is bit-for-bit the index's.
-  const KernelSpec& kernel_spec() const { return kernel_spec_; }
-  const KlshParams& klsh_params() const { return klsh_params_; }
-  const std::shared_ptr<const Dataset>& klsh_anchors() const {
-    return klsh_anchors_;
-  }
 
   // The verification signature store matching signature_kind(); the other
   // two accessors return nullptr.
@@ -260,19 +239,13 @@ class PersistentIndex {
   }
 
   Dataset data_;
-  Measure measure_ = Measure::kCosine;
-  double threshold_ = 0.0;
-  uint64_t seed_ = 0;
+  MeasureSpec spec_;
   uint32_t k_ = 0;
   uint32_t l_ = 0;
-  uint32_t bbit_ = 0;
   BandingIndex banding_;
 
   // Exactly one store is non-null; its verification hasher owns what it
   // hashes with (core/measure_table.h).
-  KernelSpec kernel_spec_;
-  KlshParams klsh_params_;
-  std::shared_ptr<const Dataset> klsh_anchors_;
   std::unique_ptr<BitSignatureStore> bits_;
   std::unique_ptr<IntSignatureStore> ints_;
   std::unique_ptr<BbitSignatureStore> bbits_;

@@ -1,5 +1,6 @@
 #include "core/measure_table.h"
 
+#include <iterator>
 #include <stdexcept>
 #include <utility>
 
@@ -19,28 +20,48 @@ uint64_t VerificationSeed(uint64_t master_seed) {
   return Mix64(master_seed, 0xFACEFEEDULL);
 }
 
-const MeasureTraits& TraitsOf(Measure m) {
-  //                          bits   dist   AP     round max   lite mle
-  static const MeasureTraits kCosine{true, false, true, 32, 4096, 128, 2048};
-  static const MeasureTraits kJaccard{false, false, true, 16, 512, 64, 360};
-  static const MeasureTraits kWeighted{false, false, false, 16, 512, 64, 360};
-  static const MeasureTraits kKernel{true, false, false, 32, 4096, 128, 2048};
-  static const MeasureTraits kEuclidean{false, true, false, 32, 512, 128, 0};
-  switch (m) {
-    case Measure::kCosine:
-    case Measure::kBinaryCosine:
-      return kCosine;
-    case Measure::kJaccard:
-      return kJaccard;
-    case Measure::kWeightedJaccard:
-      return kWeighted;
-    case Measure::kKernelCosine:
-      return kKernel;
-    case Measure::kEuclidean:
-      return kEuclidean;
+namespace {
+
+// One row per measure, in Measure order. The tags and signature kinds are
+// wire values: docs/FORMATS.md lists them, and tests/index_io_test.cc pins
+// them against saved files.
+// clang-format off
+constexpr MeasureTraits kMeasureTable[] = {
+  // measure, name, tag, first format version, signature kind,
+  // unit rows, bits, distance, AllPairs, round, max, lite, mle
+  {Measure::kCosine, "cosine", 0, 1, SignatureKind::kSrpBits,
+   true, true, false, true, 32, 4096, 128, 2048},
+  {Measure::kJaccard, "jaccard", 1, 1, SignatureKind::kMinwiseInts,
+   false, false, false, true, 16, 512, 64, 360},
+  {Measure::kBinaryCosine, "binary-cosine", 2, 1, SignatureKind::kSrpBits,
+   false, true, false, true, 32, 4096, 128, 2048},
+  {Measure::kWeightedJaccard, "wjaccard", 3, 3, SignatureKind::kIcwsInts,
+   false, false, false, false, 16, 512, 64, 360},
+  {Measure::kKernelCosine, "klsh", 4, 3, SignatureKind::kKlshBits,
+   false, true, false, false, 32, 4096, 128, 2048},
+  {Measure::kEuclidean, "euclidean", 5, 3, SignatureKind::kPstableInts,
+   false, false, true, false, 32, 512, 128, 0},
+};
+// clang-format on
+
+static_assert([] {
+  for (size_t i = 0; i < std::size(kMeasureTable); ++i) {
+    if (static_cast<size_t>(kMeasureTable[i].measure) != i) return false;
   }
-  throw std::invalid_argument("unknown measure");
+  return true;
+}(), "kMeasureTable rows must follow the Measure order");
+
+}  // namespace
+
+const MeasureTraits& TraitsOf(Measure m) {
+  const auto row = static_cast<size_t>(m);
+  if (row >= std::size(kMeasureTable)) {
+    throw std::invalid_argument("unknown measure");
+  }
+  return kMeasureTable[row];
 }
+
+std::span<const MeasureTraits> MeasureRows() { return kMeasureTable; }
 
 void CheckThreshold(Measure m, double threshold, const std::string& who) {
   // Written so that NaN fails both tests.
@@ -109,13 +130,7 @@ struct HeldKlsh {
 MeasureFamily::MeasureFamily(const MeasureSpec& spec, const Dataset* data,
                              const std::string& who,
                              GaussianSourceCache* gauss)
-    : measure_(spec.measure),
-      threshold_(spec.threshold),
-      seed_(spec.seed),
-      data_(data),
-      gauss_(gauss),
-      kernel_spec_(spec.kernel),
-      klsh_(spec.klsh) {
+    : spec_(spec), data_(data), gauss_(gauss) {
   CheckThreshold(spec.measure, spec.threshold, who);
   if (spec.bbit != 0 && (spec.measure != Measure::kJaccard ||
                          !IsValidBbitWidth(spec.bbit))) {
@@ -123,7 +138,12 @@ MeasureFamily::MeasureFamily(const MeasureSpec& spec, const Dataset* data,
         who + ": bbit requires the Jaccard measure and a power-of-two "
               "width in [1, 32]");
   }
-  if (spec.measure != Measure::kKernelCosine) return;
+  if (spec.measure != Measure::kKernelCosine) {
+    spec_.kernel = {};
+    spec_.klsh = {};
+    spec_.klsh_anchors = nullptr;
+    return;
+  }
   try {
     kernel_ = MakeKernel(spec.kernel);
   } catch (const std::invalid_argument& e) {
@@ -132,13 +152,12 @@ MeasureFamily::MeasureFamily(const MeasureSpec& spec, const Dataset* data,
   // Both streams hash against the same anchors, sampled with the master
   // seed (never a stream seed) so every component sampling from the same
   // collection agrees; only the direction seed differs between streams.
-  anchors_ = spec.klsh_anchors != nullptr
-                 ? spec.klsh_anchors
-                 : std::make_shared<const Dataset>(SampleKlshAnchors(
-                       *data, std::min(spec.klsh.num_anchors,
-                                       data->num_vectors()),
-                       spec.seed));
-  klsh_.num_anchors = anchors_->num_vectors();
+  if (spec_.klsh_anchors == nullptr) {
+    spec_.klsh_anchors = std::make_shared<const Dataset>(SampleKlshAnchors(
+        *data, std::min(spec.klsh.num_anchors, data->num_vectors()),
+        spec.seed));
+  }
+  spec_.klsh.num_anchors = spec_.klsh_anchors->num_vectors();
   // Anchor kernel rows are seed-independent: both streams share one cache.
   row_cache_ = std::make_shared<KlshRowCache>();
 }
@@ -152,7 +171,7 @@ HashStream MeasureFamily::Stream(uint64_t stream_seed) const {
                         stream_seed);
     return s.gauss;
   };
-  switch (measure_) {
+  switch (spec_.measure) {
     case Measure::kCosine:
     case Measure::kBinaryCosine: {
       const auto g = gaussians();
@@ -160,10 +179,10 @@ HashStream MeasureFamily::Stream(uint64_t stream_seed) const {
       break;
     }
     case Measure::kKernelCosine: {
-      KlshParams kp = klsh_;
+      KlshParams kp = spec_.klsh;
       kp.seed = stream_seed;
-      const auto held =
-          std::make_shared<const HeldKlsh>(kernel_, Dataset(*anchors_), kp);
+      const auto held = std::make_shared<const HeldKlsh>(
+          kernel_, Dataset(*spec_.klsh_anchors), kp);
       s.klsh = std::shared_ptr<const KlshHasher>(held, &held->hasher);
       s.bits = std::make_shared<KlshChunkHasher>(s.klsh, row_cache_, data_);
       break;
@@ -186,32 +205,32 @@ HashStream MeasureFamily::Stream(uint64_t stream_seed) const {
   return s;
 }
 
-bool MeasureFamily::SameKlshFamily(const KernelSpec& kernel,
-                                   const KlshParams& klsh,
-                                   const Dataset* anchors) const {
-  if (anchors_ == nullptr || anchors == nullptr ||
-      kernel.tag != kernel_spec_.tag || kernel.gamma != kernel_spec_.gamma ||
-      klsh.subset_size != klsh_.subset_size ||
-      klsh.direction != klsh_.direction) {
+bool MeasureFamily::SameKlshFamily(const MeasureSpec& other) const {
+  const MeasureSpec& s = spec_;
+  if (s.klsh_anchors == nullptr || other.klsh_anchors == nullptr ||
+      other.kernel.tag != s.kernel.tag ||
+      other.kernel.gamma != s.kernel.gamma ||
+      other.klsh.subset_size != s.klsh.subset_size ||
+      other.klsh.direction != s.klsh.direction) {
     return false;
   }
-  const Dataset& a = *anchors_;
-  return anchors == &a ||
-         (anchors->num_dims() == a.num_dims() &&
-          anchors->indptr() == a.indptr() &&
-          anchors->indices() == a.indices() && anchors->values() == a.values());
+  const Dataset& a = *s.klsh_anchors;
+  const Dataset& b = *other.klsh_anchors;
+  return &a == &b ||
+         (b.num_dims() == a.num_dims() && b.indptr() == a.indptr() &&
+          b.indices() == a.indices() && b.values() == a.values());
 }
 
 double MeasureFamily::Score(const SparseVectorView& x,
                             const SparseVectorView& y) const {
   return kernel_ != nullptr ? KernelCosine(*kernel_, x, y)
-                            : ExactSimilarity(x, y, measure_);
+                            : ExactSimilarity(x, y, spec_.measure);
 }
 
 PairScorer MeasureFamily::Scorer(const Dataset& data, ThreadPool* pool) const {
   PairScorer scorer;
   scorer.data_ = &data;
-  scorer.measure_ = measure_;
+  scorer.measure_ = spec_.measure;
   scorer.kernel_ = kernel_;
   if (kernel_ != nullptr) {
     scorer.self_.resize(data.num_vectors());

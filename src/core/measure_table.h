@@ -1,7 +1,11 @@
-// The per-measure table: the decisions the all-pairs pipeline
-// (core/pipeline.h), the query searcher (core/query_search.h) and the
-// persistent index (core/index_io.h) share for each Measure —
+// The per-measure table: one row per Measure holding every fact the rest
+// of the code needs about it, so that adding a measure means adding a row
+// (and its hash family below), not a case in each component —
 //
+//   * its name and on-disk identity: the CLI name, the index header's
+//     measure tag, the first index format version that can carry the tag,
+//     and the full-width verification signature kind (docs/FORMATS.md);
+//   * the row convention: whether rows are L2-normalized;
 //   * the threshold domain: a similarity in (0, 1], or for Euclidean a
 //     radius > 0 whose scores are negated distances (sim/similarity.h);
 //   * the default BayesLSH hash budgets;
@@ -10,6 +14,10 @@
 //   * the generation and verification hash families: stream seeds derived
 //     from the master seed, the KLSH kernel and anchors, and the p-stable
 //     bucket width w = 2 * radius.
+//
+// The all-pairs pipeline (core/pipeline.h), the query searcher
+// (core/query_search.h) and the persistent index (core/index_io.h) build
+// their families here, from a MeasureSpec.
 //
 // Signatures are pure functions of (master seed, family parameters, row
 // content), so every component that builds its families here hashes bit
@@ -23,6 +31,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -44,6 +53,24 @@ uint64_t GenerationSeed(uint64_t master_seed);
 uint64_t VerificationSeed(uint64_t master_seed);
 
 struct MeasureTraits {
+  Measure measure = Measure::kCosine;
+
+  // The name the CLI's --measure flag takes and diagnostics print.
+  const char* name = "";
+
+  // The index header's measure tag, and the first index format version
+  // that can carry it (docs/FORMATS.md, "Index file").
+  uint8_t tag = 0;
+  uint32_t min_format_version = 1;
+
+  // The kind of a full-width verification signature section; a b-bit
+  // Jaccard index overrides it with kBbitPacked.
+  SignatureKind signature_kind = SignatureKind::kSrpBits;
+
+  // Rows are L2-normalized by convention (sim/similarity.h), so the CLI's
+  // --normalize applies to them and to queries.
+  bool unit_rows = false;
+
   // Verification signatures are packed bit words (SRP, KLSH) read through
   // the cosine posterior; otherwise runs of integers (minwise, ICWS,
   // p-stable).
@@ -67,7 +94,12 @@ struct MeasureTraits {
   uint32_t mle_hashes = 0;
 };
 
+// The measure's row. Throws std::invalid_argument for a value outside the
+// enumeration.
 const MeasureTraits& TraitsOf(Measure m);
+
+// Every measure's row, in Measure order: for lookups by name or tag.
+std::span<const MeasureTraits> MeasureRows();
 
 // Throws std::invalid_argument ("<who>: ...") unless `threshold` lies in
 // the measure's domain: a similarity in (0, 1], or a radius > 0.
@@ -79,8 +111,10 @@ void CheckThreshold(Measure m, double threshold, const std::string& who);
 // (0, 1).
 BayesLshParams ResolveBayesParams(Measure m, BayesLshParams params);
 
-// The inputs that define a measure's hash families, gathered from
-// whichever config a caller holds.
+// The one description of a measure's hash families. The index and
+// searcher configs derive from it; a PersistentIndex and a DynamicIndex
+// carry the spec they were built with (threshold = the build threshold),
+// and whatever rebuilds their families takes that spec whole.
 struct MeasureSpec {
   Measure measure = Measure::kCosine;
   double threshold = 0.7;  // Similarity threshold, or Euclidean radius.
@@ -153,35 +187,35 @@ class MeasureFamily {
 
   // The banding (generation-seed) and verification-seed streams. KLSH
   // factorizes its anchor kernel matrix per call.
-  HashStream Generation() const { return Stream(GenerationSeed(seed_)); }
-  HashStream Verification() const { return Stream(VerificationSeed(seed_)); }
+  HashStream Generation() const { return Stream(GenerationSeed(spec_.seed)); }
+  HashStream Verification() const {
+    return Stream(VerificationSeed(spec_.seed));
+  }
 
-  const MeasureTraits& traits() const { return TraitsOf(measure_); }
+  // The spec with the KLSH anchors resolved: klsh_anchors holds the rows
+  // both streams hash against and klsh.num_anchors their count. The
+  // kernel fields of the other measures are reset to their defaults.
+  const MeasureSpec& spec() const { return spec_; }
+
+  const MeasureTraits& traits() const { return TraitsOf(spec_.measure); }
 
   // Accept threshold on the score axis: the similarity threshold, or the
   // negated radius.
   double score_threshold() const {
-    return traits().distance ? -threshold_ : threshold_;
+    return traits().distance ? -spec_.threshold : spec_.threshold;
   }
 
   // Euclidean: the p-stable bucket width w = 2 * radius, which makes the
   // collision probability at the radius a scale-free constant.
-  double pstable_width() const { return 2.0 * threshold_; }
+  double pstable_width() const { return 2.0 * spec_.threshold; }
 
-  // KLSH: the kernel, the family shape with num_anchors set to the anchor
-  // count, and the anchor rows both streams hash against (null for the
-  // other measures).
+  // KLSH: the kernel (null for the other measures).
   const std::shared_ptr<const Kernel>& kernel() const { return kernel_; }
-  const KlshParams& klsh_params() const { return klsh_; }
-  const std::shared_ptr<const Dataset>& klsh_anchors() const {
-    return anchors_;
-  }
 
-  // KLSH: whether signatures hashed with `kernel`, `klsh` and `anchors`
-  // (say, a persisted index's) come from this family — the same kernel,
+  // KLSH: whether signatures hashed with `other`'s family (say, a
+  // persisted index's) come from this family — the same kernel,
   // construction and anchor rows. The seed is the caller's to compare.
-  bool SameKlshFamily(const KernelSpec& kernel, const KlshParams& klsh,
-                      const Dataset* anchors) const;
+  bool SameKlshFamily(const MeasureSpec& other) const;
 
   // Exact score of x against y on the measure's score axis.
   double Score(const SparseVectorView& x, const SparseVectorView& y) const;
@@ -193,15 +227,10 @@ class MeasureFamily {
  private:
   HashStream Stream(uint64_t stream_seed) const;
 
-  Measure measure_;
-  double threshold_;
-  uint64_t seed_;
+  MeasureSpec spec_;
   const Dataset* data_;
   GaussianSourceCache* gauss_;
-  KernelSpec kernel_spec_;
-  KlshParams klsh_;
   std::shared_ptr<const Kernel> kernel_;
-  std::shared_ptr<const Dataset> anchors_;
   std::shared_ptr<KlshRowCache> row_cache_;
 };
 

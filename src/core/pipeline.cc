@@ -113,8 +113,7 @@ const PersistentIndex* ResolveWarmIndex(const PipelineConfig& config,
   // The rest of the hash family: the kernel and anchors for KLSH, and for
   // Euclidean the radius, which sets the p-stable bucket width.
   if (family.kernel() != nullptr &&
-      !family.SameKlshFamily(warm->kernel_spec(), warm->klsh_params(),
-                             warm->klsh_anchors().get())) {
+      !family.SameKlshFamily(warm->spec())) {
     throw std::invalid_argument(
         "PipelineConfig: warm_index KLSH kernel or anchors differ from the "
         "run's");

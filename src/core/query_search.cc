@@ -206,13 +206,13 @@ struct QuerySearcher::Impl {
   }
 
   // Resolves parameters, models, cache pools, hashers, empty stores and
-  // the worker pool — everything except the banding buckets, which the two
-  // constructors provide differently. The hash families are built for
-  // `family_threshold`: the serving threshold for a fresh build, the build
-  // threshold for a warm start, whose buckets and signatures were hashed
-  // with it (for Euclidean it sets the p-stable width).
+  // the worker pool — everything except the banding buckets, which the
+  // constructors provide differently. The hash families are `spec`'s:
+  // config itself for a fresh build, an index's spec — built for its
+  // build threshold — for a warm start or a delta segment (for Euclidean
+  // the threshold sets the p-stable width).
   void Init(const Dataset* d, const QuerySearchConfig& config,
-            double family_threshold);
+            const MeasureSpec& spec);
 
   // Candidate ids from the buckets the query falls into (sorted, unique).
   std::vector<uint32_t> CollectCandidates(const SparseVectorView& q) const;
@@ -478,20 +478,12 @@ struct QuerySearcher::Impl {
 
 void QuerySearcher::Impl::Init(const Dataset* d,
                                const QuerySearchConfig& config,
-                               double family_threshold) {
+                               const MeasureSpec& spec) {
   assert(d != nullptr);
   data = d;
   cfg = config;
   CheckThreshold(config.measure, config.threshold, "QuerySearchConfig");
-  const MeasureFamily& fam = family.emplace(
-      MeasureSpec{.measure = config.measure,
-                  .threshold = family_threshold,
-                  .seed = config.seed,
-                  .bbit = config.bbit,
-                  .kernel = config.kernel,
-                  .klsh = config.klsh,
-                  .klsh_anchors = config.klsh_anchors},
-      d, "QuerySearchConfig");
+  const MeasureFamily& fam = family.emplace(spec, d, "QuerySearchConfig");
   const MeasureTraits& traits = fam.traits();
 
   // A distance measure always verifies survivors exactly: the posterior
@@ -588,9 +580,20 @@ std::vector<uint32_t> QuerySearcher::Impl::CollectCandidates(
 
 QuerySearcher::QuerySearcher(const Dataset* data,
                              const QuerySearchConfig& config)
+    : QuerySearcher(data, config, config) {}
+
+QuerySearcher::QuerySearcher(const Dataset* data,
+                             const QuerySearchConfig& config,
+                             const MeasureSpec& family)
     : impl_(std::make_unique<Impl>()) {
+  if (config.measure != family.measure || config.seed != family.seed ||
+      config.bbit != family.bbit) {
+    throw std::invalid_argument(
+        "QuerySearcher: config measure, seed and bbit must match the hash "
+        "family");
+  }
   Impl& im = *impl_;
-  im.Init(data, config, config.threshold);
+  im.Init(data, config, family);
 
   // Build the banding buckets over the collection with the generation-seed
   // hash family (a separate, throwaway store: banding hashes are not
@@ -633,14 +636,9 @@ QuerySearcher::QuerySearcher(const PersistentIndex* index,
   }
 
   Impl& im = *impl_;
-  // The KLSH hash family is defined by the anchors the index was built
-  // with — adopt the index's kernel spec, family shape and anchor rows so
-  // warm-served signatures agree bit-for-bit with the loaded store.
-  QuerySearchConfig cfg2 = config;
-  cfg2.kernel = index->kernel_spec();
-  cfg2.klsh = index->klsh_params();
-  cfg2.klsh_anchors = index->klsh_anchors();
-  im.Init(&index->data(), cfg2, index->build_threshold());
+  // Hash with the index's family — for KLSH its kernel and anchor rows —
+  // so warm-served signatures agree bit for bit with the loaded store.
+  im.Init(&index->data(), config, index->spec());
   // Serve from the index's recorded shape and buckets; adopt its
   // prefetched verification signatures (copies — many searchers can share
   // one loaded index).

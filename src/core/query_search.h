@@ -38,7 +38,7 @@
 
 #include "candgen/lsh_banding.h"
 #include "core/bayes_lsh.h"
-#include "kernel/klsh.h"
+#include "core/measure_table.h"
 #include "lsh/gaussian_source.h"
 #include "lsh/signature_store.h"
 #include "sim/similarity.h"
@@ -48,50 +48,41 @@ namespace bayeslsh {
 
 class PersistentIndex;  // core/index_io.h
 
-struct QuerySearchConfig {
-  Measure measure = Measure::kCosine;
-
-  // Similarity threshold t in (0, 1] — except for kEuclidean, where it is
-  // the query *radius* (> 0, unbounded above): matches are rows within that
-  // distance and their QueryMatch::sim fields hold negated distances
-  // (sim/similarity.h). Euclidean serving always verifies survivors
-  // exactly, so exact_verification is implied. A threshold outside the
-  // measure's domain throws std::invalid_argument (core/measure_table.h).
-  double threshold = 0.7;
-
+// The hash family (MeasureSpec) plus how to serve. The spec's threshold
+// is the similarity threshold t in (0, 1] — except for kEuclidean, where
+// it is the query *radius* (> 0, unbounded above): matches are rows within
+// that distance and their QueryMatch::sim fields hold negated distances
+// (sim/similarity.h). Euclidean serving always verifies survivors exactly,
+// so exact_verification is implied. A threshold outside the measure's
+// domain throws std::invalid_argument (core/measure_table.h).
+//
+// Jaccard only: a nonzero bbit verifies with b-bit minwise signatures of
+// that width (lsh/bbit_minwise.h) instead of full 32-bit hashes — 8x
+// smaller signature storage at b = 4. Candidate generation is unchanged.
+// With b-bit signatures a single query's verification runs sequentially
+// (the index build still shards, and QueryBatch still shards over
+// queries); results remain identical for every thread count.
+//
+// kKernelCosine only: klsh_anchors are pre-sampled anchor rows shared
+// across serving components. KLSH signatures are pure functions of
+// (anchors, kernel, seed, row content), so sharded/unsharded and
+// warm/fresh identity holds exactly when every hasher sees the same
+// anchors — the sharded builder samples them once from the full corpus
+// and passes them down. Null (the default) samples
+// min(klsh.num_anchors, collection size) rows from the collection with
+// the master seed.
+struct QuerySearchConfig : MeasureSpec {
   // Verification: BayesLSH estimation by default; exact verification of
   // unpruned candidates (the Lite behaviour) if true.
   bool exact_verification = false;
 
-  BayesLshParams bayes;          // hashes_per_round/max_hashes 0 = defaults.
+  // BayesLSH parameters. The default is BayesLshParams{}: 32-hash rounds
+  // up to 4,096 hashes, for every measure. A join's default is 0/0, which
+  // resolves to the table's budgets (core/measure_table.h): 16/512 for
+  // Jaccard and wjaccard. Fields set to 0 here resolve the same way.
+  BayesLshParams bayes;
   uint32_t lite_max_hashes = 0;  // 0 = measure default (128 / 64).
   LshBandingParams banding;      // Index shape; num_bands 0 = derive.
-  uint64_t seed = 42;
-
-  // Jaccard only: verify with b-bit minwise signatures of this width
-  // (lsh/bbit_minwise.h) instead of full 32-bit hashes — 8x smaller
-  // signature storage at b = 4. Candidate generation is unchanged. 0 keeps
-  // full-width hashes. With b-bit signatures a single query's verification
-  // runs sequentially (the index build still shards, and QueryBatch still
-  // shards over queries); results remain identical for every thread count.
-  uint32_t bbit = 0;
-
-  // kKernelCosine only: the kernel the measure is defined against and the
-  // KLSH hash-family shape. klsh.seed is ignored — the master `seed` above
-  // derives the generation/verification hash streams, exactly as for every
-  // other measure.
-  KernelSpec kernel;
-  KlshParams klsh;
-
-  // kKernelCosine only: pre-sampled anchor rows shared across serving
-  // components. KLSH signatures are pure functions of
-  // (anchors, kernel, seed, row content), so sharded/unsharded and
-  // warm/fresh identity holds exactly when every hasher sees the same
-  // anchors — the sharded builder samples them once from the full corpus
-  // and passes them down here. Null (the default) samples
-  // min(klsh.num_anchors, collection size) rows from the collection with
-  // the master seed.
-  std::shared_ptr<const Dataset> klsh_anchors;
 
   // Worker threads for the index build, QueryBatch() query sharding, and
   // within-query verification sharding (0 = all hardware threads, 1 =
@@ -183,6 +174,16 @@ class QuerySearcher {
   // served at the build radius.
   QuerySearcher(const PersistentIndex* index,
                 const QuerySearchConfig& config);
+
+  // Fresh build over `data` that hashes with `family` — say, an index's
+  // spec(), built for its build threshold — while config sets the
+  // serving threshold, verification, budgets, banding and threads. A
+  // DynamicIndex's delta segment is built this way, so it hashes exactly
+  // as its base (for Euclidean: the p-stable width of the build radius).
+  // config must agree with family on measure, seed and bbit —
+  // std::invalid_argument otherwise.
+  QuerySearcher(const Dataset* data, const QuerySearchConfig& config,
+                const MeasureSpec& family);
 
   ~QuerySearcher();
 

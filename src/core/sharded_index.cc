@@ -13,6 +13,7 @@
 #include <utility>
 
 #include "common/prng.h"
+#include "core/measure_table.h"
 
 namespace bayeslsh {
 
@@ -314,13 +315,8 @@ ShardedIndex::ShardedIndex(Dataset data, const IndexBuildConfig& build,
   // shard would sample from its own sub-corpus and the shards would
   // disagree on every signature.
   IndexBuildConfig shard_build = build;
-  if (build.measure == Measure::kKernelCosine &&
-      shard_build.klsh_anchors == nullptr) {
-    shard_build.klsh_anchors =
-        std::make_shared<const Dataset>(SampleKlshAnchors(
-            data, std::min(build.klsh.num_anchors, data.num_vectors()),
-            build.seed));
-  }
+  static_cast<MeasureSpec&>(shard_build) =
+      MeasureFamily(build, &data, "IndexBuildConfig").spec();
   std::vector<DatasetBuilder> builders;
   builders.reserve(K);
   for (uint32_t s = 0; s < K; ++s) builders.emplace_back(data.num_dims());

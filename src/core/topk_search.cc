@@ -1,7 +1,6 @@
 #include "core/topk_search.h"
 
 #include <algorithm>
-#include <cassert>
 #include <memory>
 #include <stdexcept>
 
@@ -15,10 +14,22 @@ namespace bayeslsh {
 std::vector<ScoredPair> TopKAllPairs(const Dataset& data,
                                      const TopKConfig& config,
                                      TopKStats* stats) {
-  assert(config.k > 0);
-  assert(config.floor_threshold > 0.0 && config.floor_threshold < 1.0);
-  assert(config.start_threshold >= config.floor_threshold);
-  assert(config.decay > 0.0 && config.decay < 1.0);
+  // Written so that NaN fails each test. A decay of 1 would never lower
+  // the threshold, and a floor of 0 would never stop the descent.
+  if (config.k == 0) {
+    throw std::invalid_argument("TopKConfig: k must be at least 1");
+  }
+  if (!(config.floor_threshold > 0.0 && config.floor_threshold < 1.0)) {
+    throw std::invalid_argument(
+        "TopKConfig: floor_threshold must be in (0, 1)");
+  }
+  if (!(config.start_threshold >= config.floor_threshold)) {
+    throw std::invalid_argument(
+        "TopKConfig: start_threshold must be >= floor_threshold");
+  }
+  if (!(config.decay > 0.0 && config.decay < 1.0)) {
+    throw std::invalid_argument("TopKConfig: decay must be in (0, 1)");
+  }
   if (config.measure == Measure::kKernelCosine ||
       config.measure == Measure::kEuclidean) {
     throw std::invalid_argument(

@@ -77,8 +77,10 @@ struct TopKStats {
 // decreasing exact similarity (ties by (a, b)). May return fewer than k
 // pairs when fewer exist above the floor (or when the randomized
 // generator misses some — same guarantees as threshold search). Throws
-// std::invalid_argument for kKernelCosine and kEuclidean, and for a
-// measure/generator pair RunPipeline refuses.
+// std::invalid_argument for kKernelCosine and kEuclidean, for a
+// measure/generator pair RunPipeline refuses, and unless k >= 1,
+// 0 < floor_threshold < 1, start_threshold >= floor_threshold and
+// 0 < decay < 1.
 std::vector<ScoredPair> TopKAllPairs(const Dataset& data,
                                      const TopKConfig& config,
                                      TopKStats* stats = nullptr);

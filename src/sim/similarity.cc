@@ -4,25 +4,11 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "core/measure_table.h"
+
 namespace bayeslsh {
 
-std::string MeasureName(Measure m) {
-  switch (m) {
-    case Measure::kCosine:
-      return "cosine";
-    case Measure::kJaccard:
-      return "jaccard";
-    case Measure::kBinaryCosine:
-      return "binary-cosine";
-    case Measure::kWeightedJaccard:
-      return "wjaccard";
-    case Measure::kKernelCosine:
-      return "klsh";
-    case Measure::kEuclidean:
-      return "euclidean";
-  }
-  return "unknown";
-}
+std::string MeasureName(Measure m) { return TraitsOf(m).name; }
 
 double CosineSimilarity(const SparseVectorView& a, const SparseVectorView& b) {
   const double na = SparseNorm2(a), nb = SparseNorm2(b);

@@ -36,6 +36,8 @@ enum class Measure {
                      // (euclidean/pstable_hasher.h holds the hash family).
 };
 
+// The measure's name, as the CLI's --measure flag takes it
+// (core/measure_table.h holds it).
 std::string MeasureName(Measure m);
 
 // Cosine similarity of two arbitrary (not necessarily normalized) vectors.

@@ -78,14 +78,7 @@ QuerySearchConfig Config(Measure measure, double threshold,
 
 // The searcher's hash families, from the same spec.
 MeasureFamily FamilyOf(const Dataset& data, const QuerySearchConfig& cfg) {
-  MeasureSpec spec;
-  spec.measure = cfg.measure;
-  spec.threshold = cfg.threshold;
-  spec.seed = cfg.seed;
-  spec.bbit = cfg.bbit;
-  spec.kernel = cfg.kernel;
-  spec.klsh = cfg.klsh;
-  return MeasureFamily(spec, &data, "test");
+  return MeasureFamily(cfg, &data, "test");
 }
 
 // Candidates of query rows [0, kQueries): the rows sharing a bucket with

@@ -657,7 +657,9 @@ TEST(IndexFormatV2, V1SaveLoadsAndQueriesIdentically) {
 
 // Measure tags >= 3 (wjaccard, klsh, euclidean) did not exist before v3,
 // so Save must refuse to emit them into a v1/v2 file — an old reader
-// would otherwise see a tag it cannot interpret.
+// would otherwise see a tag it cannot interpret — and Load refuses a v2
+// header that carries one before anything else in the file is trusted,
+// naming the version the tag needs.
 TEST(IndexFormatV3, NewMeasureTagsRequireV3) {
   const Dataset data = TextWeighted(61, 80);
   for (const Measure m : {Measure::kWeightedJaccard, Measure::kKernelCosine,
@@ -673,7 +675,83 @@ TEST(IndexFormatV3, NewMeasureTagsRequireV3) {
     EXPECT_THROW(built->Save(sink, /*format_version=*/2), IndexError);
     std::stringstream ok;
     built->Save(ok);  // Default (v3) round-trips.
+    std::string bytes = ok.str();
     EXPECT_EQ(PersistentIndex::Load(ok)->measure(), m);
+
+    const uint32_t v2 = 2;
+    std::memcpy(bytes.data() + 8, &v2, sizeof(v2));  // Format version.
+    std::stringstream as_v2(bytes);
+    try {
+      (void)PersistentIndex::Load(as_v2);
+      ADD_FAILURE() << MeasureName(m) << ": a v2 header with its tag loaded";
+    } catch (const IndexError& e) {
+      EXPECT_NE(std::string(e.what()).find("format version 3"),
+                std::string::npos)
+          << MeasureName(m) << ": " << e.what();
+    }
+  }
+}
+
+// The wire values the measure table owns. Round trips cannot catch a
+// consistent renumbering of tags or signature kinds (save and load would
+// agree, and only old files would stop loading), so each is pinned here
+// against docs/FORMATS.md: the header bytes at offsets 12 (measure tag)
+// and 13 (signature kind), and the config fingerprint of a fixed
+// collection at every format version the measure allows.
+TEST(IndexWireValues, TagsKindsAndFingerprintsArePinned) {
+  DatasetBuilder builder(8);
+  builder.AddRow({{0, 1.0f}, {1, 0.5f}, {3, 2.0f}});
+  builder.AddRow({{0, 1.0f}, {1, 0.5f}, {4, 1.0f}});
+  builder.AddRow({{2, 3.0f}, {5, 1.0f}});
+  builder.AddRow({{2, 2.5f}, {5, 1.0f}, {6, 0.25f}});
+  builder.AddRow({{1, 1.0f}, {6, 2.0f}, {7, 1.0f}});
+  builder.AddRow({{0, 0.5f}, {3, 1.5f}, {7, 4.0f}});
+  const Dataset data = std::move(builder).Build();
+
+  struct WireCase {
+    Measure measure;
+    uint32_t bbit;
+    double threshold;
+    uint8_t tag;   // FORMATS.md, "Index file": measure.
+    uint8_t kind;  // FORMATS.md, "Index file": signature_kind.
+    uint64_t fingerprint[3];  // Format versions 1..3; 0 = not allowed.
+  };
+  const WireCase cases[] = {
+      {Measure::kCosine, 0, 0.7, 0, 0,
+       {0x5e7057e366a494a7ull, 0x011f83735dc8aca5ull, 0xaddeb836718e75f9ull}},
+      {Measure::kJaccard, 0, 0.5, 1, 1,
+       {0x9fc1779afb864706ull, 0xbd0a943ea605999dull, 0x46524791f8e38690ull}},
+      {Measure::kJaccard, 4, 0.5, 1, 2,
+       {0xac5393b3058ae253ull, 0x19284b2da424d3edull, 0x40c056380ecf6832ull}},
+      {Measure::kBinaryCosine, 0, 0.7, 2, 0,
+       {0x43f867ac170e8fb2ull, 0x76c5bcb40dd139e4ull, 0xe22911212f0c136aull}},
+      {Measure::kWeightedJaccard, 0, 0.5, 3, 3, {0, 0, 0xefdd9fd32666c3dfull}},
+      {Measure::kKernelCosine, 0, 0.7, 4, 5, {0, 0, 0xb126c0867c433438ull}},
+      {Measure::kEuclidean, 0, 2.0, 5, 4, {0, 0, 0xc057bce13873c65aull}},
+  };
+  for (const WireCase& c : cases) {
+    IndexBuildConfig icfg;
+    icfg.measure = c.measure;
+    icfg.threshold = c.threshold;
+    icfg.seed = 7;
+    icfg.bbit = c.bbit;
+    icfg.klsh.num_anchors = 4;
+    const auto built = PersistentIndex::Build(data, icfg);
+    const std::string what =
+        MeasureName(c.measure) + (c.bbit != 0 ? " b-bit" : "");
+    for (uint32_t v = 1; v <= 3; ++v) {
+      std::stringstream out;
+      if (c.fingerprint[v - 1] == 0) {
+        EXPECT_THROW(built->Save(out, v), IndexError) << what << " v" << v;
+        continue;
+      }
+      built->Save(out, v);
+      const std::string bytes = out.str();
+      EXPECT_EQ(static_cast<uint8_t>(bytes[12]), c.tag) << what;
+      EXPECT_EQ(static_cast<uint8_t>(bytes[13]), c.kind) << what;
+      EXPECT_EQ(built->Fingerprint(v), c.fingerprint[v - 1])
+          << what << " v" << v << ": 0x" << std::hex << built->Fingerprint(v);
+    }
   }
 }
 
@@ -801,7 +879,7 @@ TEST(IndexFormatV3, KlshAdoptionRequiresTheSameFamily) {
     adopt.source_rows.push_back(row);
   }
 
-  icfg.klsh_anchors = source->klsh_anchors();
+  icfg.klsh_anchors = source->spec().klsh_anchors;
   const auto adopted = PersistentIndex::Build(data, icfg, &adopt);
   EXPECT_EQ(adopted->bit_store()->bits_computed(), 0u);
 
@@ -946,7 +1024,16 @@ TEST_F(IndexCorruption, SearcherConfigMismatchRejected) {
   cfg.bbit = 2;  // Index stores full-width minwise signatures.
   EXPECT_THROW(QuerySearcher(index_.get(), cfg), IndexError);
 
+  // So does a fresh build handed the index's family.
+  const Dataset& data = index_->data();
+  EXPECT_THROW(QuerySearcher(&data, cfg, index_->spec()),
+               std::invalid_argument);
   cfg.bbit = 0;
+  cfg.seed = 43;
+  EXPECT_THROW(QuerySearcher(&data, cfg, index_->spec()),
+               std::invalid_argument);
+  cfg.seed = 42;
+
   cfg.banding.num_bands = index_->num_bands() + 1;
   EXPECT_THROW(QuerySearcher(index_.get(), cfg), IndexError);
 

@@ -26,6 +26,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/prng.h"
 #include "core/dynamic_index.h"
 #include "core/index_io.h"
 #include "core/query_search.h"
@@ -319,6 +320,62 @@ TEST(MeasureServingEuclidean, WarmBelowBuildRadiusFindsEveryRow) {
       }
     }
     EXPECT_EQ(found, rows) << threads << " threads";
+  }
+}
+
+// Dense clustered rows: `rows` points in `dims` dimensions around 30
+// centres drawn from N(0, 3^2), with unit Gaussian noise; row r belongs to
+// cluster r % 30. Fewer rows give a prefix of the same rows.
+Dataset GaussianClusters(uint32_t rows, uint32_t dims, uint64_t seed) {
+  constexpr uint32_t kClusters = 30;
+  Xoshiro256StarStar rng(seed);
+  std::vector<std::vector<double>> centres(kClusters,
+                                           std::vector<double>(dims));
+  for (auto& centre : centres) {
+    for (double& x : centre) x = 3.0 * rng.NextGaussian();
+  }
+  DatasetBuilder builder(dims);
+  for (uint32_t r = 0; r < rows; ++r) {
+    std::vector<std::pair<uint32_t, float>> entries;
+    for (uint32_t d = 0; d < dims; ++d) {
+      entries.emplace_back(d, static_cast<float>(centres[r % kClusters][d] +
+                                                 rng.NextGaussian()));
+    }
+    builder.AddRow(std::move(entries));
+  }
+  return std::move(builder).Build();
+}
+
+// A Euclidean DynamicIndex served below its build radius hashes its delta
+// segment with the base's family (the p-stable width of the build
+// radius), as the compacted base will, so one Compact() changes no answer
+// at any thread count. Dense clustered rows are needed: on the text
+// corpora a delta hashed at the serving radius gives the same answers.
+TEST(MeasureServingEuclidean, DeltaBelowBuildRadiusSurvivesCompaction) {
+  constexpr MeasureCase kRadius6 = {"euclidean", Measure::kEuclidean, 6.0};
+  const Dataset all = GaussianClusters(600, 16, 2012);
+  const Dataset base = GaussianClusters(300, 16, 2012);  // Rows 0-299.
+
+  for (uint32_t threads : {1u, 4u}) {
+    DynamicIndexConfig dcfg;
+    dcfg.threshold = 4.0;
+    dcfg.num_threads = threads;
+    DynamicIndex dyn(
+        PersistentIndex::Build(base, BuildConfigFor(kRadius6, threads)),
+        dcfg);
+    for (uint32_t r = 300; r < all.num_vectors(); ++r) dyn.Add(all.Row(r));
+
+    std::vector<std::vector<QueryMatch>> before;
+    before.reserve(all.num_vectors());
+    for (uint32_t q = 0; q < all.num_vectors(); ++q) {
+      before.push_back(dyn.Query(all.Row(q)));
+    }
+    dyn.Compact();
+    uint32_t changed = 0;
+    for (uint32_t q = 0; q < all.num_vectors(); ++q) {
+      changed += dyn.Query(all.Row(q)) != before[q] ? 1 : 0;
+    }
+    EXPECT_EQ(changed, 0u) << threads << " threads";
   }
 }
 

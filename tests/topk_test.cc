@@ -2,8 +2,10 @@
 // output ranking, floor semantics, and recall of the true top pairs.
 
 #include <algorithm>
+#include <limits>
 #include <set>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -136,6 +138,32 @@ TEST(TopKAllPairsTest, RefusesRadiusAndKernelMeasures) {
     cfg.measure = m;
     EXPECT_THROW(TopKAllPairs(data, cfg), std::invalid_argument)
         << MeasureName(m);
+  }
+}
+
+// A config the descent cannot run is refused up front, in every build
+// type: with decay = 1 the threshold never moves, and with a floor of 0
+// the descent never stops.
+TEST(TopKAllPairsTest, RefusesConfigsThatCannotDescend) {
+  const Dataset data = MakeCorpus(60, 27);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<std::pair<const char*, TopKConfig>> bad;
+  auto with = [&](const char* what, auto&& edit) {
+    TopKConfig cfg;
+    edit(cfg);
+    bad.emplace_back(what, cfg);
+  };
+  with("k = 0", [](TopKConfig& c) { c.k = 0; });
+  with("floor = 0", [](TopKConfig& c) { c.floor_threshold = 0.0; });
+  with("floor = 1", [](TopKConfig& c) { c.floor_threshold = 1.0; });
+  with("floor = NaN", [&](TopKConfig& c) { c.floor_threshold = nan; });
+  with("start < floor", [](TopKConfig& c) { c.start_threshold = 0.2; });
+  with("start = NaN", [&](TopKConfig& c) { c.start_threshold = nan; });
+  with("decay = 1", [](TopKConfig& c) { c.decay = 1.0; });
+  with("decay = 0", [](TopKConfig& c) { c.decay = 0.0; });
+  with("decay = NaN", [&](TopKConfig& c) { c.decay = nan; });
+  for (const auto& [what, cfg] : bad) {
+    EXPECT_THROW(TopKAllPairs(data, cfg), std::invalid_argument) << what;
   }
 }
 

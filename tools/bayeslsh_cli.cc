@@ -79,6 +79,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <system_error>
 #include <type_traits>
 #include <utility>
@@ -263,24 +264,32 @@ struct Args {
   }
 };
 
-// Parses --measure into *out; returns false (after printing an error) on an
-// unknown name.
+// Parses --measure into *out by name over the measure table; returns
+// false (after printing an error) on an unknown name.
 bool ParseMeasure(const Args& args, Measure* out) {
-  const std::string measure = args.Get("measure", "cosine");
-  if (measure == "cosine") {
-    *out = Measure::kCosine;
-  } else if (measure == "jaccard") {
-    *out = Measure::kJaccard;
-  } else if (measure == "binary-cosine") {
-    *out = Measure::kBinaryCosine;
-  } else if (measure == "wjaccard") {
-    *out = Measure::kWeightedJaccard;
-  } else if (measure == "klsh") {
-    *out = Measure::kKernelCosine;
-  } else if (measure == "euclidean") {
-    *out = Measure::kEuclidean;
-  } else {
-    std::fprintf(stderr, "error: unknown measure '%s'\n", measure.c_str());
+  const std::string name = args.Get("measure", "cosine");
+  const auto rows = MeasureRows();
+  const auto row = std::ranges::find(rows, std::string_view(name),
+                                     &MeasureTraits::name);
+  if (row == rows.end()) {
+    std::fprintf(stderr, "error: unknown measure '%s'\n", name.c_str());
+    return false;
+  }
+  *out = row->measure;
+  return true;
+}
+
+// Checks an explicit --threshold against the loaded index's measure: a
+// similarity in (0, 1], or a radius > 0. Returns false (after printing an
+// error) outside that domain.
+bool CheckThresholdFlag(const Args& args, Measure measure) {
+  if (!args.Has("threshold")) return true;
+  const double t = args.GetDouble("threshold", 0.0);
+  try {
+    CheckThreshold(measure, t,
+                   "--threshold for a " + MeasureName(measure) + " index");
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s (got %g)\n", e.what(), t);
     return false;
   }
   return true;
@@ -326,10 +335,10 @@ int RunAllPairs(const Args& args) {
   PipelineConfig cfg;
   if (!ParseMeasure(args, &cfg.measure)) return 1;
   if (!ParseKlshFlags(args, &cfg)) return 1;
+  const MeasureTraits& traits = TraitsOf(cfg.measure);
   // Cosine expects unit rows; normalize by default for cosine (opt-out by
   // passing pre-normalized data without --normalize is fine too).
-  if (cfg.measure == Measure::kCosine &&
-      (args.Has("normalize") || args.Has("tfidf"))) {
+  if (traits.unit_rows && (args.Has("normalize") || args.Has("tfidf"))) {
     data = L2NormalizeRows(data);
   }
 
@@ -384,9 +393,8 @@ int RunAllPairs(const Args& args) {
     }
     out = &file;
   }
-  // Euclidean scores are negated distances; print distances, as `query`
-  // does.
-  const double sim_scale = cfg.measure == Measure::kEuclidean ? -1.0 : 1.0;
+  // Distance scores are negated; print distances, as `query` does.
+  const double sim_scale = traits.distance ? -1.0 : 1.0;
   for (const auto& p : result.pairs) {
     (*out) << p.a << ' ' << p.b << ' ' << p.sim * sim_scale << '\n';
   }
@@ -417,16 +425,17 @@ int RunIndex(const Args& args) {
   IndexBuildConfig cfg;
   if (!ParseMeasure(args, &cfg.measure)) return 1;
   if (!ParseKlshFlags(args, &cfg)) return 1;
-  if (cfg.measure == Measure::kCosine &&
-      (args.Has("normalize") || args.Has("tfidf"))) {
+  const MeasureTraits& traits = TraitsOf(cfg.measure);
+  if (traits.unit_rows && (args.Has("normalize") || args.Has("tfidf"))) {
     data = L2NormalizeRows(data);
   }
-  // For Euclidean the threshold is a distance radius, so the similarity
+  // For a distance measure the threshold is a radius, so the similarity
   // default would be meaningless — require an explicit value.
-  if (cfg.measure == Measure::kEuclidean && !args.Has("threshold")) {
+  if (traits.distance && !args.Has("threshold")) {
     std::fprintf(stderr,
-                 "error: --measure euclidean requires an explicit "
-                 "--threshold (the match radius, in distance units)\n");
+                 "error: --measure %s requires an explicit --threshold "
+                 "(the match radius, in distance units)\n",
+                 traits.name);
     return 1;
   }
   cfg.threshold = args.GetDouble("threshold", 0.7);
@@ -580,20 +589,6 @@ int RunQuery(const Args& args) {
   if (!args.Has("index") || !args.Has("query-file")) return Usage();
 
   const uint32_t num_threads = ParseThreads(args);
-  // Valid serving thresholds are positive; rejecting an explicit 0 up
-  // front keeps plain and dynamic indexes consistent (0 is the dynamic
-  // config's "use the build threshold" sentinel, never a user value).
-  // The (0, 1] upper bound applies to similarity measures only — for a
-  // Euclidean index the threshold is a distance radius — so it is
-  // checked after the load reveals the measure.
-  if (args.Has("threshold")) {
-    const double t = args.GetDouble("threshold", 0.0);
-    if (t <= 0.0) {
-      std::fprintf(stderr, "error: --threshold must be positive "
-                   "(got %g)\n", t);
-      return 1;
-    }
-  }
   const bool dynamic = DynamicIndex::SniffFile(args.Get("index", ""));
   if (dynamic && args.Has("freeze")) {
     std::fprintf(stderr,
@@ -633,20 +628,21 @@ int RunQuery(const Args& args) {
                   : PersistentIndex::LoadFile(args.Get("index", ""));
     }
     queries = ReadDatasetAutoFile(args.Get("query-file", ""));
+  } catch (const std::invalid_argument& e) {
+    // A dynamic index builds its segment searchers at load, so a
+    // --threshold outside its measure's domain is refused here.
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
   } catch (const std::exception& e) {  // IoError/IndexError, bad_alloc.
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
   }
   const double load_s = load_timer.Seconds();
   const Measure measure = dynamic ? dyn->measure() : index->measure();
-  if (measure != Measure::kEuclidean && args.Has("threshold")) {
-    const double t = args.GetDouble("threshold", 0.0);
-    if (t > 1.0) {
-      std::fprintf(stderr, "error: --threshold must be in (0, 1] for a "
-                   "%s index (got %g)\n", MeasureName(measure).c_str(), t);
-      return 1;
-    }
-  }
+  // Also refuses an explicit 0, the dynamic config's "serve at the build
+  // threshold" sentinel.
+  if (!CheckThresholdFlag(args, measure)) return 1;
+  const MeasureTraits& traits = TraitsOf(measure);
   const uint32_t index_dims =
       dynamic ? dyn->num_dims() : index->data().num_dims();
   const uint32_t indexed_vectors =
@@ -678,7 +674,7 @@ int RunQuery(const Args& args) {
       return 2;
     }
   }
-  if (args.Has("normalize") && measure == Measure::kCosine) {
+  if (args.Has("normalize") && traits.unit_rows) {
     queries = L2NormalizeRows(queries);
   }
   const auto top_k = args.GetNumber<uint32_t>("top-k", 0);
@@ -700,11 +696,9 @@ int RunQuery(const Args& args) {
     std::unique_ptr<QuerySearcher> searcher;
     if (!dynamic) {
       QuerySearchConfig cfg;
-      cfg.measure = measure;
+      static_cast<MeasureSpec&>(cfg) = index->spec();
       cfg.threshold = args.GetDouble("threshold", index->build_threshold());
       cfg.exact_verification = args.Has("exact");
-      cfg.seed = index->seed();
-      cfg.bbit = index->bbit();
       cfg.num_threads = num_threads;
       searcher = std::make_unique<QuerySearcher>(index.get(), cfg);
       if (args.Has("freeze")) searcher->Freeze();
@@ -713,7 +707,7 @@ int RunQuery(const Args& args) {
 
     WallTimer query_timer;
     ServeTally tally;
-    const double sim_scale = measure == Measure::kEuclidean ? -1.0 : 1.0;
+    const double sim_scale = traits.distance ? -1.0 : 1.0;
     if (dynamic) {
       ServeQueries(*dyn, queries, args.Has("batch"), top_k, sim_scale,
                    *out, &tally);
@@ -876,16 +870,6 @@ const char* BreakerStateName(BreakerState s) {
 int RunServe(const Args& args) {
   if (!args.Has("index")) return Usage();
   const uint32_t num_threads = ParseThreads(args);
-  // Positive up front; the (0, 1] similarity-measure bound is checked
-  // after the load reveals the measure (Euclidean serves a radius).
-  if (args.Has("threshold")) {
-    const double t = args.GetDouble("threshold", 0.0);
-    if (t <= 0.0) {
-      std::fprintf(stderr, "error: --threshold must be positive "
-                   "(got %g)\n", t);
-      return 1;
-    }
-  }
   const auto num_shards = args.GetNumber<uint32_t>("shards", 2);
   if (num_shards == 0) {
     std::fprintf(stderr, "error: --shards must be at least 1\n");
@@ -895,7 +879,8 @@ int RunServe(const Args& args) {
   // Load either index kind and lift out (corpus, build config): the
   // sharded layer repartitions the live rows across K fresh shards, so
   // serve assigns fresh dense logical ids 0..n-1 in the order of the
-  // loaded live corpus.
+  // loaded live corpus. The shards hash with the loaded index's family —
+  // for KLSH its kernel and anchors, not a resample from the live corpus.
   Dataset corpus;
   IndexBuildConfig build;
   const std::string index_path = args.Get("index", "");
@@ -912,22 +897,9 @@ int RunServe(const Args& args) {
       dcfg.num_threads = num_threads;
       const std::unique_ptr<DynamicIndex> dyn =
           DynamicIndex::LoadFile(index_path, dcfg);
-      build.measure = dyn->measure();
-      // With no threshold override in dcfg, serve_threshold() reports
-      // the base index's build threshold — the value to rebuild with.
-      build.threshold = dyn->serve_threshold();
+      static_cast<MeasureSpec&>(build) = dyn->spec();
       build.banding.num_bands = dyn->num_bands();
       build.banding.hashes_per_band = dyn->hashes_per_band();
-      build.bbit = dyn->bbit();
-      build.seed = dyn->seed();
-      if (build.measure == Measure::kKernelCosine) {
-        // Reuse the loaded index's kernel and anchors: the repartitioned
-        // shards then hash with the exact family the index was built
-        // with, instead of resampling anchors from the live corpus.
-        build.kernel = dyn->kernel_spec();
-        build.klsh = dyn->klsh_params();
-        build.klsh_anchors = dyn->klsh_anchors();
-      }
       corpus = dyn->LiveCorpus();
     } else {
       // --mmap skips copying the signature slabs entirely; serve rebuilds
@@ -936,17 +908,9 @@ int RunServe(const Args& args) {
       const std::unique_ptr<PersistentIndex> index =
           args.Has("mmap") ? PersistentIndex::LoadFileMmap(index_path)
                            : PersistentIndex::LoadFile(index_path);
-      build.measure = index->measure();
-      build.threshold = index->build_threshold();
+      static_cast<MeasureSpec&>(build) = index->spec();
       build.banding.num_bands = index->num_bands();
       build.banding.hashes_per_band = index->hashes_per_band();
-      build.bbit = index->bbit();
-      build.seed = index->seed();
-      if (build.measure == Measure::kKernelCosine) {
-        build.kernel = index->kernel_spec();
-        build.klsh = index->klsh_params();
-        build.klsh_anchors = index->klsh_anchors();
-      }
       corpus = index->data();
     }
   } catch (const std::exception& e) {
@@ -954,15 +918,10 @@ int RunServe(const Args& args) {
     return 2;
   }
   build.num_threads = num_threads;
-  if (build.measure != Measure::kEuclidean && args.Has("threshold")) {
-    const double t = args.GetDouble("threshold", 0.0);
-    if (t > 1.0) {
-      std::fprintf(stderr, "error: --threshold must be in (0, 1] for a "
-                   "%s index (got %g)\n",
-                   MeasureName(build.measure).c_str(), t);
-      return 1;
-    }
-  }
+  // Also refuses an explicit 0, the sharded config's "serve at the build
+  // threshold" sentinel.
+  if (!CheckThresholdFlag(args, build.measure)) return 1;
+  const MeasureTraits& traits = TraitsOf(build.measure);
 
   ShardedIndexConfig scfg;
   scfg.num_shards = num_shards;
@@ -986,10 +945,8 @@ int RunServe(const Args& args) {
   opts.deadline_seconds = args.GetDouble("deadline-ms", 0.0) / 1000.0;
   const auto top_k = args.GetNumber<uint32_t>("top-k", 0);
   const double drain_s = args.GetDouble("drain-timeout-ms", 5000.0) / 1000.0;
-  const bool normalize =
-      args.Has("normalize") && build.measure == Measure::kCosine;
-  const double sim_scale =
-      build.measure == Measure::kEuclidean ? -1.0 : 1.0;
+  const bool normalize = args.Has("normalize") && traits.unit_rows;
+  const double sim_scale = traits.distance ? -1.0 : 1.0;
 
   try {
     ShardedIndex sharded(std::move(corpus), build, scfg);
@@ -1173,7 +1130,7 @@ int RunAdd(const Args& args) {
                    rows.num_dims(), dyn->num_dims());
       return 2;
     }
-    if (args.Has("normalize") && dyn->measure() == Measure::kCosine) {
+    if (args.Has("normalize") && TraitsOf(dyn->measure()).unit_rows) {
       rows = L2NormalizeRows(rows);
     }
     uint32_t first_id = 0, last_id = 0;
