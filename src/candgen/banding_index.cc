@@ -45,16 +45,16 @@ BandingIndex BandingIndex::BuildBits(
   BitSignatureStore store(&data, std::move(hasher));
   if (pool != nullptr) {
     ParallelFor(pool, 0, n, [&](uint64_t row) {
-      store.EnsureBitsUncounted(static_cast<uint32_t>(row), l * k);
+      store.EnsureRowUncounted(static_cast<uint32_t>(row), l * k);
     });
   } else {
-    store.EnsureAllBits(l * k);
+    store.EnsureAll(l * k);
   }
   ParallelFor(pool, 0, l, [&](uint64_t band) {
     for (uint32_t row = 0; row < n; ++row) {
       if (data.RowLength(row) == 0) continue;
       const uint64_t key =
-          CosineKey(store.Words(row), store.NumBits(row) / kBitsPerWord,
+          CosineKey(store.Signature(row), store.HashesHeld(row) / kBitsPerWord,
                     static_cast<uint32_t>(band), k);
       index.bands_[band][key].push_back(row);
     }
@@ -72,16 +72,16 @@ BandingIndex BandingIndex::BuildInts(
   IntSignatureStore store(&data, std::move(hasher));
   if (pool != nullptr) {
     ParallelFor(pool, 0, n, [&](uint64_t row) {
-      store.EnsureHashesUncounted(static_cast<uint32_t>(row), l * k);
+      store.EnsureRowUncounted(static_cast<uint32_t>(row), l * k);
     });
   } else {
-    store.EnsureAllHashes(l * k);
+    store.EnsureAll(l * k);
   }
   ParallelFor(pool, 0, l, [&](uint64_t band) {
     for (uint32_t row = 0; row < n; ++row) {
       if (data.RowLength(row) == 0) continue;
       const uint64_t key =
-          JaccardKey(store.Hashes(row), static_cast<uint32_t>(band), k);
+          JaccardKey(store.Signature(row), static_cast<uint32_t>(band), k);
       index.bands_[band][key].push_back(row);
     }
   });

@@ -101,19 +101,19 @@ CandidateList CosineLshCandidates(BitSignatureStore* store, double threshold,
   assert(k <= 64);
   const uint32_t n = store->num_rows();
   if (pool != nullptr && pool->num_threads() > 1) {
-    store->AddBitsComputed(ParallelReduce(
+    store->AddComputed(ParallelReduce(
         pool, n, uint64_t{0},
         [&](uint32_t, uint64_t b, uint64_t e) {
           uint64_t work = 0;
           for (uint64_t row = b; row < e; ++row) {
-            work += store->EnsureBitsUncounted(static_cast<uint32_t>(row),
-                                               l * k);
+            work +=
+                store->EnsureRowUncounted(static_cast<uint32_t>(row), l * k);
           }
           return work;
         },
         [](uint64_t x, uint64_t y) { return x + y; }));
   } else {
-    store->EnsureAllBits(l * k);
+    store->EnsureAll(l * k);
   }
 
   const uint32_t num_shards =
@@ -130,9 +130,9 @@ CandidateList CosineLshCandidates(BitSignatureStore* store, double threshold,
         // Empty rows have similarity 0 to everything (including each other,
         // by this library's conventions) and are never candidates.
         if (store->data()->RowLength(row) == 0) continue;
-        const uint64_t sig =
-            ExtractBits(store->Words(row), store->NumBits(row) / kBitsPerWord,
-                        static_cast<uint32_t>(band) * k, k);
+        const uint64_t sig = ExtractBits(
+            store->Signature(row), store->HashesHeld(row) / kBitsPerWord,
+            static_cast<uint32_t>(band) * k, k);
         entries.emplace_back(sig, row);
       }
       EmitBucketPairs(entries, &keys);
@@ -153,19 +153,19 @@ CandidateList JaccardLshCandidates(IntSignatureStore* store, double threshold,
                                           params);
   const uint32_t n = store->num_rows();
   if (pool != nullptr && pool->num_threads() > 1) {
-    store->AddHashesComputed(ParallelReduce(
+    store->AddComputed(ParallelReduce(
         pool, n, uint64_t{0},
         [&](uint32_t, uint64_t b, uint64_t e) {
           uint64_t work = 0;
           for (uint64_t row = b; row < e; ++row) {
-            work += store->EnsureHashesUncounted(static_cast<uint32_t>(row),
-                                                 l * k);
+            work +=
+                store->EnsureRowUncounted(static_cast<uint32_t>(row), l * k);
           }
           return work;
         },
         [](uint64_t x, uint64_t y) { return x + y; }));
   } else {
-    store->EnsureAllHashes(l * k);
+    store->EnsureAll(l * k);
   }
 
   const uint32_t num_shards =
@@ -180,7 +180,7 @@ CandidateList JaccardLshCandidates(IntSignatureStore* store, double threshold,
       entries.clear();
       for (uint32_t row = 0; row < n; ++row) {
         if (store->data()->RowLength(row) == 0) continue;  // See above.
-        const uint32_t* h = store->Hashes(row) + band * k;
+        const uint32_t* h = store->Signature(row) + band * k;
         // Collapse the k minhash values into one bucket key.
         uint64_t sig = Mix64(0x5ba3d9be1e4fULL, band);
         for (uint32_t i = 0; i < k; ++i) sig = Mix64(sig, h[i]);

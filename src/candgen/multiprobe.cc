@@ -86,10 +86,10 @@ CandidateList MultiProbeCosineCandidates(BitSignatureStore* store,
   // itself shards by row).
   if (pool != nullptr && pool->num_threads() > 1) {
     ParallelFor(pool, 0, n, [&](uint64_t row) {
-      store->EnsureBitsUncounted(static_cast<uint32_t>(row), l * k);
+      store->EnsureRowUncounted(static_cast<uint32_t>(row), l * k);
     });
   } else {
-    store->EnsureAllBits(l * k);
+    store->EnsureAll(l * k);
   }
   const std::vector<uint64_t> masks = ProbeMasks(k, params.probe_radius);
 
@@ -106,7 +106,8 @@ CandidateList MultiProbeCosineCandidates(BitSignatureStore* store,
     for (uint32_t row = 0; row < n; ++row) {
       if (store->data()->RowLength(row) == 0) continue;  // Never candidates.
       entries.emplace_back(
-          ExtractBits(store->Words(row), store->NumBits(row) / kBitsPerWord,
+          ExtractBits(store->Signature(row),
+                      store->HashesHeld(row) / kBitsPerWord,
                       static_cast<uint32_t>(band) * k, k),
           row);
     }

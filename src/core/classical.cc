@@ -72,7 +72,7 @@ std::vector<ScoredPair> MleVerifyCosine(
   if (parallel) {
     // Fixed verification depth: prefetching involved rows to num_hashes is
     // exactly what the sequential lazy path hashes, so the tally matches.
-    store->AddBitsComputed(
+    store->AddComputed(
         internal::PrefetchPairRows(store, pairs, num_hashes, pool));
   }
   return ShardedVerify(
@@ -99,7 +99,7 @@ std::vector<ScoredPair> MleVerifyJaccard(
   const bool parallel = pool != nullptr && pool->num_threads() > 1 &&
                         pairs.size() >= kMinPairsPerShard * pool->num_threads();
   if (parallel) {
-    store->AddHashesComputed(
+    store->AddComputed(
         internal::PrefetchPairRows(store, pairs, num_hashes, pool));
   }
   return ShardedVerify(

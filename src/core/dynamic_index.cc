@@ -33,25 +33,6 @@ constexpr char kManifestMagic[8] = {'B', 'L', 'S', 'H', 'D', 'X', '1', 'E'};
 constexpr uint8_t kWalOpAdd = 1;
 constexpr uint8_t kWalOpRemove = 2;
 
-// The merged-result ordering: decreasing similarity, ties by ascending
-// logical id — exactly the QuerySearcher result order, so a merged answer
-// is byte-for-byte what a rebuilt single-segment searcher returns.
-void SortMerged(std::vector<QueryMatch>* out) {
-  std::sort(out->begin(), out->end(),
-            [](const QueryMatch& a, const QueryMatch& b) {
-              return a.sim != b.sim ? a.sim > b.sim : a.id < b.id;
-            });
-}
-
-std::vector<std::pair<DimId, float>> RowEntries(const SparseVectorView& v) {
-  std::vector<std::pair<DimId, float>> entries;
-  entries.reserve(v.size());
-  for (uint32_t i = 0; i < v.size(); ++i) {
-    entries.emplace_back(v.indices[i], v.values[i]);
-  }
-  return entries;
-}
-
 // True iff `id` occurs in the sorted vector.
 bool IdInSorted(const std::vector<uint32_t>& ids, uint32_t id) {
   return std::binary_search(ids.begin(), ids.end(), id);
@@ -422,7 +403,7 @@ struct DynamicIndex::Impl {
     out.reserve(base_matches.size() + delta_matches.size());
     AppendLive(base_matches, base_ids, &out, ghosts);
     AppendLive(delta_matches, delta_ids, &out, ghosts);
-    SortMerged(&out);
+    SortMatches(&out);
     return out;
   }
 
@@ -977,13 +958,7 @@ uint32_t DynamicIndex::num_live() const {
 uint64_t DynamicIndex::base_hash_work() const {
   const Impl& im = *impl_;
   std::shared_lock<std::shared_mutex> lock(im.mu);
-  if (im.base->bit_store() != nullptr) {
-    return im.base->bit_store()->bits_computed();
-  }
-  if (im.base->int_store() != nullptr) {
-    return im.base->int_store()->hashes_computed();
-  }
-  return im.base->bbit_store()->hashes_computed();
+  return im.base->store().computed();
 }
 
 }  // namespace bayeslsh

@@ -209,52 +209,29 @@ std::unique_ptr<PersistentIndex> PersistentIndex::Build(
       : cfg.prefetch_hashes != 0           ? cfg.prefetch_hashes
                                  : family.traits().round_hashes;
 
-  // Copies the donor row `sr` of the adoption source into `row`.
-  PersistentIndex* const ix = index.get();
-  const auto adopt_row = [&](uint32_t row, uint32_t sr) {
-    const PersistentIndex& src = *adopt->source;
-    if (ix->bits_ != nullptr) {
-      const uint64_t* w = src.bit_store()->Words(sr);
-      ix->bits_->AdoptWords(
-          row, std::vector<uint64_t>(w, w + src.bit_store()->NumBits(sr) / 64));
-    } else if (ix->ints_ != nullptr) {
-      const uint32_t* h = src.int_store()->Hashes(sr);
-      ix->ints_->AdoptHashes(
-          row, std::vector<uint32_t>(h, h + src.int_store()->NumHashes(sr)));
-    } else {
-      // Packed layout: NumHashes values at bits_per_hash bits each is
-      // exactly NumHashes * b / 64 whole words.
-      const uint64_t* w = src.bbit_store()->Words(sr);
-      const uint64_t nw =
-          static_cast<uint64_t>(src.bbit_store()->NumHashes(sr)) * cfg.bbit /
-          64;
-      ix->bbits_->AdoptWords(row, std::vector<uint64_t>(w, w + nw));
-    }
-  };
-
   // Adoption happens inside the sharded prefetch (distinct rows touch
   // distinct vectors, like the uncounted growth itself); the ensure call
   // after it only tops up rows the donor left short.
-  SignatureStoreBase* store = ix->store();
-  store->AddComputed(ParallelWorkSum(pool, d.num_vectors(), [&](uint64_t r) {
+  SignatureStoreBase& store = *index->store_;
+  store.AddComputed(ParallelWorkSum(pool, d.num_vectors(), [&](uint64_t r) {
     const auto row = static_cast<uint32_t>(r);
     if (adopt != nullptr &&
         adopt->source_rows[row] != SignatureAdoption::kFreshRow) {
-      adopt_row(row, adopt->source_rows[row]);
+      store.AdoptRow(row, adopt->source->store(), adopt->source_rows[row]);
     }
-    return store->EnsureRowUncounted(row, prefetch);
+    return store.EnsureRowUncounted(row, prefetch);
   }));
   return index;
 }
 
 void PersistentIndex::InitStore(const HashStream& verification) {
   if (verification.bits != nullptr) {
-    bits_ = std::make_unique<BitSignatureStore>(&data_, verification.bits);
+    store_ = std::make_unique<BitSignatureStore>(&data_, verification.bits);
   } else if (spec_.bbit != 0) {
-    bbits_ = std::make_unique<BbitSignatureStore>(
+    store_ = std::make_unique<BbitSignatureStore>(
         &data_, *verification.minwise, spec_.bbit);
   } else {
-    ints_ = std::make_unique<IntSignatureStore>(&data_, verification.ints);
+    store_ = std::make_unique<IntSignatureStore>(&data_, verification.ints);
   }
 }
 
@@ -297,7 +274,7 @@ void PersistentIndex::Save(std::ostream& out,
     WriteDatasetBinary(*spec_.klsh_anchors, out);
   }
   banding_.Save(out);
-  store()->Save(out, align_blob);
+  store_->Save(out, align_blob);
   WritePod(out, fp);  // End marker: catches truncated tails.
   if (!out) throw IndexError("index save: stream write failed");
 }
@@ -440,9 +417,9 @@ std::unique_ptr<PersistentIndex> PersistentIndex::LoadInternal(
       throw IndexError(e.what());
     }
     if (mapped_base != nullptr) {
-      index->store()->LoadViews(in, mapped_base, mapped_size);
+      index->store_->LoadViews(in, mapped_base, mapped_size);
     } else {
-      index->store()->Load(in, /*padded=*/version >= 2);
+      index->store_->Load(in, /*padded=*/version >= 2);
     }
 
     const auto end_marker = ReadPod<uint64_t>(in, "index end marker");

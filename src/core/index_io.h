@@ -200,11 +200,8 @@ class PersistentIndex {
   SignatureKind signature_kind() const;
   const BandingIndex& banding() const { return banding_; }
 
-  // The verification signature store matching signature_kind(); the other
-  // two accessors return nullptr.
-  const BitSignatureStore* bit_store() const { return bits_.get(); }
-  const IntSignatureStore* int_store() const { return ints_.get(); }
-  const BbitSignatureStore* bbit_store() const { return bbits_.get(); }
+  // The verification signature store, of signature_kind().
+  const SignatureStoreBase& store() const { return *store_; }
 
   // Mix64 chain over (format version, measure, signature kind, bbit, seed,
   // threshold bits, banding shape, collection shape) — the value stored in
@@ -231,24 +228,15 @@ class PersistentIndex {
   // Creates the empty verification store matching the measure and bbit.
   void InitStore(const HashStream& verification);
 
-  // The engaged store, through the lifecycle contract all three share.
-  SignatureStoreBase* store() const {
-    if (bits_ != nullptr) return bits_.get();
-    if (ints_ != nullptr) return ints_.get();
-    return bbits_.get();
-  }
-
   Dataset data_;
   MeasureSpec spec_;
   uint32_t k_ = 0;
   uint32_t l_ = 0;
   BandingIndex banding_;
 
-  // Exactly one store is non-null; its verification hasher owns what it
-  // hashes with (core/measure_table.h).
-  std::unique_ptr<BitSignatureStore> bits_;
-  std::unique_ptr<IntSignatureStore> ints_;
-  std::unique_ptr<BbitSignatureStore> bbits_;
+  // The verification store; its hasher owns what it hashes with
+  // (core/measure_table.h).
+  std::unique_ptr<SignatureStoreBase> store_;
 
   // Non-null only for LoadFileMmap indexes: keeps the mapping the stores'
   // row views point into alive for the life of the index. (Destruction

@@ -56,29 +56,6 @@ inline constexpr uint32_t kBlocksPerWorker = 64;
 
 namespace internal {
 
-// Smallest chunk-aligned hash count covering one verification round.
-template <typename Store>
-uint32_t PrefetchHorizon(uint32_t hashes_per_round) {
-  const uint32_t chunk = Store::kChunkHashes;
-  return (hashes_per_round + chunk - 1) / chunk * chunk;
-}
-
-// Store-generic adapters over the bit/int method names.
-inline uint64_t EnsureUncounted(BitSignatureStore* s, uint32_t row,
-                                uint32_t n) {
-  return s->EnsureBitsUncounted(row, n);
-}
-inline uint64_t EnsureUncounted(IntSignatureStore* s, uint32_t row,
-                                uint32_t n) {
-  return s->EnsureHashesUncounted(row, n);
-}
-inline void AddComputed(BitSignatureStore* s, uint64_t n) {
-  s->AddBitsComputed(n);
-}
-inline void AddComputed(IntSignatureStore* s, uint64_t n) {
-  s->AddHashesComputed(n);
-}
-
 // Grows every row referenced by `pairs` to `horizon` hashes, sharded over
 // row ranges. Returns the total hashing work done (the caller folds it
 // into the store's tally).
@@ -93,7 +70,7 @@ uint64_t PrefetchPairRows(
   }
   return ParallelWorkSum(pool, referenced.size(), [&](uint64_t row) {
     return referenced[row] != 0
-               ? EnsureUncounted(store, static_cast<uint32_t>(row), horizon)
+               ? store->EnsureRowUncounted(static_cast<uint32_t>(row), horizon)
                : uint64_t{0};
   });
 }
@@ -131,9 +108,10 @@ std::vector<ScoredPair> ShardedVerifyDriver(
          cache_budget % params.hashes_per_round == 0);
   const uint32_t rounds = cache_budget / params.hashes_per_round;
 
-  const uint64_t prefetched = PrefetchPairRows(
-      store, pairs, PrefetchHorizon<Store>(params.hashes_per_round), pool);
-  AddComputed(store, prefetched);
+  // The horizon: one verification round (growth rounds it up to whole
+  // chunks).
+  store->AddComputed(
+      PrefetchPairRows(store, pairs, params.hashes_per_round, pool));
 
   const uint32_t num_workers = pool->num_threads();
   const auto num_blocks = static_cast<uint32_t>(std::min<uint64_t>(
@@ -182,7 +160,7 @@ std::vector<ScoredPair> ShardedVerifyDriver(
     MergeVerifyStats(&merged, worker.stats);
     overflow_total += worker.overflow_work;
   }
-  AddComputed(store, overflow_total);
+  store->AddComputed(overflow_total);
   if (stats != nullptr) *stats = merged;
   return out;
 }

@@ -249,11 +249,11 @@ PipelineResult RunPipeline(const Dataset& data, const PipelineConfig& config) {
     if (gen.bits != nullptr) {
       BitSignatureStore store(cosine_data, gen.bits);
       candidates = CosineLshCandidates(&store, t, banding, pool);
-      result.gen_hashes_computed = store.bits_computed();
+      result.gen_hashes_computed = store.computed();
     } else {
       IntSignatureStore store(&data, gen.ints);
       candidates = JaccardLshCandidates(&store, t, banding, pool);
-      result.gen_hashes_computed = store.hashes_computed();
+      result.gen_hashes_computed = store.computed();
     }
   }
   result.generate_seconds = gen_timer.Seconds();
@@ -302,26 +302,24 @@ PipelineResult RunPipeline(const Dataset& data, const PipelineConfig& config) {
     // verification signatures after the store is constructed. Indexes hash
     // with the exact implicit Gaussian source; a run whose cache supplies
     // quantized tables draws slightly different hashes, so adoption must
-    // cold-start there to keep warm == cold results. CopyRowsFrom never
-    // touches the tally, so verify_hashes_computed keeps reporting only
-    // the hashing this run actually performed.
+    // cold-start there to keep warm == cold results; so must a run over a
+    // b-bit index, whose packed rows are not the full-width signatures a
+    // join verifies with. CopyRowsFrom never touches the tally, so
+    // verify_hashes_computed keeps reporting only the hashing this run
+    // actually performed.
     const bool adopt =
-        warm != nullptr &&
+        warm != nullptr && warm->bbit() == 0 &&
         (ver.gauss == nullptr ||
          dynamic_cast<const ImplicitGaussianSource*>(ver.gauss.get()) !=
              nullptr);
     if (ver.bits != nullptr) {
       BitSignatureStore store(cosine_data, ver.bits);
-      if (adopt && warm->bit_store() != nullptr) {
-        store.CopyRowsFrom(*warm->bit_store());
-      }
+      if (adopt) store.CopyRowsFrom(warm->store());
       result.pairs = verify(CosinePosterior(t), &store);
-      result.verify_hashes_computed = store.bits_computed();
+      result.verify_hashes_computed = store.computed();
     } else {
       IntSignatureStore store(&data, ver.ints);
-      if (adopt && warm->int_store() != nullptr) {
-        store.CopyRowsFrom(*warm->int_store());
-      }
+      if (adopt) store.CopyRowsFrom(warm->store());
       if (traits.distance) {
         result.pairs = verify(
             EuclideanPosterior::MakeForRadius(t, family.pstable_width()),
@@ -336,7 +334,7 @@ PipelineResult RunPipeline(const Dataset& data, const PipelineConfig& config) {
                                      config.prior_sample_size, config.seed));
         result.pairs = verify(model, &store);
       }
-      result.verify_hashes_computed = store.hashes_computed();
+      result.verify_hashes_computed = store.computed();
     }
   }
   result.verify_seconds = verify_timer.Seconds();

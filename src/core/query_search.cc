@@ -132,13 +132,6 @@ class QuerySignature {
   std::vector<Word> sig_;
 };
 
-void SortMatches(std::vector<QueryMatch>* out) {
-  std::sort(out->begin(), out->end(),
-            [](const QueryMatch& a, const QueryMatch& b) {
-              return a.sim != b.sim ? a.sim > b.sim : a.id < b.id;
-            });
-}
-
 }  // namespace
 
 struct QuerySearcher::Impl {
@@ -156,23 +149,23 @@ struct QuerySearcher::Impl {
   // The measure's hash families and exact scorer (core/measure_table.h).
   // The generation stream feeds the banding build, query probes, and
   // incremental inserts; the verification stream's hasher lives inside
-  // the engaged store (bits->hasher() / ints->hasher()), and its minwise
-  // hasher backs the b-bit query packing path. For KLSH both streams hash
+  // the engaged store's row layout, and its minwise hasher backs the
+  // b-bit query packing path. For KLSH both streams hash
   // against the SAME anchors (see QuerySearchConfig::klsh_anchors).
   std::optional<MeasureFamily> family;
   HashStream gen;
   HashStream ver;
 
-  // Collection stores (exactly one engaged, per measure/bbit). The stores
-  // are the explicitly `mutable`, internally synchronized serving state
-  // behind Query() const: all growth reachable from a const searcher goes
-  // through the store's mutex-guarded MatchAgainstQuery / GrowthLock
-  // extension points (or is absent entirely once frozen) — see
-  // lsh/signature_store.h.
+  // Collection stores (exactly one engaged, per measure/bbit, beside the
+  // posterior model that reads it). The stores are the explicitly
+  // `mutable`, internally synchronized serving state behind Query() const:
+  // all growth reachable from a const searcher goes through the store's
+  // mutex-guarded MatchAgainstQuery / GrowthLock extension points (or is
+  // absent entirely once frozen) — see lsh/signature_store.h.
   mutable std::optional<BitSignatureStore> bits;
   mutable std::optional<IntSignatureStore> ints;
   mutable std::optional<BbitSignatureStore> bbits;
-  // The engaged one, through the lifecycle contract all three share.
+  // The engaged one, through its layout-independent lifecycle.
   SignatureStoreBase* store = nullptr;
 
   // Posterior models (threshold-bound, hence per-searcher) and the pools
@@ -287,7 +280,7 @@ struct QuerySearcher::Impl {
                                              const SparseVectorView& q) const {
     return QuerySignature<uint32_t>(
         [chunk = QueryIntChunks(q, /*generation=*/false),
-         chunk_ints = store.hasher().chunk_ints()](
+         chunk_ints = store.chunk_hashes()](
             uint32_t n, std::vector<uint32_t>* hashes) {
           while (hashes->size() < n) {
             const auto c = static_cast<uint32_t>(hashes->size()) / chunk_ints;
@@ -300,7 +293,7 @@ struct QuerySearcher::Impl {
   QuerySignature<uint64_t> VerificationQuery(const BbitSignatureStore& store,
                                              const SparseVectorView& q) const {
     return QuerySignature<uint64_t>(
-        [h = &*ver.minwise, q, b = store.bits_per_hash(),
+        [h = &*ver.minwise, q, b = store.layout().bits_per_hash(),
          full = std::vector<uint32_t>()](uint32_t n,
                                          std::vector<uint64_t>* words) mutable {
           const auto have = static_cast<uint32_t>(full.size());
@@ -417,9 +410,10 @@ struct QuerySearcher::Impl {
 
   // Within-query sharded verification (the caller holds pool_mu_): the
   // query is hashed to the full budget up front, candidate rows are
-  // prefetched to one round, and each worker runs the verify loop over its
-  // contiguous range of the candidates against a private overflow shard,
-  // whose beyond-horizon rows are folded back into the store afterwards.
+  // prefetched to one round (growth rounds it up to whole chunks), and
+  // each worker runs the verify loop over its contiguous range of the
+  // candidates against a private overflow shard, whose beyond-horizon
+  // rows are folded back into the store afterwards.
   // The caller's similarity sort makes the output independent of the
   // thread count. On a frozen store the whole path is read-only: the
   // growth lock is a no-op, the prefetch is skipped, and overflow shards
@@ -437,12 +431,10 @@ struct QuerySearcher::Impl {
 
     auto growth_lock = store.GrowthLock();
     if (!store.frozen()) {
-      const uint32_t chunk = store.chunk_hashes();
-      const uint32_t horizon =
-          (bayes.hashes_per_round + chunk - 1) / chunk * chunk;
       store.AddComputed(
           ParallelWorkSum(p, candidates.size(), [&](uint64_t i) {
-            return store.EnsureRowUncounted(candidates[i], horizon);
+            return store.EnsureRowUncounted(candidates[i],
+                                            bayes.hashes_per_round);
           }));
     }
 
@@ -645,13 +637,7 @@ QuerySearcher::QuerySearcher(const PersistentIndex* index,
   im.k = index->hashes_per_band();
   im.l = index->num_bands();
   im.banding = &index->banding();
-  if (im.bits.has_value() && index->bit_store() != nullptr) {
-    im.bits->CopyRowsFrom(*index->bit_store());
-  } else if (im.ints.has_value() && index->int_store() != nullptr) {
-    im.ints->CopyRowsFrom(*index->int_store());
-  } else if (im.bbits.has_value() && index->bbit_store() != nullptr) {
-    im.bbits->CopyRowsFrom(*index->bbit_store());
-  }
+  im.store->CopyRowsFrom(index->store());
   num_bands_ = im.l;
   hashes_per_band_ = im.k;
 }
@@ -696,14 +682,12 @@ bool QuerySearcher::frozen() const { return impl_->store->frozen(); }
 
 uint64_t QuerySearcher::bits_computed() const {
   const Impl& im = *impl_;
-  return im.bits.has_value() ? im.bits->bits_computed() : 0;
+  return im.family->traits().bit_signatures ? im.store->computed() : 0;
 }
 
 uint64_t QuerySearcher::hashes_computed() const {
   const Impl& im = *impl_;
-  if (im.ints.has_value()) return im.ints->hashes_computed();
-  if (im.bbits.has_value()) return im.bbits->hashes_computed();
-  return 0;
+  return im.family->traits().bit_signatures ? 0 : im.store->computed();
 }
 
 std::vector<QueryMatch> QuerySearcher::Query(const SparseVectorView& q,
@@ -723,24 +707,20 @@ std::vector<QueryMatch> QuerySearcher::Query(const SparseVectorView& q,
     //    verification-seed hashes (independent of the banding hashes).
     //
     // With a pool, enough candidates, and no batch in flight, verification
-    // shards over the candidate list. b-bit verification always runs
-    // serially (no overflow-shard protocol). Every path produces identical
+    // shards over the candidate list. Every path produces identical
     // results, so a busy pool degrades to serial instead of blocking.
     ThreadPool* pool = im.pool.get();
     std::unique_lock<std::mutex> pool_lock(im.pool_mu_, std::defer_lock);
     const bool sharded =
-        pool != nullptr && !im.bbits.has_value() &&
+        pool != nullptr &&
         candidates.size() >=
             kMinQueryCandidatesPerShard * pool->num_threads() &&
         pool_lock.try_lock();
     im.WithModel([&](const auto& model, auto& cache_pool, auto& store) {
       auto query = im.VerificationQuery(store, q);
-      using Store = std::remove_reference_t<decltype(store)>;
-      if constexpr (requires { typename Store::OverflowShard; }) {
-        if (sharded) {
-          return im.VerifySharded(q, candidates, store, query, model,
-                                  cache_pool, qs, &out);
-        }
+      if (sharded) {
+        return im.VerifySharded(q, candidates, store, query, model,
+                                cache_pool, qs, &out);
       }
       const CacheLease cache(&cache_pool, 1);
       im.Verify(q, candidates, query, store, model, cache[0], qs, &out);

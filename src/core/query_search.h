@@ -34,6 +34,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "candgen/lsh_banding.h"
@@ -59,9 +60,6 @@ class PersistentIndex;  // core/index_io.h
 // Jaccard only: a nonzero bbit verifies with b-bit minwise signatures of
 // that width (lsh/bbit_minwise.h) instead of full 32-bit hashes — 8x
 // smaller signature storage at b = 4. Candidate generation is unchanged.
-// With b-bit signatures a single query's verification runs sequentially
-// (the index build still shards, and QueryBatch still shards over
-// queries); results remain identical for every thread count.
 //
 // kKernelCosine only: klsh_anchors are pre-sampled anchor rows shared
 // across serving components. KLSH signatures are pure functions of
@@ -99,6 +97,30 @@ struct QueryMatch {
   friend bool operator==(const QueryMatch&, const QueryMatch&) = default;
 };
 
+// The one result order of the serving stack: decreasing similarity, ties
+// by ascending id. Searchers, dynamic segment merges and sharded fan-out
+// merges all sort with it, so a merged answer is byte-for-byte what one
+// searcher over the same rows returns.
+inline void SortMatches(std::vector<QueryMatch>* out) {
+  std::sort(out->begin(), out->end(),
+            [](const QueryMatch& a, const QueryMatch& b) {
+              return a.sim != b.sim ? a.sim > b.sim : a.id < b.id;
+            });
+}
+
+// A row's (dimension, value) entries, the form DatasetBuilder::AddRow and
+// Dataset::AppendRow take: how the serving layers copy a row from one
+// collection into another.
+inline std::vector<std::pair<DimId, float>> RowEntries(
+    const SparseVectorView& v) {
+  std::vector<std::pair<DimId, float>> entries;
+  entries.reserve(v.size());
+  for (uint32_t i = 0; i < v.size(); ++i) {
+    entries.emplace_back(v.indices[i], v.values[i]);
+  }
+  return entries;
+}
+
 struct QueryStats {
   uint64_t candidates = 0;
   uint64_t pruned = 0;
@@ -126,9 +148,9 @@ struct QueryStats {
 
   // Worker threads the call *actually* used — not the configured count.
   // 1 whenever verification ran serially: a single-thread searcher, a
-  // candidate list too small to shard, b-bit verification, or a Query()
-  // that found the worker pool busy (the try-lock fallback) all report 1
-  // even when num_threads asked for more. Merging two stats takes the
+  // candidate list too small to shard, or a Query() that found the worker
+  // pool busy (the try-lock fallback) all report 1 even when num_threads
+  // asked for more. Merging two stats takes the
   // max, so an aggregate answers "what was the widest parallelism any
   // part of this serve reached".
   uint32_t threads_used = 0;

@@ -26,24 +26,6 @@ using SteadyClock = std::chrono::steady_clock;
 // from the same master seed.
 constexpr uint64_t kShardSalt = 0x73686172644c5348ULL;  // "shardLSH"
 
-// The one result ordering of the serving stack (same rule as
-// DynamicIndex): similarity descending, ties by ascending logical id.
-void SortMerged(std::vector<QueryMatch>* out) {
-  std::sort(out->begin(), out->end(),
-            [](const QueryMatch& a, const QueryMatch& b) {
-              return a.sim != b.sim ? a.sim > b.sim : a.id < b.id;
-            });
-}
-
-std::vector<std::pair<DimId, float>> RowEntries(const SparseVectorView& v) {
-  std::vector<std::pair<DimId, float>> entries;
-  entries.reserve(v.size());
-  for (uint32_t i = 0; i < v.size(); ++i) {
-    entries.emplace_back(v.indices[i], v.values[i]);
-  }
-  return entries;
-}
-
 // The router's owned copy of a fan-out's query batch: sub-requests may
 // outlive the caller's views (an abandoned request sits in a shard queue
 // until its executor drains it), so every shard shares one owned copy.
@@ -272,7 +254,7 @@ struct ShardedIndex::Impl {
       }
     }
     for (auto& list : merged) {
-      SortMerged(&list);
+      SortMatches(&list);
       if (top_k != 0 && list.size() > top_k) list.resize(top_k);
     }
 

@@ -25,19 +25,14 @@
 #ifndef BAYESLSH_LSH_BBIT_MINWISE_H_
 #define BAYESLSH_LSH_BBIT_MINWISE_H_
 
-#include <atomic>
 #include <bit>
 #include <cassert>
 #include <cstdint>
-#include <iosfwd>
-#include <mutex>
-#include <utility>
-#include <vector>
 
 #include "common/simd_ops.h"
 #include "lsh/minwise_hasher.h"
-#include "lsh/store_base.h"
-#include "vec/dataset.h"
+#include "lsh/signature_store.h"
+#include "vec/sparse_vector.h"
 
 namespace bayeslsh {
 
@@ -113,152 +108,50 @@ inline uint32_t MatchingBbitGroups(const uint64_t* a, const uint64_t* b,
   return matches;
 }
 
-// Lazy, chunk-grown store of b-bit minwise signatures; the b-bit analogue
-// of IntSignatureStore, satisfying the same MatchCount contract consumed by
-// the BayesLSH engines. Signatures grow in chunks of 64 hash values
-// (= 4 minwise chunks = b words), so a pair pruned after 64 hashes costs
-// each endpoint exactly one growth step.
-class BbitSignatureStore final : public SignatureStoreBase {
+// Packed b-bit minwise signatures, the row layout of BbitSignatureStore
+// (lsh/signature_store.h): hash j of a row is group j % (64 / b) of word
+// j / (64 / b), as for MatchingBbitGroups. A growth chunk is 64 hash
+// values — four minwise chunks, b words — so a pair pruned after 64 hashes
+// costs each endpoint exactly one growth step. The store's tally counts
+// the underlying minwise hashes: the b-bit truncation saves storage, not
+// hashing. The section kind is kBbitPacked and records b, so a loader
+// with a different width fails.
+class BbitLayout {
  public:
-  // Growth quantum in hash values.
-  static constexpr uint32_t kChunkHashes = 64;
+  using Elem = uint64_t;
 
-  // Both referents must outlive the store. Requires
-  // IsValidBbitWidth(bits_per_hash).
-  BbitSignatureStore(const Dataset* data, MinwiseHasher hasher,
-                     uint32_t bits_per_hash);
-
-  uint32_t num_rows() const override {
-    return static_cast<uint32_t>(words_.size());
-  }
-  uint32_t bits_per_hash() const { return bits_per_hash_; }
-
-  // Grows row's signature to at least n hashes (rounded up to chunks).
-  void EnsureHashes(uint32_t row, uint32_t n_hashes);
-
-  // EnsureHashes without touching the shared hashes_computed() tally;
-  // returns the underlying minwise hashes newly computed. Safe to call
-  // concurrently for distinct rows (the two-phase prefetch protocol of
-  // lsh/signature_store.h); merge the returned work with
-  // AddHashesComputed() after the join (zero merges are dropped and the
-  // tally is a relaxed atomic, as for the full-width stores).
-  uint64_t EnsureHashesUncounted(uint32_t row, uint32_t n_hashes);
-  void AddHashesComputed(uint64_t n) {
-    if (n != 0) hashes_computed_.fetch_add(n, std::memory_order_relaxed);
+  // Requires IsValidBbitWidth(bits_per_hash).
+  BbitLayout(MinwiseHasher minwise, uint32_t bits_per_hash)
+      : minwise_(minwise), bits_per_hash_(bits_per_hash) {
+    assert(IsValidBbitWidth(bits_per_hash));
   }
 
-  // Frozen-state serving; see the BitSignatureStore counterparts in
-  // lsh/signature_store.h. The query signature is in the same packed
-  // group layout as the stored rows (PackBbitValues output).
-  void Freeze() override { frozen_.store(true, std::memory_order_release); }
-  bool frozen() const override {
-    return frozen_.load(std::memory_order_acquire);
+  uint32_t hashes_per_elem() const { return 64 / bits_per_hash_; }
+  static constexpr uint32_t chunk_hashes() { return 64; }
+  uint8_t bits_per_hash() const {
+    return static_cast<uint8_t>(bits_per_hash_);
   }
-  uint32_t MatchAgainstQuery(uint32_t row, const uint64_t* query_words,
-                             uint32_t from, uint32_t to);
-  std::unique_lock<std::mutex> GrowthLock() override {
-    if (frozen()) return {};
-    return std::unique_lock<std::mutex>(growth_mu_);
+  static constexpr SignatureKind kind() { return SignatureKind::kBbitPacked; }
+
+  void Fill(const SparseVectorView& v, uint32_t row, uint32_t chunk,
+            uint64_t* out) const;
+  uint32_t Match(const uint64_t* a, const uint64_t* b, uint32_t from,
+                 uint32_t to) const {
+    return MatchingBbitGroups(a, b, from, to, bits_per_hash_);
   }
-
-  // See BitSignatureStore::AppendRow (lsh/signature_store.h).
-  void AppendRow() override {
-    assert(!frozen());
-    std::lock_guard<std::mutex> lock(growth_mu_);
-    words_.emplace_back();
-    if (!views_.empty()) views_.emplace_back(nullptr, 0);
-  }
-
-  // Grows every row to at least n hashes.
-  void EnsureAllHashes(uint32_t n_hashes);
-
-  // Packed words of a row (group layout as for MatchingBbitGroups).
-  const uint64_t* Words(uint32_t row) const {
-    if (!views_.empty() &&
-        views_[row].second > static_cast<uint32_t>(words_[row].size())) {
-      return views_[row].first;
-    }
-    return words_[row].data();
-  }
-
-  // Hashes currently materialized for a row.
-  uint32_t NumHashes(uint32_t row) const {
-    return HeldWords(row) * values_per_word_;
-  }
-
-  // The b-bit value of hash j for a row (test/debug access).
-  uint32_t HashValue(uint32_t row, uint32_t j) const;
-
-  // Number of hash positions in [from, to) where rows a and b agree,
-  // growing both signatures as needed. On a frozen store this takes the
-  // lock-free read-only fast path (both rows must already cover `to`).
-  uint32_t MatchCount(uint32_t a, uint32_t b, uint32_t from, uint32_t to);
-
-  // See BitSignatureStore::AdoptWords (lsh/signature_store.h): replaces
-  // row's packed signature with a longer already-computed copy without
-  // touching the hashes_computed() tally — the source store accounted the
-  // work when it grew them. The words must come from a store with the
-  // same (hasher seed, bits_per_hash) over identical row content.
-  void AdoptWords(uint32_t row, std::vector<uint64_t>&& words) {
-    if (words.size() > HeldWords(row)) {
-      assert(!frozen());
-      words_[row] = std::move(words);
-    }
-  }
-
-  // Total underlying minwise hashes computed so far (instrumentation,
-  // safe to read from any thread; the b-bit truncation does not reduce
-  // hashing work, only storage).
-  uint64_t hashes_computed() const {
-    return hashes_computed_.load(std::memory_order_relaxed);
-  }
-
-  // Bytes of signature storage currently held across all rows.
-  uint64_t signature_bytes() const;
-
-  // Serialization + warm start; see the BitSignatureStore counterparts in
-  // lsh/signature_store.h. The section kind is SignatureKind::kBbitPacked
-  // and records bits_per_hash, so a loader with a different width fails.
-  void Save(std::ostream& out, bool align_blob = false) const override;
-  void Load(std::istream& in, bool padded = false) override;
-  void LoadViews(std::istream& in, const char* mapped_base,
-                 size_t mapped_size) override;
-  void CopyRowsFrom(const BbitSignatureStore& other);
-
-  const Dataset* data() const { return data_; }
-
-  // SignatureStoreBase contract (lsh/store_base.h): the generic names
-  // forward to the b-bit-specific ones above.
-  SignatureKind kind() const override { return SignatureKind::kBbitPacked; }
-  uint32_t chunk_hashes() const override { return kChunkHashes; }
-  uint32_t HashesHeld(uint32_t row) const override { return NumHashes(row); }
-  void EnsureRow(uint32_t row, uint32_t n) override { EnsureHashes(row, n); }
-  void EnsureAll(uint32_t n) override { EnsureAllHashes(n); }
-  uint64_t EnsureRowUncounted(uint32_t row, uint32_t n) override {
-    return EnsureHashesUncounted(row, n);
-  }
-  void AddComputed(uint64_t n) override { AddHashesComputed(n); }
-  uint64_t computed() const override { return hashes_computed(); }
 
  private:
-  // See BitSignatureStore::HeldWords (lsh/signature_store.h).
-  uint32_t HeldWords(uint32_t row) const {
-    const auto own = static_cast<uint32_t>(words_[row].size());
-    if (views_.empty()) return own;
-    return views_[row].second > own ? views_[row].second : own;
-  }
-
-  const Dataset* data_;
-  MinwiseHasher hasher_;
+  MinwiseHasher minwise_;
   uint32_t bits_per_hash_;
-  uint32_t values_per_word_;
-  std::vector<std::vector<uint64_t>> words_;
-  // Zero-copy row views (LoadViews); see BitSignatureStore::views_.
-  std::vector<std::pair<const uint64_t*, uint32_t>> views_;
-  std::atomic<uint64_t> hashes_computed_{0};
-  std::atomic<bool> frozen_{false};
-  std::mutex growth_mu_;  // Serving-path growth (see MatchAgainstQuery).
 };
+
+// The lazy b-bit store; satisfies the same MatchCount contract the
+// BayesLSH engines consume.
+using BbitSignatureStore = SignatureStore<BbitLayout>;
+
+// Instantiated once, in signature_store.cc.
+extern template class SignatureStore<BbitLayout>;
+extern template class SignatureOverflowShard<BbitLayout>;
 
 }  // namespace bayeslsh
 

@@ -1,6 +1,6 @@
-// Internal helpers shared by the three signature stores' Save()/Load()
-// implementations (signature_store.cc, bbit_minwise.cc). The byte layout is
-// the "Signature section" of docs/FORMATS.md:
+// Internal helpers behind the signature store's Save()/Load()/LoadViews()
+// (signature_store.cc). The byte layout is the "Signature section" of
+// docs/FORMATS.md:
 //
 //   u8   kind              SignatureKind tag
 //   u8   bits_per_hash     b for kBbitPacked, 0 otherwise
@@ -29,7 +29,7 @@
 #include <utility>
 #include <vector>
 
-#include "lsh/signature_store.h"
+#include "lsh/store_base.h"
 #include "vec/binary_io.h"
 
 namespace bayeslsh::internal {
@@ -154,9 +154,9 @@ inline void ReadSignatureBlobPad(std::istream& in, const std::string& ctx) {
 // dataset's row count; `expected_bits` is the b-bit width (0 for the
 // full-width stores); every row length must be a multiple of
 // `length_multiple` (the store's growth quantum in elements, so loaded
-// rows satisfy the chunk-alignment invariant EnsureBits/EnsureHashes
-// rely on). `what` names the store kind in error messages; `padded`
-// selects the v2 wire layout.
+// rows satisfy the chunk-alignment invariant growth relies on). `what`
+// names the store kind in error messages; `padded` selects the v2 wire
+// layout.
 template <typename T>
 void LoadSignatureRows(std::istream& in, SignatureKind expected_kind,
                        uint8_t expected_bits, uint32_t expected_rows,
@@ -221,16 +221,6 @@ void LoadSignatureRowViews(std::istream& in, const char* mapped_base,
   if (!in) throw IoError("truncated " + ctx + "row data");
   views_out->swap(views);
   *computed_out = hdr.computed;
-}
-
-// Shared by the warm-start CopyRowsFrom() implementations: adopts copies of
-// every row of `src` longer than the local one.
-template <typename T>
-void CopyLongerRows(const std::vector<std::vector<T>>& src,
-                    std::vector<std::vector<T>>* dst) {
-  for (size_t r = 0; r < src.size(); ++r) {
-    if (src[r].size() > (*dst)[r].size()) (*dst)[r] = src[r];
-  }
 }
 
 }  // namespace bayeslsh::internal

@@ -1,18 +1,18 @@
-// The explicit contract behind every lazy signature store, plus the
-// chunk-hasher indirection that lets one store implementation serve many
-// hash families.
+// The type-erased lifecycle of a signature store, plus the chunk-hasher
+// indirection that lets the one store template serve many hash families.
 //
-// The serving stack (core/index_io.h, core/query_search.h,
-// core/dynamic_index.h, core/sharded_index.h) was grown against the three
-// original stores (SRP bits, minwise ints, b-bit packed), which share an
-// implicit lifecycle: lazily grown rows → two-phase sharded prefetch →
-// Freeze() → lock-free serving, with Save/Load/LoadViews/CopyRowsFrom and
-// AppendRow riding along. SignatureStoreBase makes that contract explicit so
-// the serving layers drive *any* store generically, and WordChunkHasher /
-// IntChunkHasher make BitSignatureStore / IntSignatureStore reusable for
-// every measure whose signatures are 64-bit words (SRP, KLSH) or fixed-width
-// integer runs (minwise, ICWS, p-stable) — LevelDB's pluggable-comparator
-// shape: one store interface, N measure backends.
+// Every signature store is a SignatureStore<Layout> (lsh/signature_store.h)
+// and moves through one lifecycle: lazily grown rows -> two-phase sharded
+// prefetch -> Freeze() -> lock-free serving, with Save/Load/LoadViews,
+// CopyRowsFrom, AdoptRow and AppendRow riding along. SignatureStoreBase is
+// the slice of that lifecycle a caller needs without knowing the row
+// layout: the persistent index (core/index_io.h) builds, saves and loads
+// its store through it, and the query searcher (core/query_search.h)
+// freezes and grows its store through it. WordChunkHasher and
+// IntChunkHasher make the bit and int layouts reusable for every measure
+// whose signatures are 64-bit words (SRP, KLSH) or fixed-width integer
+// runs (minwise, ICWS, p-stable) — LevelDB's pluggable-comparator shape:
+// one store interface, N measure backends.
 //
 // Hashers receive the row id so implementations that cache expensive
 // per-row work (KLSH anchor kernel rows) can key it; hashing an external
@@ -23,9 +23,9 @@
 #ifndef BAYESLSH_LSH_STORE_BASE_H_
 #define BAYESLSH_LSH_STORE_BASE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
-#include <mutex>
 
 #include "lsh/minwise_hasher.h"
 #include "lsh/srp_hasher.h"
@@ -78,43 +78,29 @@ class IntChunkHasher {
   virtual SignatureKind kind() const = 0;
 };
 
-// The lifecycle contract every signature store implements; what the serving
-// layers rely on, spelled out (see the header comment). Measure-specific
-// row access (Words/Hashes/MatchAgainstQuery) stays on the concrete types —
-// callers that compare signatures know which family they hold.
+// The layout-independent lifecycle operations; SignatureStore<Layout>
+// (lsh/signature_store.h) is the one implementation and documents each.
 class SignatureStoreBase {
  public:
   virtual ~SignatureStoreBase() = default;
 
-  virtual SignatureKind kind() const = 0;
   virtual uint32_t num_rows() const = 0;
 
-  // Growth quantum in hash positions (bits for the word stores).
-  virtual uint32_t chunk_hashes() const = 0;
-
-  // Hash positions currently held for a row.
-  virtual uint32_t HashesHeld(uint32_t row) const = 0;
-
-  // Counted growth of one row / every row to >= n hash positions.
-  virtual void EnsureRow(uint32_t row, uint32_t n) = 0;
-  virtual void EnsureAll(uint32_t n) = 0;
-
-  // Two-phase sharded prefetch: uncounted per-row growth (safe concurrently
-  // for distinct rows) returning the work done, merged later via
-  // AddComputed (zero merges dropped, tally relaxed-atomic).
+  // Two-phase growth: uncounted per-row growth to >= n hash positions
+  // (safe concurrently for distinct rows) returning the work done, merged
+  // later via AddComputed into the computed() tally.
   virtual uint64_t EnsureRowUncounted(uint32_t row, uint32_t n) = 0;
   virtual void AddComputed(uint64_t n) = 0;
-
-  // The hashing-work tally, in hash positions.
   virtual uint64_t computed() const = 0;
 
-  // cold/lazy → frozen state machine; see lsh/signature_store.h.
   virtual void Freeze() = 0;
   virtual bool frozen() const = 0;
-  virtual std::unique_lock<std::mutex> GrowthLock() = 0;
-
-  // LSM delta growth: one empty lazily grown row appended.
   virtual void AppendRow() = 0;
+
+  // Row adoption from a store of the same layout (same kind and width).
+  virtual void CopyRowsFrom(const SignatureStoreBase& other) = 0;
+  virtual void AdoptRow(uint32_t row, const SignatureStoreBase& source,
+                        uint32_t source_row) = 0;
 
   // Section serialization (docs/FORMATS.md §"Signature section").
   virtual void Save(std::ostream& out, bool align_blob) const = 0;

@@ -103,7 +103,7 @@ std::vector<std::vector<uint32_t>> Candidates(const Dataset& data,
     for (uint32_t row = 0; row < kQueries; ++row) {
       sigs.EnsureBits(row, l * k);
       probe(row, banding, [&](uint32_t band) {
-        return BandingIndex::CosineKey(sigs.Words(row), WordsForBits(l * k),
+        return BandingIndex::CosineKey(sigs.Signature(row), WordsForBits(l * k),
                                        band, k);
       });
     }
@@ -113,7 +113,7 @@ std::vector<std::vector<uint32_t>> Candidates(const Dataset& data,
     for (uint32_t row = 0; row < kQueries; ++row) {
       sigs.EnsureHashes(row, l * k);
       probe(row, banding, [&](uint32_t band) {
-        return BandingIndex::JaccardKey(sigs.Hashes(row), band, k);
+        return BandingIndex::JaccardKey(sigs.Signature(row), band, k);
       });
     }
   }

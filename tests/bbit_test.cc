@@ -148,12 +148,12 @@ TEST(BbitSignatureStoreTest, GrowthIsChunkedAndMonotone) {
   BbitSignatureStore store(&data, MinwiseHasher(7), 4);
   EXPECT_EQ(store.NumHashes(0), 0u);
   store.EnsureHashes(0, 1);
-  EXPECT_EQ(store.NumHashes(0), BbitSignatureStore::kChunkHashes);
+  EXPECT_EQ(store.NumHashes(0), store.chunk_hashes());
   const uint64_t after_first = store.hashes_computed();
-  store.EnsureHashes(0, BbitSignatureStore::kChunkHashes);  // Already there.
+  store.EnsureHashes(0, store.chunk_hashes());  // Already there.
   EXPECT_EQ(store.hashes_computed(), after_first);
-  store.EnsureHashes(0, BbitSignatureStore::kChunkHashes + 1);
-  EXPECT_EQ(store.NumHashes(0), 2 * BbitSignatureStore::kChunkHashes);
+  store.EnsureHashes(0, store.chunk_hashes() + 1);
+  EXPECT_EQ(store.NumHashes(0), 2 * store.chunk_hashes());
 }
 
 TEST(BbitSignatureStoreTest, BbitMatchesAreSupersetOfFullMatches) {
@@ -178,8 +178,8 @@ TEST(BbitSignatureStoreTest, SignatureBytesReflectWidth) {
   const Dataset data = MakeSmallBinaryData();
   BbitSignatureStore narrow(&data, MinwiseHasher(7), 2);
   BbitSignatureStore wide(&data, MinwiseHasher(7), 16);
-  narrow.EnsureAllHashes(128);
-  wide.EnsureAllHashes(128);
+  narrow.EnsureAll(128);
+  wide.EnsureAll(128);
   // 128 hashes: 2-bit → 4 words/row, 16-bit → 32 words/row.
   EXPECT_EQ(narrow.signature_bytes(), 20u * 4 * 8);
   EXPECT_EQ(wide.signature_bytes(), 20u * 32 * 8);

@@ -513,17 +513,27 @@ awk '$3 < 0 { exit 1 }' m_euclidean.q1.txt || { echo "FAIL: euclidean query prin
 # similarity in (0, 1], or a radius > 0. query and serve refuse anything
 # else with one error line, exit 1 and no matches; 0 is never taken as
 # "serve at the build threshold".
-threshold_refused() { # index threshold
+check_error_text() { # description stderr_file [expected_line]
+  [ -z "${3:-}" ] && return 0
+  if [ "$(cat "$2")" != "$3" ]; then
+    echo "FAIL: $1 printed '$(cat "$2")', expected '$3'" >&2
+    fails=$((fails + 1))
+  fi
+}
+
+threshold_refused() { # index threshold [expected_error_line]
   rm -f thr_q.txt
   "$CLI" query --index "$1" --query-file corpus.txt --threshold "$2" \
     --output thr_q.txt 2>err.txt
   check_rc "query on $1 at threshold $2" 1 $?
   check_one_error_line "query on $1 at threshold $2" err.txt
+  check_error_text "query on $1 at threshold $2" err.txt "${3:-}"
   [ -s thr_q.txt ] && { echo "FAIL: query on $1 at threshold $2 wrote matches" >&2; fails=$((fails + 1)); }
   printf 'query %s\nquit\n' "$row" | "$CLI" serve --index "$1" \
     --threshold "$2" >thr_s.txt 2>err.txt
   check_rc "serve on $1 at threshold $2" 1 $?
   check_one_error_line "serve on $1 at threshold $2" err.txt
+  check_error_text "serve on $1 at threshold $2" err.txt "${3:-}"
   [ -s thr_s.txt ] && { echo "FAIL: serve on $1 at threshold $2 wrote matches" >&2; fails=$((fails + 1)); }
 }
 for t in 0 -0.5 1.5; do threshold_refused corpus.idx "$t"; done
@@ -537,8 +547,10 @@ printf 'query %s\nquit\n' "$row" | "$CLI" serve --index m_euclidean.idx \
 check_rc "euclidean serve at radius 7.5" 0 $?
 head -n1 thr_s.txt | grep -qE '^matches [1-9][0-9]* shards 2/2$' || { echo "FAIL: euclidean serve at radius 7.5 answered no matches" >&2; fails=$((fails + 1)); }
 # A dynamic index builds its segment searchers at load; a threshold
-# outside the domain is still a usage error there.
-threshold_refused m_klsh.dyn 1.5
+# outside the domain is still a usage error there, worded as for a plain
+# index.
+threshold_refused m_klsh.dyn 1.5 \
+  'error: --threshold for a klsh index: threshold must be in (0, 1] (got 1.5)'
 
 # The kernel flags reach the build: an rbf klsh index builds and serves.
 "$CLI" index --input corpus.txt --output klsh_rbf.idx --measure klsh \

@@ -364,9 +364,8 @@ TEST(ConcurrentServeTest, ThreadsUsedReportsSerialPathsAsOne) {
   sharded.QueryBatch(queries, &batch_stats);
   EXPECT_EQ(batch_stats.threads_used, 4u);
 
-  // b-bit verification is always serial per query (no overflow-shard
-  // protocol), even with a pool — but QueryBatch still shards over
-  // queries.
+  // b-bit verification shards a query on the same candidate-count
+  // boundary, and QueryBatch shards over queries.
   const Dataset graph = GraphBinary(22, 400);
   QuerySearchConfig bcfg;
   bcfg.measure = Measure::kJaccard;
@@ -375,9 +374,24 @@ TEST(ConcurrentServeTest, ThreadsUsedReportsSerialPathsAsOne) {
   bcfg.num_threads = 4;
   const QuerySearcher bbit(&graph, bcfg);
   const std::vector<SparseVectorView> gqueries = QueryViews(graph, 8);
+  bool saw_bbit_sharded = false;
+  bool saw_bbit_serial = false;
+  for (const SparseVectorView& q : gqueries) {
+    QueryStats stats;
+    bbit.Query(q, &stats);
+    if (stats.candidates >= 16 * 4) {
+      EXPECT_EQ(stats.threads_used, 4u)
+          << stats.candidates << " b-bit candidates should shard";
+      saw_bbit_sharded = true;
+    } else {
+      EXPECT_EQ(stats.threads_used, 1u)
+          << stats.candidates << " b-bit candidates must serve serially";
+      saw_bbit_serial = true;
+    }
+  }
+  EXPECT_TRUE(saw_bbit_sharded) << "no b-bit query sharded";
+  EXPECT_TRUE(saw_bbit_serial) << "no b-bit query served serially";
   QueryStats bstats;
-  bbit.Query(gqueries[0], &bstats);
-  EXPECT_EQ(bstats.threads_used, 1u);
   bbit.QueryBatch(gqueries, &bstats);
   EXPECT_EQ(bstats.threads_used, 4u);
 }

@@ -68,7 +68,7 @@ TEST(SignatureStoreSerialization, BitStoreRoundTrip) {
   for (uint32_t r = 0; r < data.num_vectors(); ++r) {
     ASSERT_EQ(loaded.NumBits(r), store.NumBits(r));
     for (uint32_t w = 0; w < store.NumBits(r) / 64; ++w) {
-      ASSERT_EQ(loaded.Words(r)[w], store.Words(r)[w]);
+      ASSERT_EQ(loaded.Signature(r)[w], store.Signature(r)[w]);
     }
   }
   // The loaded store keeps growing correctly past the loaded prefix.
@@ -89,7 +89,7 @@ TEST(SignatureStoreSerialization, IntStoreRoundTrip) {
   for (uint32_t r = 0; r < data.num_vectors(); ++r) {
     ASSERT_EQ(loaded.NumHashes(r), store.NumHashes(r));
     for (uint32_t i = 0; i < store.NumHashes(r); ++i) {
-      ASSERT_EQ(loaded.Hashes(r)[i], store.Hashes(r)[i]);
+      ASSERT_EQ(loaded.Signature(r)[i], store.Signature(r)[i]);
     }
   }
   EXPECT_EQ(loaded.MatchCount(2, 3, 0, 128), store.MatchCount(2, 3, 0, 128));
@@ -118,7 +118,7 @@ TEST(SignatureStoreSerialization, BbitStoreRoundTrip) {
 TEST(SignatureStoreSerialization, WrongKindRejected) {
   const Dataset data = GraphBinary(14, 20);
   IntSignatureStore ints(&data, MinwiseHasher(1));
-  ints.EnsureAllHashes(16);
+  ints.EnsureAll(16);
   std::stringstream ss;
   ints.Save(ss);
   const ImplicitGaussianSource gauss(1);
@@ -130,7 +130,7 @@ TEST(SignatureStoreSerialization, RowCountMismatchRejected) {
   const Dataset data = GraphBinary(15, 20);
   const Dataset other = GraphBinary(15, 30);
   IntSignatureStore store(&data, MinwiseHasher(1));
-  store.EnsureAllHashes(16);
+  store.EnsureAll(16);
   std::stringstream ss;
   store.Save(ss);
   IntSignatureStore target(&other, MinwiseHasher(1));
@@ -526,7 +526,7 @@ constexpr size_t SectionHeaderBytes(uint32_t rows) {
 TEST(ZeroCopySignatureSection, AlignedSaveViewLoadMatchesCopyLoad) {
   const Dataset data = GraphBinary(61, 20);
   IntSignatureStore store(&data, MinwiseHasher(5));
-  store.EnsureAllHashes(32);
+  store.EnsureAll(32);
   std::stringstream ss;
   store.Save(ss, /*align_blob=*/true);
   const std::string bytes = ss.str();
@@ -546,7 +546,7 @@ TEST(ZeroCopySignatureSection, AlignedSaveViewLoadMatchesCopyLoad) {
   for (uint32_t r = 0; r < data.num_vectors(); ++r) {
     ASSERT_EQ(viewed.NumHashes(r), copied.NumHashes(r));
     for (uint32_t i = 0; i < copied.NumHashes(r); ++i) {
-      ASSERT_EQ(viewed.Hashes(r)[i], copied.Hashes(r)[i]);
+      ASSERT_EQ(viewed.Signature(r)[i], copied.Signature(r)[i]);
     }
   }
   // Views keep working as a live store: growth past the mapped prefix
@@ -557,7 +557,7 @@ TEST(ZeroCopySignatureSection, AlignedSaveViewLoadMatchesCopyLoad) {
 TEST(ZeroCopySignatureSection, PadCorruptionFailsClosed) {
   const Dataset data = GraphBinary(62, 20);
   IntSignatureStore store(&data, MinwiseHasher(5));
-  store.EnsureAllHashes(32);
+  store.EnsureAll(32);
   std::stringstream ss;
   store.Save(ss, /*align_blob=*/true);
   const std::string bytes = ss.str();
@@ -881,7 +881,7 @@ TEST(IndexFormatV3, KlshAdoptionRequiresTheSameFamily) {
 
   icfg.klsh_anchors = source->spec().klsh_anchors;
   const auto adopted = PersistentIndex::Build(data, icfg, &adopt);
-  EXPECT_EQ(adopted->bit_store()->bits_computed(), 0u);
+  EXPECT_EQ(adopted->store().computed(), 0u);
 
   IndexBuildConfig other_gamma = icfg;
   other_gamma.kernel.gamma = 0.25;

@@ -533,8 +533,8 @@ TEST(KlshStoreTest, MatchCountConsistentWithWords) {
   const uint32_t count = store.MatchCount(0, 1, 17, 150);
   uint32_t naive = 0;
   for (uint32_t i = 17; i < 150; ++i) {
-    const uint64_t wa = store.Words(0)[i / 64] >> (i % 64);
-    const uint64_t wb = store.Words(1)[i / 64] >> (i % 64);
+    const uint64_t wa = store.Signature(0)[i / 64] >> (i % 64);
+    const uint64_t wb = store.Signature(1)[i / 64] >> (i % 64);
     naive += ((wa ^ wb) & 1) == 0;
   }
   EXPECT_EQ(count, naive);

@@ -1,15 +1,23 @@
 // Tests for the hashing substrate: bit ops, inverse normal CDF, Gaussian
 // sources (incl. the 2-byte quantized store), SRP and minwise hashers, and
-// the lazy signature stores. The LSH collision-probability laws — the
-// foundation every posterior in core/ rests on — are verified statistically.
+// the lazy signature stores (the one store template's contract is checked
+// for every row layout by the typed SignatureStoreContract suite). The LSH
+// collision-probability laws — the foundation every posterior in core/
+// rests on — are verified statistically.
 
 #include <cmath>
+#include <memory>
+#include <sstream>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/bit_ops.h"
 #include "common/prng.h"
+#include "euclidean/pstable_hasher.h"
+#include "lsh/bbit_minwise.h"
 #include "lsh/gaussian_source.h"
 #include "lsh/inverse_normal_cdf.h"
 #include "lsh/minwise_hasher.h"
@@ -510,7 +518,7 @@ TEST(BitSignatureStoreTest, ExtensionIsConsistentWithFreshStore) {
   BitSignatureStore oneshot(&d, SrpHasher(&src));
   oneshot.EnsureBits(0, 256);
   for (uint32_t w = 0; w < WordsForBits(256); ++w) {
-    EXPECT_EQ(incremental.Words(0)[w], oneshot.Words(0)[w]);
+    EXPECT_EQ(incremental.Signature(0)[w], oneshot.Signature(0)[w]);
   }
 }
 
@@ -535,7 +543,7 @@ TEST(IntSignatureStoreTest, ExtensionIsConsistentWithFreshStore) {
   IntSignatureStore oneshot(&d, MinwiseHasher(5));
   oneshot.EnsureHashes(0, 64);
   for (uint32_t i = 0; i < 64; ++i) {
-    EXPECT_EQ(inc.Hashes(0)[i], oneshot.Hashes(0)[i]);
+    EXPECT_EQ(inc.Signature(0)[i], oneshot.Signature(0)[i]);
   }
 }
 
@@ -546,7 +554,7 @@ TEST(IntSignatureStoreTest, EnsureAllTouchesEveryRow) {
   b.AddSetRow({3});
   const Dataset d = std::move(b).Build();
   IntSignatureStore store(&d, MinwiseHasher(4));
-  store.EnsureAllHashes(16);
+  store.EnsureAll(16);
   for (uint32_t i = 0; i < 3; ++i) EXPECT_EQ(store.NumHashes(i), 16u);
   EXPECT_EQ(store.hashes_computed(), 48u);
 }
@@ -567,10 +575,10 @@ TEST(TwoPhaseStoreTest, UncountedGrowthMergesIntoTally) {
   const ImplicitGaussianSource src(3);
   BitSignatureStore store(&d, SrpHasher(&src));
   uint64_t work = 0;
-  work += store.EnsureBitsUncounted(0, 128);
-  work += store.EnsureBitsUncounted(1, 128);
+  work += store.EnsureRowUncounted(0, 128);
+  work += store.EnsureRowUncounted(1, 128);
   EXPECT_EQ(store.bits_computed(), 0u);  // Not yet merged.
-  store.AddBitsComputed(work);
+  store.AddComputed(work);
   EXPECT_EQ(store.bits_computed(), 256u);
   // Read-only MatchCount agrees with the mutating one on covered ranges.
   EXPECT_EQ(store.MatchCountReadOnly(0, 1, 0, 128),
@@ -586,9 +594,9 @@ TEST(TwoPhaseStoreTest, BitOverflowShardMatchesSequential) {
 
   // Two-phase: prefetch one chunk, overflow the rest through a shard.
   BitSignatureStore base(&d, SrpHasher(&src));
-  base.AddBitsComputed(base.EnsureBitsUncounted(0, 64) +
-                       base.EnsureBitsUncounted(1, 64));
-  BitOverflowShard shard(&base);
+  base.AddComputed(base.EnsureRowUncounted(0, 64) +
+                       base.EnsureRowUncounted(1, 64));
+  BitSignatureStore::OverflowShard shard(&base);
   // Within the horizon: served read-only, no local hashing.
   EXPECT_EQ(shard.MatchCount(0, 1, 0, 64), seq.MatchCountReadOnly(0, 1, 0, 64));
   EXPECT_EQ(shard.computed(), 0u);
@@ -600,7 +608,7 @@ TEST(TwoPhaseStoreTest, BitOverflowShardMatchesSequential) {
   // rows: (512 - 64) * 2.
   EXPECT_EQ(shard.computed(), 2u * (512u - 64u));
   // Total two-phase accounting equals the sequential tally.
-  base.AddBitsComputed(shard.computed());
+  base.AddComputed(shard.computed());
   EXPECT_EQ(base.bits_computed(), seq.bits_computed());
   // The shared store itself was never grown past the horizon.
   EXPECT_EQ(base.NumBits(0), 64u);
@@ -615,15 +623,15 @@ TEST(TwoPhaseStoreTest, IntOverflowShardMatchesSequential) {
   const uint32_t seq_m = seq.MatchCount(0, 1, 0, 256);
 
   IntSignatureStore base(&d, MinwiseHasher(21));
-  base.AddHashesComputed(base.EnsureHashesUncounted(0, 16) +
-                         base.EnsureHashesUncounted(1, 16));
-  IntOverflowShard shard(&base);
+  base.AddComputed(base.EnsureRowUncounted(0, 16) +
+                         base.EnsureRowUncounted(1, 16));
+  IntSignatureStore::OverflowShard shard(&base);
   uint32_t m = shard.MatchCount(0, 1, 0, 16);
   EXPECT_EQ(shard.computed(), 0u);
   m += shard.MatchCount(0, 1, 16, 256);
   EXPECT_EQ(m, seq_m);
   EXPECT_EQ(shard.computed(), 2u * (256u - 16u));
-  base.AddHashesComputed(shard.computed());
+  base.AddComputed(shard.computed());
   EXPECT_EQ(base.hashes_computed(), seq.hashes_computed());
   EXPECT_EQ(base.NumHashes(0), 16u);
 }
@@ -634,11 +642,11 @@ TEST(TwoPhaseStoreTest, MergeIntoFoldsOverflowBack) {
   const Dataset d = TwoRowCosineData();
   const ImplicitGaussianSource src(9);
   BitSignatureStore base(&d, SrpHasher(&src));
-  base.AddBitsComputed(base.EnsureBitsUncounted(0, 64) +
-                       base.EnsureBitsUncounted(1, 64));
-  BitOverflowShard shard(&base);
+  base.AddComputed(base.EnsureRowUncounted(0, 64) +
+                       base.EnsureRowUncounted(1, 64));
+  BitSignatureStore::OverflowShard shard(&base);
   const uint32_t m = shard.MatchCount(0, 1, 0, 512);
-  base.AddBitsComputed(shard.computed());
+  base.AddComputed(shard.computed());
   shard.MergeInto(&base);
   EXPECT_EQ(base.NumBits(0), 512u);
   EXPECT_EQ(base.NumBits(1), 512u);
@@ -647,9 +655,342 @@ TEST(TwoPhaseStoreTest, MergeIntoFoldsOverflowBack) {
   EXPECT_EQ(base.MatchCountReadOnly(0, 1, 0, 512), m);
   EXPECT_EQ(base.bits_computed(), 2u * 512u);
   // A fresh shard over the merged store never recomputes those chunks.
-  BitOverflowShard next(&base);
+  BitSignatureStore::OverflowShard next(&base);
   EXPECT_EQ(next.MatchCount(0, 1, 0, 512), m);
   EXPECT_EQ(next.computed(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// SignatureStoreContract: the one store template, once per row layout
+// ---------------------------------------------------------------------------
+
+// A store family: the layout under test, its hasher and its growth chunk.
+struct SrpFamily {
+  using Store = BitSignatureStore;
+  static constexpr uint32_t kChunk = 64;
+  static constexpr const char* kName = "SrpBits";
+  std::unique_ptr<Store> Make(const Dataset* d) const {
+    return std::make_unique<Store>(d, SrpHasher(&gauss));
+  }
+  ImplicitGaussianSource gauss{11};
+};
+
+struct MinwiseFamily {
+  using Store = IntSignatureStore;
+  static constexpr uint32_t kChunk = 16;
+  static constexpr const char* kName = "MinwiseInts";
+  std::unique_ptr<Store> Make(const Dataset* d) const {
+    return std::make_unique<Store>(d, MinwiseHasher(12));
+  }
+};
+
+// The int layout with the p-stable family's 64-value chunk.
+struct PstableFamily {
+  using Store = IntSignatureStore;
+  static constexpr uint32_t kChunk = 64;
+  static constexpr const char* kName = "PstableInts";
+  std::unique_ptr<Store> Make(const Dataset* d) const {
+    return std::make_unique<Store>(
+        d, std::make_shared<PstableChunkHasher>(PstableHasher(13, 2.0)));
+  }
+};
+
+struct Bbit4Family {
+  using Store = BbitSignatureStore;
+  static constexpr uint32_t kChunk = 64;
+  static constexpr const char* kName = "Bbit4";
+  std::unique_ptr<Store> Make(const Dataset* d) const {
+    return std::make_unique<Store>(d, MinwiseHasher(14), 4u);
+  }
+};
+
+struct FamilyName {
+  template <typename Family>
+  static std::string GetName(int) {
+    return Family::kName;
+  }
+};
+
+template <typename Family>
+class SignatureStoreContract : public ::testing::Test {
+ protected:
+  using Store = typename Family::Store;
+  static constexpr uint32_t kChunk = Family::kChunk;
+  static constexpr uint32_t kRows = 8;
+
+  // Overlapping sparse rows with positive weights: sets for the minwise
+  // layouts, vectors for SRP and p-stable.
+  SignatureStoreContract() {
+    DatasetBuilder b;
+    for (uint32_t r = 0; r < kRows; ++r) {
+      std::vector<std::pair<DimId, float>> row;
+      for (uint32_t j = 0; j < 6; ++j) {
+        row.emplace_back((r / 2 * 3 + j * 5) % 40 + (j == 5 ? r % 2 : 0),
+                         1.0f + 0.25f * static_cast<float>(j));
+      }
+      b.AddRow(std::move(row));
+    }
+    data_ = std::move(b).Build();
+  }
+
+  std::unique_ptr<Store> Make() const { return family_.Make(&data_); }
+
+  // Every hash value a row holds.
+  static std::vector<uint32_t> Values(const Store& s, uint32_t row) {
+    std::vector<uint32_t> v;
+    for (uint32_t j = 0; j < s.HashesHeld(row); ++j) {
+      v.push_back(s.HashValue(row, j));
+    }
+    return v;
+  }
+
+  static std::string Saved(const Store& s, bool align_blob) {
+    std::stringstream out;
+    s.Save(out, align_blob);
+    return out.str();
+  }
+
+  Family family_;
+  Dataset data_;
+};
+
+using StoreFamilies =
+    ::testing::Types<SrpFamily, MinwiseFamily, PstableFamily, Bbit4Family>;
+TYPED_TEST_SUITE(SignatureStoreContract, StoreFamilies, FamilyName);
+
+TYPED_TEST(SignatureStoreContract, GrowsLazilyInChunksAndTalliesTheWork) {
+  constexpr uint32_t kChunk = TestFixture::kChunk;
+  const auto store = this->Make();
+  EXPECT_EQ(store->chunk_hashes(), kChunk);
+  EXPECT_EQ(store->HashesHeld(0), 0u);
+  EXPECT_EQ(store->computed(), 0u);
+  store->EnsureRow(0, 1);  // Rounds up to one chunk.
+  EXPECT_EQ(store->HashesHeld(0), kChunk);
+  EXPECT_EQ(store->computed(), kChunk);
+  store->EnsureRow(0, kChunk);  // Already covered: no work.
+  EXPECT_EQ(store->computed(), kChunk);
+  store->EnsureRow(0, kChunk + 1);
+  EXPECT_EQ(store->HashesHeld(0), 2 * kChunk);
+  EXPECT_EQ(store->computed(), 2 * kChunk);
+  EXPECT_EQ(store->HashesHeld(1), 0u);  // Untouched rows stay empty.
+  store->EnsureAll(kChunk);
+  for (uint32_t r = 1; r < TestFixture::kRows; ++r) {
+    EXPECT_EQ(store->HashesHeld(r), kChunk);
+  }
+  EXPECT_EQ(store->computed(), (TestFixture::kRows + 1) * kChunk);
+  // Chunk by chunk or in one step, growth yields the same hash values.
+  const auto oneshot = this->Make();
+  oneshot->EnsureRow(0, 2 * kChunk);
+  EXPECT_EQ(TestFixture::Values(*store, 0), TestFixture::Values(*oneshot, 0));
+}
+
+TYPED_TEST(SignatureStoreContract, UncountedGrowthMergesIntoTheTallyLater) {
+  constexpr uint32_t kChunk = TestFixture::kChunk;
+  const auto store = this->Make();
+  uint64_t work = store->EnsureRowUncounted(0, 2 * kChunk);
+  work += store->EnsureRowUncounted(1, 2 * kChunk);
+  EXPECT_EQ(work, 4u * kChunk);
+  EXPECT_EQ(store->computed(), 0u);  // Not yet merged.
+  EXPECT_EQ(store->EnsureRowUncounted(0, 2 * kChunk), 0u);
+  store->AddComputed(work);
+  store->AddComputed(0);
+  EXPECT_EQ(store->computed(), 4u * kChunk);
+  // The read-only match agrees with the growing one on covered ranges.
+  EXPECT_EQ(store->MatchCountReadOnly(0, 1, 0, 2 * kChunk),
+            store->MatchCount(0, 1, 0, 2 * kChunk));
+  EXPECT_EQ(store->computed(), 4u * kChunk);
+}
+
+TYPED_TEST(SignatureStoreContract, OverflowShardMatchesTheStoreAndMerges) {
+  constexpr uint32_t kChunk = TestFixture::kChunk;
+  constexpr uint32_t kDepth = 4 * kChunk;
+  // Sequential reference: pure lazy growth, plus a row to query with.
+  const auto seq = this->Make();
+  const uint32_t seq_m = seq->MatchCount(0, 1, 0, kDepth);
+  seq->EnsureRow(2, kDepth);
+  const auto ref = this->Make();
+  ref->EnsureRow(3, kDepth);
+  const auto* query = ref->Signature(3);
+  const uint32_t seq_q = seq->MatchAgainstQuery(2, query, 0, kDepth);
+
+  // Two-phase: prefetch one chunk, overflow the rest through a shard.
+  const auto base = this->Make();
+  base->AddComputed(base->EnsureRowUncounted(0, kChunk) +
+                    base->EnsureRowUncounted(1, kChunk) +
+                    base->EnsureRowUncounted(2, kChunk));
+  typename TestFixture::Store::OverflowShard shard(base.get());
+  // Within the horizon: served read-only, no local hashing.
+  uint32_t m = shard.MatchCount(0, 1, 0, kChunk);
+  EXPECT_EQ(m, seq->MatchCountReadOnly(0, 1, 0, kChunk));
+  EXPECT_EQ(shard.MatchAgainstQuery(2, query, 0, kChunk),
+            seq->MatchAgainstQuery(2, query, 0, kChunk));
+  EXPECT_EQ(shard.computed(), 0u);
+  // Beyond it: extended locally, same values as sequential growth.
+  m += shard.MatchCount(0, 1, kChunk, kDepth);
+  EXPECT_EQ(m, seq_m);
+  EXPECT_EQ(shard.MatchAgainstQuery(2, query, 0, kChunk) +
+                shard.MatchAgainstQuery(2, query, kChunk, kDepth),
+            seq_q);
+  EXPECT_EQ(shard.computed(), 3u * (kDepth - kChunk));
+  EXPECT_EQ(base->HashesHeld(0), kChunk);  // The base never grew.
+
+  // Merging folds the rows back without touching the tally.
+  base->AddComputed(shard.computed());
+  EXPECT_EQ(base->computed(), seq->computed());
+  shard.MergeInto(base.get());
+  EXPECT_EQ(base->computed(), seq->computed());
+  for (uint32_t r = 0; r < 3; ++r) {
+    EXPECT_EQ(base->HashesHeld(r), kDepth);
+    EXPECT_EQ(TestFixture::Values(*base, r), TestFixture::Values(*seq, r));
+  }
+  EXPECT_EQ(base->MatchCountReadOnly(0, 1, 0, kDepth), seq_m);
+  // A fresh shard over the merged store recomputes nothing.
+  typename TestFixture::Store::OverflowShard next(base.get());
+  EXPECT_EQ(next.MatchCount(0, 1, 0, kDepth), seq_m);
+  EXPECT_EQ(next.MatchAgainstQuery(2, query, 0, kDepth), seq_q);
+  EXPECT_EQ(next.computed(), 0u);
+}
+
+TYPED_TEST(SignatureStoreContract, ConcurrentQueryMatchesOnAnUnfrozenStore) {
+  constexpr uint32_t kChunk = TestFixture::kChunk;
+  constexpr uint32_t kDepth = 3 * kChunk;
+  constexpr uint32_t kRows = TestFixture::kRows;
+  const auto ref = this->Make();
+  ref->EnsureRow(0, kDepth);
+  const auto* query = ref->Signature(0);
+  // Serial reference: each row matched chunk by chunk.
+  const auto serial = this->Make();
+  std::vector<uint32_t> want(kRows, 0);
+  for (uint32_t r = 0; r < kRows; ++r) {
+    for (uint32_t n = 0; n < kDepth; n += kChunk) {
+      want[r] += serial->MatchAgainstQuery(r, query, n, n + kChunk);
+    }
+  }
+  // Four threads race over every row of one unfrozen store; the growth
+  // mutex serializes the growth each first touch does.
+  const auto shared = this->Make();
+  constexpr uint32_t kThreads = 4;
+  std::vector<std::vector<uint32_t>> got(kThreads,
+                                         std::vector<uint32_t>(kRows, 0));
+  std::vector<std::thread> threads;
+  for (uint32_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (uint32_t i = 0; i < kRows; ++i) {
+        const uint32_t r = (i + t) % kRows;
+        for (uint32_t n = 0; n < kDepth; n += kChunk) {
+          got[t][r] += shared->MatchAgainstQuery(r, query, n, n + kChunk);
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (uint32_t t = 0; t < kThreads; ++t) EXPECT_EQ(got[t], want);
+  // Each row was grown once, whichever thread got there first.
+  EXPECT_EQ(shared->computed(), serial->computed());
+  EXPECT_EQ(shared->computed(), uint64_t{kRows} * kDepth);
+}
+
+TYPED_TEST(SignatureStoreContract, SaveLoadSaveIsByteIdentical) {
+  constexpr uint32_t kChunk = TestFixture::kChunk;
+  const auto store = this->Make();
+  for (uint32_t r = 0; r < TestFixture::kRows; ++r) {
+    store->EnsureRow(r, (r % 3) * kChunk);  // Depths 0, 1 and 2 chunks.
+  }
+  for (const bool align : {false, true}) {
+    const std::string bytes = TestFixture::Saved(*store, align);
+    const auto loaded = this->Make();
+    std::stringstream in(bytes);
+    loaded->Load(in, /*padded=*/align);
+    EXPECT_EQ(loaded->computed(), store->computed());
+    EXPECT_EQ(TestFixture::Saved(*loaded, align), bytes) << "align " << align;
+    for (uint32_t r = 0; r < TestFixture::kRows; ++r) {
+      EXPECT_EQ(TestFixture::Values(*loaded, r),
+                TestFixture::Values(*store, r));
+    }
+  }
+}
+
+TYPED_TEST(SignatureStoreContract, LoadViewsRowsMaterializeOnGrowth) {
+  constexpr uint32_t kChunk = TestFixture::kChunk;
+  const auto store = this->Make();
+  store->EnsureAll(kChunk);
+  const std::string bytes = TestFixture::Saved(*store, /*align_blob=*/true);
+  const auto viewed = this->Make();
+  std::stringstream in(bytes);
+  viewed->LoadViews(in, bytes.data(), bytes.size());
+  EXPECT_EQ(viewed->computed(), store->computed());
+  const char* const lo = bytes.data();
+  const char* const hi = bytes.data() + bytes.size();
+  const auto in_mapping = [&](uint32_t row) {
+    const auto* p = reinterpret_cast<const char*>(viewed->Signature(row));
+    return p >= lo && p < hi;
+  };
+  EXPECT_TRUE(in_mapping(0));
+  EXPECT_EQ(TestFixture::Values(*viewed, 0), TestFixture::Values(*store, 0));
+  // Growth past the mapped prefix copies it into an owned row and counts
+  // only the new chunk.
+  viewed->EnsureRow(0, 2 * kChunk);
+  EXPECT_FALSE(in_mapping(0));
+  EXPECT_TRUE(in_mapping(1));
+  EXPECT_EQ(viewed->computed(), store->computed() + kChunk);
+  store->EnsureRow(0, 2 * kChunk);
+  EXPECT_EQ(TestFixture::Values(*viewed, 0), TestFixture::Values(*store, 0));
+  EXPECT_EQ(viewed->MatchCount(0, 1, 0, 2 * kChunk),
+            store->MatchCount(0, 1, 0, 2 * kChunk));
+}
+
+TYPED_TEST(SignatureStoreContract, CopyRowsFromBorrowsViewsAndCopiesRows) {
+  constexpr uint32_t kChunk = TestFixture::kChunk;
+  const auto store = this->Make();
+  store->EnsureAll(kChunk);
+  const std::string bytes = TestFixture::Saved(*store, /*align_blob=*/true);
+  const auto source = this->Make();
+  std::stringstream in(bytes);
+  source->LoadViews(in, bytes.data(), bytes.size());
+  source->EnsureRow(1, 2 * kChunk);  // Row 1 becomes owned.
+
+  const auto target = this->Make();
+  target->EnsureRow(2, 3 * kChunk);  // Longer locally: kept.
+  const std::vector<uint32_t> row2 = TestFixture::Values(*target, 2);
+  const uint64_t before = target->computed();
+  target->CopyRowsFrom(*source);
+  EXPECT_EQ(target->computed(), before);  // Adoption does no hashing.
+  EXPECT_EQ(target->Signature(0), source->Signature(0));  // Borrowed view.
+  EXPECT_NE(target->Signature(1), source->Signature(1));  // Owned copy.
+  EXPECT_EQ(TestFixture::Values(*target, 1), TestFixture::Values(*source, 1));
+  EXPECT_EQ(TestFixture::Values(*target, 2), row2);
+  for (uint32_t r = 3; r < TestFixture::kRows; ++r) {
+    EXPECT_EQ(TestFixture::Values(*target, r),
+              TestFixture::Values(*store, r));
+  }
+  // A borrowed row grows like an owned one.
+  target->EnsureRow(0, 2 * kChunk);
+  store->EnsureRow(0, 2 * kChunk);
+  EXPECT_EQ(TestFixture::Values(*target, 0), TestFixture::Values(*store, 0));
+}
+
+TYPED_TEST(SignatureStoreContract, FrozenStoreTallyNeverMoves) {
+  constexpr uint32_t kChunk = TestFixture::kChunk;
+  const auto ref = this->Make();
+  ref->EnsureRow(0, 2 * kChunk);
+  const auto store = this->Make();
+  store->EnsureAll(2 * kChunk);
+  store->Freeze();
+  EXPECT_TRUE(store->frozen());
+  const uint64_t tally = store->computed();
+  EXPECT_FALSE(store->GrowthLock().owns_lock());  // Nothing to exclude.
+  store->EnsureRow(1, 2 * kChunk);
+  store->EnsureAll(kChunk);
+  store->AddComputed(0);
+  EXPECT_EQ(store->MatchCount(0, 1, 0, 2 * kChunk),
+            store->MatchCountReadOnly(0, 1, 0, 2 * kChunk));
+  EXPECT_EQ(store->MatchAgainstQuery(1, ref->Signature(0), 0, 2 * kChunk),
+            store->MatchCount(0, 1, 0, 2 * kChunk));
+  typename TestFixture::Store::OverflowShard shard(store.get());
+  EXPECT_EQ(shard.MatchCount(0, 1, 0, 2 * kChunk),
+            store->MatchCount(0, 1, 0, 2 * kChunk));
+  EXPECT_EQ(shard.computed(), 0u);
+  EXPECT_EQ(store->computed(), tally);
 }
 
 }  // namespace

@@ -171,9 +171,9 @@ TEST(MultiProbeCandidatesTest, CandidateSetIsExactlyTheHammingBallJoin) {
       if (w.data.RowLength(b) == 0) continue;
       for (uint32_t band = 0; band < l; ++band) {
         const uint64_t sa = ExtractBits(
-            store.Words(a), store.NumBits(a) / kBitsPerWord, band * k, k);
+            store.Signature(a), store.NumBits(a) / kBitsPerWord, band * k, k);
         const uint64_t sb = ExtractBits(
-            store.Words(b), store.NumBits(b) / kBitsPerWord, band * k, k);
+            store.Signature(b), store.NumBits(b) / kBitsPerWord, band * k, k);
         if (static_cast<uint32_t>(std::popcount(sa ^ sb)) <= r) {
           expected.insert({a, b});
           break;

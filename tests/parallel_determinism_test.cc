@@ -426,6 +426,14 @@ TEST(QuerySearchThreadDeterminismTest, JaccardEstimation) {
                                     QueryConfig(Measure::kJaccard, 0.4, 17));
 }
 
+TEST(QuerySearchThreadDeterminismTest, BbitJaccard) {
+  // b-bit signatures shard a query like the full-width ones: the overflow
+  // shards extend packed rows, and the packed query signature is shared.
+  QuerySearchConfig cfg = QueryConfig(Measure::kJaccard, 0.4, 17);
+  cfg.bbit = 4;
+  ExpectBothModesIdenticalAcrossThreads(GraphBinary(25, 600), cfg);
+}
+
 TEST(QuerySearchThreadDeterminismTest, BinaryCosine) {
   ExpectBothModesIdenticalAcrossThreads(
       GraphBinary(27, 600), QueryConfig(Measure::kBinaryCosine, 0.4, 19));

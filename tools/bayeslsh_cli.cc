@@ -630,7 +630,19 @@ int RunQuery(const Args& args) {
     queries = ReadDatasetAutoFile(args.Get("query-file", ""));
   } catch (const std::invalid_argument& e) {
     // A dynamic index builds its segment searchers at load, so a
-    // --threshold outside its measure's domain is refused here.
+    // --threshold outside its measure's domain is refused here, before the
+    // measure is known. Reopen it at the build threshold to learn the
+    // measure, and refuse the flag in the words used for a plain index.
+    if (dynamic) {
+      try {
+        const Measure measure =
+            DynamicIndex::LoadFile(args.Get("index", ""), DynamicIndexConfig{})
+                ->measure();
+        if (!CheckThresholdFlag(args, measure)) return 1;
+      } catch (const std::exception&) {
+        // Not a threshold error after all: report the original one.
+      }
+    }
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   } catch (const std::exception& e) {  // IoError/IndexError, bad_alloc.
@@ -728,9 +740,8 @@ int RunQuery(const Args& args) {
                  construct_s, serve_s);
     if (args.Has("qps-report")) {
       // "threads" is the resolved request; "threads_used" is the widest
-      // parallelism any query actually reached — a contended pool, an
-      // unshardable candidate list or b-bit verification all report
-      // fewer threads than requested.
+      // parallelism any query actually reached — a contended pool or an
+      // unshardable candidate list report fewer threads than requested.
       // "ghost_candidates" counts verified matches suppressed because
       // their logical id is tombstoned — the LSM read amplification a
       // compaction would reclaim; always 0 for a plain index.
