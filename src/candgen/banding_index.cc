@@ -1,14 +1,13 @@
 #include "candgen/banding_index.h"
 
 #include <algorithm>
-#include <cassert>
+#include <span>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/bit_ops.h"
 #include "common/prng.h"
-#include "lsh/minwise_hasher.h"
-#include "lsh/signature_store.h"
-#include "lsh/srp_hasher.h"
 #include "vec/binary_io.h"
 
 namespace bayeslsh {
@@ -18,6 +17,22 @@ namespace {
 // Seeds the per-band Mix64 key chain so identical hash runs in different
 // bands do not alias to the same bucket key.
 constexpr uint64_t kJaccardBandSalt = 0x5ba3d9be1e4fULL;
+
+// Calls fn(key, row) for band `band` of every non-empty row of a grown
+// store, in ascending row order. Empty rows have similarity 0 to
+// everything and are never candidates.
+template <typename Layout, typename Fn>
+void ForEachBandKey(const SignatureStore<Layout>& store, uint32_t k,
+                    uint32_t band, Fn&& fn) {
+  const Dataset& data = *store.data();
+  const uint32_t per_elem = store.layout().hashes_per_elem();
+  for (uint32_t row = 0; row < store.num_rows(); ++row) {
+    if (data.RowLength(row) == 0) continue;
+    const std::span<const typename Layout::Elem> sig(
+        store.Signature(row), store.HashesHeld(row) / per_elem);
+    fn(BandingIndex::Key(sig, band, k), row);
+  }
+}
 
 }  // namespace
 
@@ -33,121 +48,106 @@ uint64_t BandingIndex::JaccardKey(const uint32_t* ints, uint32_t band,
   return key;
 }
 
-BandingIndex BandingIndex::BuildBits(
-    const Dataset& data, std::shared_ptr<const WordChunkHasher> hasher,
-    uint32_t k, uint32_t l, ThreadPool* pool) {
-  BandingIndex index;
-  index.hashes_per_band_ = k;
-  index.bands_.resize(l);
-  const uint32_t n = data.num_vectors();
-  // Throwaway generation-seed store: banding hashes are never reused for
-  // verification (DESIGN.md §6).
-  BitSignatureStore store(&data, std::move(hasher));
-  if (pool != nullptr) {
-    ParallelFor(pool, 0, n, [&](uint64_t row) {
-      store.EnsureRowUncounted(static_cast<uint32_t>(row), l * k);
-    });
-  } else {
-    store.EnsureAll(l * k);
-  }
-  ParallelFor(pool, 0, l, [&](uint64_t band) {
-    for (uint32_t row = 0; row < n; ++row) {
-      if (data.RowLength(row) == 0) continue;
-      const uint64_t key =
-          CosineKey(store.Signature(row), store.HashesHeld(row) / kBitsPerWord,
-                    static_cast<uint32_t>(band), k);
+template <typename Layout>
+BandingIndex BandingIndex::Build(SignatureStore<Layout>* store, uint32_t k,
+                                 uint32_t l, ThreadPool* pool) {
+  store->EnsureAll(l * k, pool);
+  BandingIndex index(k, l);
+  ParallelFor(pool, 0, l, [&](uint64_t b) {
+    const auto band = static_cast<uint32_t>(b);
+    ForEachBandKey(*store, k, band, [&](uint64_t key, uint32_t row) {
       index.bands_[band][key].push_back(row);
-    }
+    });
   });
   return index;
 }
 
-BandingIndex BandingIndex::BuildInts(
-    const Dataset& data, std::shared_ptr<const IntChunkHasher> hasher,
-    uint32_t k, uint32_t l, ThreadPool* pool) {
-  BandingIndex index;
-  index.hashes_per_band_ = k;
-  index.bands_.resize(l);
-  const uint32_t n = data.num_vectors();
-  IntSignatureStore store(&data, std::move(hasher));
-  if (pool != nullptr) {
-    ParallelFor(pool, 0, n, [&](uint64_t row) {
-      store.EnsureRowUncounted(static_cast<uint32_t>(row), l * k);
-    });
-  } else {
-    store.EnsureAll(l * k);
+template BandingIndex BandingIndex::Build(SignatureStore<BitLayout>*,
+                                          uint32_t, uint32_t, ThreadPool*);
+template BandingIndex BandingIndex::Build(SignatureStore<IntLayout>*,
+                                          uint32_t, uint32_t, ThreadPool*);
+
+BandingIndex BandingIndex::Build(const Dataset& data,
+                                 std::shared_ptr<const WordChunkHasher> bits,
+                                 std::shared_ptr<const IntChunkHasher> ints,
+                                 uint32_t k, uint32_t l, ThreadPool* pool) {
+  if (bits != nullptr) {
+    BitSignatureStore store(&data, std::move(bits));
+    return Build(&store, k, l, pool);
   }
-  ParallelFor(pool, 0, l, [&](uint64_t band) {
-    for (uint32_t row = 0; row < n; ++row) {
-      if (data.RowLength(row) == 0) continue;
-      const uint64_t key =
-          JaccardKey(store.Signature(row), static_cast<uint32_t>(band), k);
-      index.bands_[band][key].push_back(row);
+  IntSignatureStore store(&data, std::move(ints));
+  return Build(&store, k, l, pool);
+}
+
+template <typename Layout>
+std::vector<uint64_t> BandingIndex::BucketPairs(
+    SignatureStore<Layout>* store, uint32_t k, uint32_t l, ThreadPool* pool,
+    std::span<const uint64_t> probe_masks) {
+  store->EnsureAll(l * k, pool);
+  using Entry = std::pair<uint64_t, uint32_t>;  // (key, row)
+  std::vector<std::vector<uint64_t>> parts(
+      pool != nullptr ? pool->num_threads() : 1);
+  auto emit = [&](uint32_t shard, uint64_t begin, uint64_t end) {
+    std::vector<uint64_t>& keys = parts[shard];
+    std::vector<Entry> entries;
+    entries.reserve(store->num_rows());
+    for (auto band = static_cast<uint32_t>(begin); band < end; ++band) {
+      // Sorted entries hold each bucket as a run of ascending rows.
+      entries.clear();
+      ForEachBandKey(*store, k, band, [&](uint64_t key, uint32_t row) {
+        entries.emplace_back(key, row);
+      });
+      std::sort(entries.begin(), entries.end());
+      for (auto run = entries.begin(); run != entries.end();) {
+        const uint64_t key = run->first;
+        const auto run_end = std::find_if(
+            run, entries.end(), [&](const Entry& e) { return e.first != key; });
+        for (auto a = run; a != run_end; ++a) {
+          for (auto b = a + 1; b != run_end; ++b) {
+            keys.push_back(PairKey(a->second, b->second));
+          }
+        }
+        // Each cross-bucket pair is emitted once: the a < b filter drops
+        // the mirrored probe from the other bucket.
+        for (const uint64_t mask : probe_masks) {
+          const uint64_t probe = key ^ mask;
+          for (auto b = std::lower_bound(entries.begin(), entries.end(),
+                                         Entry{probe, 0});
+               b != entries.end() && b->first == probe; ++b) {
+            for (auto a = run; a != run_end; ++a) {
+              if (a->second < b->second) {
+                keys.push_back(PairKey(a->second, b->second));
+              }
+            }
+          }
+        }
+        run = run_end;
+      }
     }
-  });
-  return index;
-}
-
-BandingIndex BandingIndex::BuildCosine(const Dataset& data,
-                                       const GaussianSource* gauss,
-                                       uint32_t k, uint32_t l,
-                                       ThreadPool* pool) {
-  return BuildBits(data, std::make_shared<SrpChunkHasher>(SrpHasher(gauss)),
-                   k, l, pool);
-}
-
-BandingIndex BandingIndex::BuildJaccard(const Dataset& data,
-                                        uint64_t gen_seed, uint32_t k,
-                                        uint32_t l, ThreadPool* pool) {
-  return BuildInts(data,
-                   std::make_shared<MinwiseChunkHasher>(
-                       MinwiseHasher(gen_seed)),
-                   k, l, pool);
-}
-
-void BandingIndex::InsertBits(const SparseVectorView& v, uint32_t row,
-                              const WordChunkHasher& hasher) {
-  assert(!bands_.empty() && hashes_per_band_ != 0);
-  if (v.empty()) return;
-  const uint32_t l = num_bands();
-  const uint32_t k = hashes_per_band_;
-  std::vector<uint64_t> words(WordsForBits(l * k));
-  for (uint32_t c = 0; c < words.size(); ++c) {
-    words[c] = hasher.HashChunk(v, row, c);
+  };
+  if (pool != nullptr) {
+    pool->RunShards(l, emit);
+  } else {
+    emit(0, 0, l);
   }
-  for (uint32_t band = 0; band < l; ++band) {
-    bands_[band][CosineKey(words.data(), static_cast<uint32_t>(words.size()),
-                           band, k)]
-        .push_back(row);
+  if (parts.size() == 1) return std::move(parts[0]);
+  size_t total = 0;
+  for (const auto& keys : parts) total += keys.size();
+  std::vector<uint64_t> all;
+  all.reserve(total);
+  for (auto& keys : parts) {
+    all.insert(all.end(), keys.begin(), keys.end());
+    std::vector<uint64_t>().swap(keys);
   }
+  return all;
 }
 
-void BandingIndex::InsertInts(const SparseVectorView& v, uint32_t row,
-                              const IntChunkHasher& hasher) {
-  assert(!bands_.empty() && hashes_per_band_ != 0);
-  if (v.empty()) return;
-  const uint32_t l = num_bands();
-  const uint32_t k = hashes_per_band_;
-  const uint32_t chunk_ints = hasher.chunk_ints();
-  const uint32_t chunks = (l * k + chunk_ints - 1) / chunk_ints;
-  std::vector<uint32_t> ints(chunks * chunk_ints);
-  for (uint32_t c = 0; c < chunks; ++c) {
-    hasher.HashChunk(v, row, c, ints.data() + c * chunk_ints);
-  }
-  for (uint32_t band = 0; band < l; ++band) {
-    bands_[band][JaccardKey(ints.data(), band, k)].push_back(row);
-  }
-}
-
-void BandingIndex::InsertCosine(const SparseVectorView& v, uint32_t row,
-                                const GaussianSource* gauss) {
-  InsertBits(v, row, SrpChunkHasher(SrpHasher(gauss)));
-}
-
-void BandingIndex::InsertJaccard(const SparseVectorView& v, uint32_t row,
-                                 uint64_t gen_seed) {
-  InsertInts(v, row, MinwiseChunkHasher(MinwiseHasher(gen_seed)));
-}
+template std::vector<uint64_t> BandingIndex::BucketPairs(
+    SignatureStore<BitLayout>*, uint32_t, uint32_t, ThreadPool*,
+    std::span<const uint64_t>);
+template std::vector<uint64_t> BandingIndex::BucketPairs(
+    SignatureStore<IntLayout>*, uint32_t, uint32_t, ThreadPool*,
+    std::span<const uint64_t>);
 
 void BandingIndex::Save(std::ostream& out) const {
   WritePod(out, num_bands());

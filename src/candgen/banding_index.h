@@ -1,24 +1,33 @@
-// Reusable LSH banding bucket table over a fixed collection: the
-// candidate-generation half of the serve path (core/query_search.h,
-// core/index_io.h).
+// The LSH banding table (paper §2): per band, a hash map from the band's
+// key to the rows in that bucket. It is the one place where a generation
+// signature becomes band keys and rows are grouped by key, and every
+// consumer goes through it:
 //
-// The all-pairs pipeline consumes banding transiently — buckets are built,
-// pairs are emitted, buckets are dropped (candgen/lsh_banding.h). Query
-// serving instead probes the same buckets once per query, so this class
-// materializes them as a persistent structure: per band, a hash map from
-// the band's key to the rows in that bucket.
+//  - the all-pairs join (candgen/lsh_banding.h) emits every bucket's pairs
+//    with BucketPairs, which groups one band at a time per worker and
+//    never holds the whole table;
+//  - multi-probe (candgen/multiprobe.h) does the same, passing the XOR
+//    masks of its Hamming ball to BucketPairs;
+//  - the persistent index (core/index_io.h) builds the table and saves it
+//    as the index file's banding section;
+//  - the query searcher (core/query_search.h) builds it (or borrows an
+//    index's), probes it once per query, and grows it row by row with
+//    Insert as the delta segment takes rows.
 //
-// Keys: for cosine-like measures a band key is k consecutive SRP bits
-// extracted from the row's bit signature; for Jaccard it is a Mix64 chain
-// over the band's k minwise hashes (seeded per band, so identical hash
-// runs in different bands do not alias). Build uses generation-seed
-// hashes; verification hashes are an independent stream (DESIGN.md §6).
+// Callers hash; the table keys. A generation signature is a span over
+// packed bit words (SRP, KLSH: a band's key is its k consecutive bits) or
+// over u32 hash values (minwise, ICWS, p-stable: a Mix64 chain over the
+// band's k values, seeded per band so identical runs in different bands do
+// not alias), covering at least l*k hashes. Generation hashes are an
+// independent stream from verification hashes (DESIGN.md §6).
 //
-// Determinism: builds shard signature growth over rows and the bucket fill
-// over bands (each band's map is owned by exactly one worker), so the
-// table is independent of the thread count; bucket row lists are in
-// ascending row order by construction. Save() writes each band's keys in
-// sorted order, making the serialized form byte-stable.
+// Determinism: Build and BucketPairs grow the store over rows and then
+// work over bands (each band is owned by exactly one worker), so their
+// output is independent of the thread count; bucket row lists are in
+// ascending row order by construction, and inserting rows in ascending id
+// order after a build reproduces the batch build of the longer collection.
+// Save() writes each band's keys in sorted order, making the serialized
+// form byte-stable.
 
 #ifndef BAYESLSH_CANDGEN_BANDING_INDEX_H_
 #define BAYESLSH_CANDGEN_BANDING_INDEX_H_
@@ -26,12 +35,12 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "common/thread_pool.h"
-#include "lsh/gaussian_source.h"
-#include "lsh/store_base.h"
+#include "lsh/signature_store.h"
 #include "vec/dataset.h"
 
 namespace bayeslsh {
@@ -48,61 +57,81 @@ class BandingIndex {
   const Buckets& band(uint32_t b) const { return bands_[b]; }
 
   // Rows in `band` whose key equals `key`, or nullptr when the bucket is
-  // empty — the per-query probe.
+  // empty.
   const std::vector<uint32_t>* Find(uint32_t band, uint64_t key) const {
     const auto it = bands_[band].find(key);
     return it == bands_[band].end() ? nullptr : &it->second;
   }
 
-  // Builds the table over bit signatures from any word-chunk hash family
-  // (SRP, KLSH) with CosineKey band keys; the hasher must be built with the
-  // generation seed (banding hashes are never reused for verification).
-  static BandingIndex BuildBits(const Dataset& data,
-                                std::shared_ptr<const WordChunkHasher> hasher,
-                                uint32_t k, uint32_t l,
-                                ThreadPool* pool = nullptr);
+  // Builds a k x l table over every non-empty row of a generation store
+  // (empty rows have similarity 0 to everything and are never
+  // candidates). Grows each row to l*k hashes first, sharded over `pool`
+  // and counted in the store's computed().
+  template <typename Layout>
+  static BandingIndex Build(SignatureStore<Layout>* store, uint32_t k,
+                            uint32_t l, ThreadPool* pool = nullptr);
 
-  // Builds the table over integer signatures from any int-chunk hash family
-  // (minwise, ICWS, p-stable) with JaccardKey band keys.
-  static BandingIndex BuildInts(const Dataset& data,
-                                std::shared_ptr<const IntChunkHasher> hasher,
-                                uint32_t k, uint32_t l,
-                                ThreadPool* pool = nullptr);
+  // Build over a throwaway store of `data` hashed with the generation
+  // hasher that is set, `bits` or `ints`: the index build and a fresh
+  // searcher, whose banding hashes are never reused for verification.
+  static BandingIndex Build(const Dataset& data,
+                            std::shared_ptr<const WordChunkHasher> bits,
+                            std::shared_ptr<const IntChunkHasher> ints,
+                            uint32_t k, uint32_t l,
+                            ThreadPool* pool = nullptr);
 
-  // Builds the table over the collection's SRP bit signatures (cosine-like
-  // measures). `gauss` supplies the generation-seed projections.
-  static BandingIndex BuildCosine(const Dataset& data,
-                                  const GaussianSource* gauss, uint32_t k,
-                                  uint32_t l, ThreadPool* pool = nullptr);
+  // The key of band `band` of a generation signature, k hashes per band.
+  static uint64_t Key(std::span<const uint64_t> words, uint32_t band,
+                      uint32_t k) {
+    return CosineKey(words.data(), static_cast<uint32_t>(words.size()), band,
+                     k);
+  }
+  static uint64_t Key(std::span<const uint32_t> ints, uint32_t band,
+                      uint32_t k) {
+    return JaccardKey(ints.data(), band, k);
+  }
 
-  // Builds the table over the collection's minwise signatures (Jaccard),
-  // hashing with the generation seed.
-  static BandingIndex BuildJaccard(const Dataset& data, uint64_t gen_seed,
-                                   uint32_t k, uint32_t l,
-                                   ThreadPool* pool = nullptr);
+  // Appends `row` to its bucket in every band: the delta segment's growth
+  // path (core/dynamic_index.h). Inserting the rows of an appended range
+  // in ascending id order, skipping empty rows as Build does, reproduces
+  // Build over the whole collection. Not concurrent-safe with Find —
+  // callers serialize inserts against probes.
+  template <typename Elem>
+  void Insert(std::span<const Elem> sig, uint32_t row) {
+    for (uint32_t b = 0; b < num_bands(); ++b) {
+      bands_[b][Key(sig, b, hashes_per_band_)].push_back(row);
+    }
+  }
 
-  // Incremental insert of one row appended to the collection after the
-  // batch build — the LSM delta growth path (core/dynamic_index.h). The
-  // row's generation signature is hashed l*k deep and the row id appended
-  // to its bucket in every band. Inserting rows in ascending id order
-  // reproduces the batch Build table exactly; empty rows are skipped, as
-  // the batch build skips them. The table must already be built (it
-  // carries the banding shape); not concurrent-safe with Find — callers
-  // serialize inserts against probes.
-  void InsertCosine(const SparseVectorView& v, uint32_t row,
-                    const GaussianSource* gauss);
-  void InsertJaccard(const SparseVectorView& v, uint32_t row,
-                     uint64_t gen_seed);
+  // Appends the rows of every bucket `sig` falls into, band by band (a row
+  // sharing several of them appears once per shared band): the per-query
+  // probe.
+  template <typename Elem>
+  void Probe(std::span<const Elem> sig, std::vector<uint32_t>* out) const {
+    for (uint32_t b = 0; b < num_bands(); ++b) {
+      const std::vector<uint32_t>* bucket =
+          Find(b, Key(sig, b, hashes_per_band_));
+      if (bucket != nullptr) out->insert(out->end(), bucket->begin(),
+                                         bucket->end());
+    }
+  }
 
-  // Generic inserts mirroring BuildBits/BuildInts. `row` is the id the
-  // bucket entry records AND the id handed to the hasher (so per-row
-  // caches key correctly — pass the id within the hasher's dataset).
-  void InsertBits(const SparseVectorView& v, uint32_t row,
-                  const WordChunkHasher& hasher);
-  void InsertInts(const SparseVectorView& v, uint32_t row,
-                  const IntChunkHasher& hasher);
+  // Every pair of rows that share a bucket of the k x l table over a
+  // generation store, as PairKey(a, b) with a < b, once per band they
+  // share: the join's emitter. Grows the store as Build does, then shards
+  // over bands without building the table: each worker groups one band at
+  // a time by sorting its (key, row) entries, so memory stays at 16 bytes
+  // per row per worker. Each of `probe_masks` adds the pairs a bucket
+  // forms with the bucket whose key is its own XOR the mask (multi-probe
+  // over bit keys; candgen/multiprobe.h). The key multiset is the same at
+  // any thread count; the join deduplicates it with DedupPairKeys
+  // (candgen/candidates.h).
+  template <typename Layout>
+  static std::vector<uint64_t> BucketPairs(
+      SignatureStore<Layout>* store, uint32_t k, uint32_t l,
+      ThreadPool* pool = nullptr, std::span<const uint64_t> probe_masks = {});
 
-  // Band key of a query signature; `words`/`ints` must cover l*k hashes.
+  // Band keys of raw signatures; `words`/`ints` must cover l*k hashes.
   // `num_words` is the length of the `words` array (bounds-asserted by
   // ExtractBits in Debug builds).
   static uint64_t CosineKey(const uint64_t* words, uint32_t num_words,
@@ -118,6 +147,8 @@ class BandingIndex {
   static BandingIndex Load(std::istream& in, uint32_t num_rows);
 
  private:
+  BandingIndex(uint32_t k, uint32_t l) : hashes_per_band_(k), bands_(l) {}
+
   uint32_t hashes_per_band_ = 0;
   std::vector<Buckets> bands_;
 };

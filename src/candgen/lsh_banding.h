@@ -11,7 +11,11 @@
 // with p = t for minwise/Jaccard and p = c2r(t) = 1 - arccos(t)/π for
 // SRP/cosine.
 //
-// The signatures come from the same lazy stores used for verification, but
+// This header resolves the banding shape (k, l) for a measure and
+// threshold, and spells the join's candidate generator: grow a generation
+// store to l*k hashes, emit every bucket's pairs band by band with
+// BandingIndex::BucketPairs (candgen/banding_index.h) and deduplicate. The
+// signatures come from the same lazy stores used for verification, but
 // the pipeline draws them from an independent seed: BayesLSH's posterior
 // math assumes the verification hashes are unbiased, which hashes already
 // conditioned on a band collision are not (DESIGN.md §6).
@@ -64,22 +68,29 @@ struct BandingShape {
 // cosine-like measures including the kernel cosine, and for Euclidean the
 // p-stable collision probability at the radius with the serving stack's
 // width convention w = 2 * radius — a scale-free constant). Shared by the
-// query searcher and the persistent-index builder so both sides of a
-// save/load round trip agree on the shape.
+// pipeline, the query searcher and the persistent-index builder, so all
+// three agree on the shape and refuse the same shapes (CheckBandingShape).
 BandingShape ResolveBandingShape(Measure measure, double threshold,
                                  const LshBandingParams& params);
 
-// Candidate pairs for cosine similarity: bands over SRP bit signatures.
-// Grows the store to num_bands * hashes_per_band bits for every row.
-//
-// With a pool, signature growth shards over row ranges and the bucket
-// build shards over bands (per-worker pair accumulators, concatenated and
-// deduplicated at the end) — output is identical for any thread count.
+// Throws std::invalid_argument unless the shape has 1..64 hashes per band
+// and at least one band: a bit band key is one 64-bit word, and the index
+// file's loader refuses any other shape.
+void CheckBandingShape(const BandingShape& shape);
+
+// Candidate pairs from banding a generation store (bit or int layout) in
+// `shape`: the store grows to l*k hashes per row, counted in its
+// computed(). Empty rows are never candidates. With a pool, growth shards
+// over rows and pair emission over bands; the output is identical for any
+// thread count.
+template <typename Layout>
+CandidateList LshCandidates(SignatureStore<Layout>* store, BandingShape shape,
+                            ThreadPool* pool = nullptr);
+
+// LshCandidates in the cosine and Jaccard shapes of `params`.
 CandidateList CosineLshCandidates(BitSignatureStore* store, double threshold,
                                   const LshBandingParams& params,
                                   ThreadPool* pool = nullptr);
-
-// Candidate pairs for Jaccard: bands over minwise integer signatures.
 CandidateList JaccardLshCandidates(IntSignatureStore* store, double threshold,
                                    const LshBandingParams& params,
                                    ThreadPool* pool = nullptr);

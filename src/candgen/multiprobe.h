@@ -23,9 +23,12 @@
 // with p = c2r(t), and the band count derives as
 // l = ceil(log ε / log(1 - hit)) — fewer bands for the same ε as r grows.
 //
-// The generator is a drop-in alternative to CosineLshCandidates; the
-// verification stage is unchanged (BayesLSH does not care where candidates
-// come from — the paper's modularity claim).
+// The generator shares the join's emitter, BandingIndex::BucketPairs
+// (candgen/banding_index.h): it takes the distance-0 pairs from it and
+// passes it the probe masks, so that each bucket also pairs with the
+// bucket whose key is its own XOR a mask. The verification stage is
+// unchanged (BayesLSH does not care where candidates come from — the
+// paper's modularity claim).
 
 #ifndef BAYESLSH_CANDGEN_MULTIPROBE_H_
 #define BAYESLSH_CANDGEN_MULTIPROBE_H_
@@ -67,13 +70,13 @@ uint32_t DeriveNumBandsMultiProbe(double collision_prob_at_threshold,
 
 // Candidate pairs for cosine similarity: multi-probe banding over SRP bit
 // signatures. Grows the store to num_bands * hashes_per_band bits for
-// every row. raw_emitted counts bucket-pair emissions before dedup.
+// every row, counted in its computed(). raw_emitted counts bucket-pair
+// emissions before dedup. Throws std::invalid_argument for a shape
+// CheckBandingShape refuses (candgen/lsh_banding.h).
 //
-// A non-null pool shards the work band-by-band (bands are independent:
-// each sorts its own signature table and probes within it); per-band
-// emissions are merged in band order and deduped exactly as in the
-// sequential run, so the candidate list is bit-identical for any thread
-// count.
+// A non-null pool shards growth over rows and pair emission over bands;
+// the candidate list, raw_emitted and the store's tally are identical for
+// any thread count.
 CandidateList MultiProbeCosineCandidates(BitSignatureStore* store,
                                          double threshold,
                                          const MultiProbeParams& params,

@@ -107,10 +107,10 @@ void ParallelFor(ThreadPool* pool, uint64_t begin, uint64_t end, Fn&& fn) {
                   });
 }
 
-// Sums fn(i) over [0, n), sharded across the pool — the "grow every row,
-// merge the hashing tally once" pattern shared by the index-build
-// prefetch (core/index_io.cc) and QuerySearcher::Freeze. fn must be safe
-// to call concurrently for distinct i.
+// Sums fn(i) over [0, n), sharded across the pool — the "grow rows,
+// merge the hashing tally once" pattern of SignatureStoreBase::EnsureAll,
+// the index-build prefetch (core/index_io.cc) and the sharded query
+// prefetch. fn must be safe to call concurrently for distinct i.
 template <typename Fn>
 uint64_t ParallelWorkSum(ThreadPool* pool, uint64_t n, Fn&& fn);
 

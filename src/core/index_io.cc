@@ -156,16 +156,9 @@ std::unique_ptr<PersistentIndex> PersistentIndex::Build(
   }
 
   index->spec_ = family.spec();
+  // Throws on a shape the load path would refuse.
   const BandingShape shape =
       ResolveBandingShape(cfg.measure, cfg.threshold, cfg.banding);
-  // The load path rejects k outside [1, 64] (a cosine band key is one
-  // ExtractBits call), so refuse to build what could never be loaded.
-  if (shape.hashes_per_band == 0 || shape.hashes_per_band > 64 ||
-      shape.num_bands == 0) {
-    throw std::invalid_argument(
-        "IndexBuildConfig: banding shape must have 1..64 hashes per band "
-        "and at least one band");
-  }
   index->k_ = shape.hashes_per_band;
   index->l_ = shape.num_bands;
 
@@ -195,11 +188,8 @@ std::unique_ptr<PersistentIndex> PersistentIndex::Build(
 
   // Banding buckets from the generation family (deterministic for any
   // thread count — candgen/banding_index.h).
-  index->banding_ =
-      gen.bits != nullptr
-          ? BandingIndex::BuildBits(d, gen.bits, index->k_, index->l_, pool)
-          : BandingIndex::BuildInts(d, gen.ints, index->k_, index->l_,
-                                    pool);
+  index->banding_ = BandingIndex::Build(d, gen.bits, gen.ints, index->k_,
+                                        index->l_, pool);
 
   // kPrefetchFull is the default per-candidate serving budget
   // (BayesLshParams::max_hashes), so a warm searcher at default budgets

@@ -239,20 +239,16 @@ PipelineResult RunPipeline(const Dataset& data, const PipelineConfig& config) {
                                           nullptr, pool);
     }
   } else {
-    // The measure's banding shape, passed in explicitly: the banding
-    // routines resolve defaults on the cosine and Jaccard scales only.
+    // The measure's banding shape (throws on one no index could hold).
     const BandingShape shape = ResolveBandingShape(measure, t, config.banding);
-    LshBandingParams banding = config.banding;
-    banding.hashes_per_band = shape.hashes_per_band;
-    banding.num_bands = shape.num_bands;
     const HashStream gen = family.Generation();
     if (gen.bits != nullptr) {
       BitSignatureStore store(cosine_data, gen.bits);
-      candidates = CosineLshCandidates(&store, t, banding, pool);
+      candidates = LshCandidates(&store, shape, pool);
       result.gen_hashes_computed = store.computed();
     } else {
       IntSignatureStore store(&data, gen.ints);
-      candidates = JaccardLshCandidates(&store, t, banding, pool);
+      candidates = LshCandidates(&store, shape, pool);
       result.gen_hashes_computed = store.computed();
     }
   }

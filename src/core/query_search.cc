@@ -217,36 +217,65 @@ struct QuerySearcher::Impl {
     return family->Score(data->Row(row), q);
   }
 
-  // One query's hash stream over the engaged bit store: chunk index -> 64
-  // packed bits, from the generation or verification family. For KLSH the
-  // anchor kernel row is computed once here and reused by every chunk (the
-  // chunk hasher's external-vector fallback would redo the p kernel
-  // evaluations per chunk).
-  std::function<uint64_t(uint32_t)> QueryBitChunks(const SparseVectorView& q,
-                                                   bool generation) const {
+  // A vector's signature in the bit layout, hashed on demand with the
+  // generation or verification family. `row` is v's collection row id (so
+  // KLSH takes its anchor kernel row from the shared row cache), or
+  // kNoStoreRow for a query: a KLSH query's anchor kernel row is computed
+  // once here and reused by every chunk (the chunk hasher's
+  // external-vector fallback would redo the p kernel evaluations per
+  // chunk).
+  QuerySignature<uint64_t> BitSignature(const SparseVectorView& v,
+                                        uint32_t row, bool generation) const {
     const HashStream& stream = generation ? gen : ver;
-    if (stream.klsh != nullptr) {
-      const KlshHasher* h = stream.klsh.get();
+    std::function<uint64_t(uint32_t)> chunk;
+    if (stream.klsh != nullptr && row == kNoStoreRow) {
       auto krow = std::make_shared<const std::vector<double>>(
-          h->AnchorKernelRow(q));
-      return [h, krow = std::move(krow)](uint32_t chunk) {
-        return h->HashChunk(*krow, chunk);
+          stream.klsh->AnchorKernelRow(v));
+      chunk = [h = stream.klsh.get(), krow = std::move(krow)](uint32_t c) {
+        return h->HashChunk(*krow, c);
+      };
+    } else {
+      chunk = [h = stream.bits.get(), v, row](uint32_t c) {
+        return h->HashChunk(v, row, c);
       };
     }
-    const WordChunkHasher* h = stream.bits.get();
-    return [h, q](uint32_t chunk) {
-      return h->HashChunk(q, kNoStoreRow, chunk);
-    };
+    return QuerySignature<uint64_t>(
+        [chunk = std::move(chunk)](uint32_t n, std::vector<uint64_t>* words) {
+          while (words->size() < WordsForBits(n)) {
+            words->push_back(chunk(static_cast<uint32_t>(words->size())));
+          }
+        });
   }
 
-  // Int-store counterpart: writes the family's chunk_ints() values per
-  // chunk (16 minwise/ICWS, 64 p-stable).
-  std::function<void(uint32_t, uint32_t*)> QueryIntChunks(
-      const SparseVectorView& q, bool generation) const {
-    const IntChunkHasher* h = generation ? gen.ints.get() : ver.ints.get();
-    return [h, q](uint32_t chunk, uint32_t* out) {
-      h->HashChunk(q, kNoStoreRow, chunk, out);
-    };
+  // Int-layout counterpart, grown in the family's chunks of chunk_ints()
+  // values (16 minwise/ICWS, 64 p-stable).
+  QuerySignature<uint32_t> IntSignature(const SparseVectorView& v,
+                                        uint32_t row, bool generation) const {
+    const IntChunkHasher* h = (generation ? gen : ver).ints.get();
+    return QuerySignature<uint32_t>(
+        [h, chunk_ints = h->chunk_ints(), v, row](
+            uint32_t n, std::vector<uint32_t>* hashes) {
+          while (hashes->size() < n) {
+            const auto c = static_cast<uint32_t>(hashes->size()) / chunk_ints;
+            hashes->resize(hashes->size() + chunk_ints);
+            h->HashChunk(v, row, c, hashes->data() + c * chunk_ints);
+          }
+        });
+  }
+
+  // v's generation signature, l*k hashes deep, handed to f as the span
+  // BandingIndex keys (bit words or hash values) — the banding paths' one
+  // branch on the generation family. `row` is as for BitSignature.
+  template <typename F>
+  void WithGenerationSignature(const SparseVectorView& v, uint32_t row,
+                               F&& f) const {
+    const uint32_t n = l * k;
+    if (gen.bits != nullptr) {
+      QuerySignature<uint64_t> sig = BitSignature(v, row, /*generation=*/true);
+      return f(std::span<const uint64_t>(sig.To(n), WordsForBits(n)));
+    }
+    QuerySignature<uint32_t> sig = IntSignature(v, row, /*generation=*/true);
+    f(std::span<const uint32_t>(sig.To(n), n));
   }
 
   // The engaged posterior model, the pool its inference caches are leased
@@ -267,27 +296,12 @@ struct QuerySearcher::Impl {
   // and the low b bits packed into the store's group layout).
   QuerySignature<uint64_t> VerificationQuery(const BitSignatureStore&,
                                              const SparseVectorView& q) const {
-    return QuerySignature<uint64_t>(
-        [chunk = QueryBitChunks(q, /*generation=*/false)](
-            uint32_t n, std::vector<uint64_t>* words) {
-          while (words->size() < WordsForBits(n)) {
-            words->push_back(chunk(static_cast<uint32_t>(words->size())));
-          }
-        });
+    return BitSignature(q, kNoStoreRow, /*generation=*/false);
   }
 
-  QuerySignature<uint32_t> VerificationQuery(const IntSignatureStore& store,
+  QuerySignature<uint32_t> VerificationQuery(const IntSignatureStore&,
                                              const SparseVectorView& q) const {
-    return QuerySignature<uint32_t>(
-        [chunk = QueryIntChunks(q, /*generation=*/false),
-         chunk_ints = store.chunk_hashes()](
-            uint32_t n, std::vector<uint32_t>* hashes) {
-          while (hashes->size() < n) {
-            const auto c = static_cast<uint32_t>(hashes->size()) / chunk_ints;
-            hashes->resize(hashes->size() + chunk_ints);
-            chunk(c, hashes->data() + c * chunk_ints);
-          }
-        });
+    return IntSignature(q, kNoStoreRow, /*generation=*/false);
   }
 
   QuerySignature<uint64_t> VerificationQuery(const BbitSignatureStore& store,
@@ -535,35 +549,9 @@ void QuerySearcher::Impl::Init(const Dataset* d,
 std::vector<uint32_t> QuerySearcher::Impl::CollectCandidates(
     const SparseVectorView& q) const {
   std::vector<uint32_t> candidates;
-  if (gen.bits != nullptr) {
-    const auto hash_chunk = QueryBitChunks(q, /*generation=*/true);
-    std::vector<uint64_t> qwords(WordsForBits(l * k));
-    for (uint32_t c = 0; c < qwords.size(); ++c) {
-      qwords[c] = hash_chunk(c);
-    }
-    for (uint32_t band = 0; band < l; ++band) {
-      const auto* bucket = banding->Find(
-          band, BandingIndex::CosineKey(
-                    qwords.data(), static_cast<uint32_t>(qwords.size()), band,
-                    k));
-      if (bucket == nullptr) continue;
-      candidates.insert(candidates.end(), bucket->begin(), bucket->end());
-    }
-  } else {
-    const uint32_t chunk_ints = gen.ints->chunk_ints();
-    const auto hash_chunk = QueryIntChunks(q, /*generation=*/true);
-    const uint32_t chunks = (l * k + chunk_ints - 1) / chunk_ints;
-    std::vector<uint32_t> qints(chunks * chunk_ints);
-    for (uint32_t c = 0; c < chunks; ++c) {
-      hash_chunk(c, qints.data() + c * chunk_ints);
-    }
-    for (uint32_t band = 0; band < l; ++band) {
-      const auto* bucket = banding->Find(
-          band, BandingIndex::JaccardKey(qints.data(), band, k));
-      if (bucket == nullptr) continue;
-      candidates.insert(candidates.end(), bucket->begin(), bucket->end());
-    }
-  }
+  WithGenerationSignature(q, kNoStoreRow, [&](auto sig) {
+    banding->Probe(sig, &candidates);
+  });
   std::sort(candidates.begin(), candidates.end());
   candidates.erase(std::unique(candidates.begin(), candidates.end()),
                    candidates.end());
@@ -591,13 +579,9 @@ QuerySearcher::QuerySearcher(const Dataset* data,
   // hash family (a separate, throwaway store: banding hashes are not
   // reused for verification; see DESIGN.md §6). Deterministic for any
   // thread count — see candgen/banding_index.h.
-  if (im.gen.bits != nullptr) {
-    im.banding_storage = BandingIndex::BuildBits(*data, im.gen.bits, im.k,
-                                                 im.l, im.pool.get());
-  } else {
-    im.banding_storage = BandingIndex::BuildInts(*data, im.gen.ints, im.k,
-                                                 im.l, im.pool.get());
-  }
+  im.banding_storage =
+      BandingIndex::Build(*data, im.gen.bits, im.gen.ints, im.k, im.l,
+                          im.pool.get());
   im.banding = &im.banding_storage;
   num_bands_ = im.l;
   hashes_per_band_ = im.k;
@@ -648,11 +632,7 @@ void QuerySearcher::Freeze() {
   Impl& im = *impl_;
   SignatureStoreBase* store = im.store;
   if (store->frozen()) return;
-  const uint32_t budget = im.ServeBudget();
-  store->AddComputed(ParallelWorkSum(
-      im.pool.get(), store->num_rows(), [&](uint64_t row) {
-        return store->EnsureRowUncounted(static_cast<uint32_t>(row), budget);
-      }));
+  store->EnsureAll(im.ServeBudget(), im.pool.get());
   store->Freeze();
 }
 
@@ -670,11 +650,11 @@ void QuerySearcher::SyncAppendedRows() {
   assert(im.store->num_rows() <= n_data);
   for (uint32_t row = im.store->num_rows(); row < n_data; ++row) {
     im.store->AppendRow();
-    if (im.gen.bits != nullptr) {
-      im.banding_storage.InsertBits(im.data->Row(row), row, *im.gen.bits);
-    } else {
-      im.banding_storage.InsertInts(im.data->Row(row), row, *im.gen.ints);
-    }
+    const SparseVectorView v = im.data->Row(row);
+    if (v.empty()) continue;  // Never a candidate, as in the batch build.
+    im.WithGenerationSignature(v, row, [&](auto sig) {
+      im.banding_storage.Insert(sig, row);
+    });
   }
 }
 

@@ -63,11 +63,6 @@ uint64_t SignatureStore<Layout>::EnsureRowUncounted(uint32_t row,
 }
 
 template <typename Layout>
-void SignatureStore<Layout>::EnsureAll(uint32_t n) {
-  for (uint32_t row = 0; row < num_rows(); ++row) EnsureRow(row, n);
-}
-
-template <typename Layout>
 uint32_t SignatureStore<Layout>::HashValue(uint32_t row, uint32_t j) const {
   assert(j < HashesHeld(row));
   const uint32_t per_elem = layout_.hashes_per_elem();

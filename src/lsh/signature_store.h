@@ -30,9 +30,10 @@
 //   Phase A (prefetch) — workers grow disjoint row ranges via
 //     EnsureRowUncounted (distinct rows touch distinct vectors, so no
 //     synchronization is needed), accumulate the hashing work privately,
-//     and the coordinator merges it with AddComputed. A coordinator that
-//     shares the store with concurrent serving threads must hold
-//     GrowthLock() across both phases.
+//     and the coordinator merges it with AddComputed (EnsureAll(n, pool)
+//     is this phase over every row). A coordinator that shares the store
+//     with concurrent serving threads must hold GrowthLock() across both
+//     phases.
 //
 //   Phase B (verify) — growth pauses; workers use the read-only
 //     MatchCountReadOnly against the prefetched signatures, and route the
@@ -197,9 +198,6 @@ class SignatureStore final : public SignatureStoreBase {
   void EnsureRow(uint32_t row, uint32_t n) {
     AddComputed(EnsureRowUncounted(row, n));
   }
-
-  // Grows every row to at least n hash positions.
-  void EnsureAll(uint32_t n);
 
   // EnsureRow without touching the shared computed() tally; returns the
   // hash positions newly computed. Safe to call concurrently for distinct

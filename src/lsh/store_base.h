@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <iosfwd>
 
+#include "common/thread_pool.h"
 #include "lsh/minwise_hasher.h"
 #include "lsh/srp_hasher.h"
 #include "vec/sparse_vector.h"
@@ -92,6 +93,15 @@ class SignatureStoreBase {
   virtual uint64_t EnsureRowUncounted(uint32_t row, uint32_t n) = 0;
   virtual void AddComputed(uint64_t n) = 0;
   virtual uint64_t computed() const = 0;
+
+  // Grows every row to >= n hash positions, sharded over `pool` (null
+  // runs inline), and merges the work into computed() once — the same
+  // tally at any thread count.
+  void EnsureAll(uint32_t n, ThreadPool* pool = nullptr) {
+    AddComputed(ParallelWorkSum(pool, num_rows(), [&](uint64_t row) {
+      return EnsureRowUncounted(static_cast<uint32_t>(row), n);
+    }));
+  }
 
   virtual void Freeze() = 0;
   virtual bool frozen() const = 0;

@@ -97,8 +97,9 @@ std::vector<std::vector<uint32_t>> Candidates(const Dataset& data,
       }
     }
   };
+  const BandingIndex banding =
+      BandingIndex::Build(data, gen.bits, gen.ints, k, l);
   if (gen.bits != nullptr) {
-    const BandingIndex banding = BandingIndex::BuildBits(data, gen.bits, k, l);
     BitSignatureStore sigs(&data, gen.bits);
     for (uint32_t row = 0; row < kQueries; ++row) {
       sigs.EnsureBits(row, l * k);
@@ -108,7 +109,6 @@ std::vector<std::vector<uint32_t>> Candidates(const Dataset& data,
       });
     }
   } else {
-    const BandingIndex banding = BandingIndex::BuildInts(data, gen.ints, k, l);
     IntSignatureStore sigs(&data, gen.ints);
     for (uint32_t row = 0; row < kQueries; ++row) {
       sigs.EnsureHashes(row, l * k);

@@ -288,6 +288,55 @@ TEST(IndexBuild, UnloadableBandingShapeRejected) {
   EXPECT_THROW(PersistentIndex::Build(data, icfg), std::invalid_argument);
 }
 
+// The shapes the index refuses, which the pipeline's LSH generator and a
+// fresh searcher refuse alike for every measure: k above 64 (a bit band
+// key is one 64-bit word, so a wider band would silently key only 64 of
+// its bits) and no band at all.
+std::vector<LshBandingParams> UnbandableShapes() {
+  std::vector<LshBandingParams> shapes(3);
+  shapes[0].hashes_per_band = 65;
+  shapes[1].hashes_per_band = 80;
+  shapes[2].max_bands = 0;  // Derives l = 0.
+  return shapes;
+}
+
+constexpr Measure kEveryMeasure[] = {
+    Measure::kCosine,         Measure::kJaccard,
+    Measure::kBinaryCosine,   Measure::kWeightedJaccard,
+    Measure::kKernelCosine,   Measure::kEuclidean};
+
+TEST(PipelineBanding, UnbandableShapeRejected) {
+  const Dataset data = TextWeighted(35, 50);
+  for (const Measure m : kEveryMeasure) {
+    for (const LshBandingParams& banding : UnbandableShapes()) {
+      PipelineConfig cfg;
+      cfg.measure = m;
+      cfg.generator = GeneratorKind::kLsh;
+      cfg.verifier = VerifierKind::kExact;
+      cfg.threshold = 0.6;  // A radius for Euclidean.
+      cfg.klsh.num_anchors = 8;
+      cfg.banding = banding;
+      EXPECT_THROW(RunPipeline(data, cfg), std::invalid_argument)
+          << MeasureName(m) << " k=" << banding.hashes_per_band;
+    }
+  }
+}
+
+TEST(QuerySearcherBanding, UnbandableShapeRejected) {
+  const Dataset data = TextWeighted(35, 50);
+  for (const Measure m : kEveryMeasure) {
+    for (const LshBandingParams& banding : UnbandableShapes()) {
+      QuerySearchConfig cfg;
+      cfg.measure = m;
+      cfg.threshold = 0.6;  // A radius for Euclidean.
+      cfg.klsh.num_anchors = 8;
+      cfg.banding = banding;
+      EXPECT_THROW(QuerySearcher(&data, cfg), std::invalid_argument)
+          << MeasureName(m) << " k=" << banding.hashes_per_band;
+    }
+  }
+}
+
 // --- pipeline / top-k warm start ---
 
 TEST(PipelineWarmStart, WarmRunsIdenticalAndHashLess) {

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -198,6 +199,22 @@ TEST(MultiProbeCandidatesTest, PairsAreOrderedAndUnique) {
     EXPECT_TRUE(seen.insert({a, b}).second);
   }
   EXPECT_GE(probed.raw_emitted, probed.pairs.size());
+}
+
+TEST(MultiProbeCandidatesTest, UnbandableShapeRejected) {
+  // The banding shapes the join, the searcher and the index refuse: a
+  // band key past 64 bits, or no band at all.
+  const Workload w = MakeCosineWorkload(50, 16);
+  const SrpHasher hasher(w.gaussians.get());
+  BitSignatureStore store(&w.data, hasher);
+  MultiProbeParams wide;
+  wide.hashes_per_band = 65;
+  EXPECT_THROW(MultiProbeCosineCandidates(&store, 0.7, wide),
+               std::invalid_argument);
+  MultiProbeParams none;
+  none.max_bands = 0;  // Derives l = 0.
+  EXPECT_THROW(MultiProbeCosineCandidates(&store, 0.7, none),
+               std::invalid_argument);
 }
 
 TEST(MultiProbeCandidatesTest, DerivedBandsReachTargetRecall) {

@@ -462,9 +462,9 @@ TEST(QuerySearchThreadDeterminismTest, EuclideanLite) {
 }
 
 TEST(MultiProbeThreadDeterminismTest, IdenticalAcrossThreadCounts) {
-  // Multi-probe generation shards band-by-band; the candidate list (and
-  // the raw pre-dedup tally) must be bit-identical between the inline run
-  // and an 8-thread pool.
+  // Multi-probe generation shards band-by-band; the candidate list, the
+  // raw pre-dedup tally and the store's generation-hash tally must be
+  // identical between the inline run and 2- and 8-thread pools.
   const Dataset data = TextWeighted(26, 500);
   const auto gauss = std::make_shared<ImplicitGaussianSource>(uint64_t{31});
   MultiProbeParams mp;
@@ -486,6 +486,8 @@ TEST(MultiProbeThreadDeterminismTest, IdenticalAcrossThreadCounts) {
       EXPECT_EQ(base.pairs[i], got.pairs[i]) << threads << " threads";
     }
     EXPECT_EQ(base.raw_emitted, got.raw_emitted) << threads << " threads";
+    EXPECT_EQ(serial_store.computed(), store.computed())
+        << threads << " threads";
   }
 }
 
