@@ -88,39 +88,8 @@ std::vector<ScoredPair> BayesLshLiteVerify(
     double threshold, const BayesLshParams& params,
     VerifyStats* stats = nullptr);
 
-extern template std::vector<ScoredPair>
-BayesLshVerify<JaccardPosterior, IntSignatureStore>(
-    const JaccardPosterior&, IntSignatureStore*,
-    const std::vector<std::pair<uint32_t, uint32_t>>&, const BayesLshParams&,
-    VerifyStats*);
-extern template std::vector<ScoredPair>
-BayesLshVerify<CosinePosterior, BitSignatureStore>(
-    const CosinePosterior&, BitSignatureStore*,
-    const std::vector<std::pair<uint32_t, uint32_t>>&, const BayesLshParams&,
-    VerifyStats*);
-extern template std::vector<ScoredPair>
-BayesLshLiteVerify<JaccardPosterior, IntSignatureStore>(
-    const JaccardPosterior&, IntSignatureStore*,
-    const std::vector<std::pair<uint32_t, uint32_t>>&, uint32_t,
-    const std::function<double(uint32_t, uint32_t)>&, double,
-    const BayesLshParams&, VerifyStats*);
-extern template std::vector<ScoredPair>
-BayesLshLiteVerify<CosinePosterior, BitSignatureStore>(
-    const CosinePosterior&, BitSignatureStore*,
-    const std::vector<std::pair<uint32_t, uint32_t>>&, uint32_t,
-    const std::function<double(uint32_t, uint32_t)>&, double,
-    const BayesLshParams&, VerifyStats*);
-extern template std::vector<ScoredPair>
-BayesLshVerify<BbitMinwisePosterior, BbitSignatureStore>(
-    const BbitMinwisePosterior&, BbitSignatureStore*,
-    const std::vector<std::pair<uint32_t, uint32_t>>&, const BayesLshParams&,
-    VerifyStats*);
-extern template std::vector<ScoredPair>
-BayesLshLiteVerify<BbitMinwisePosterior, BbitSignatureStore>(
-    const BbitMinwisePosterior&, BbitSignatureStore*,
-    const std::vector<std::pair<uint32_t, uint32_t>>&, uint32_t,
-    const std::function<double(uint32_t, uint32_t)>&, double,
-    const BayesLshParams&, VerifyStats*);
+// Defined in core/bayes_lsh_impl.h; core/bayes_lsh.cc instantiates both
+// engines for the built-in (model, store) pairs.
 
 }  // namespace bayeslsh
 

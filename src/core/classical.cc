@@ -1,9 +1,8 @@
 #include "core/classical.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "core/parallel_verify.h"
-#include "lsh/srp_hasher.h"
 
 namespace bayeslsh {
 
@@ -16,33 +15,28 @@ template <typename VerifyFn>
 std::vector<ScoredPair> ShardedVerify(
     const std::vector<std::pair<uint32_t, uint32_t>>& pairs, ThreadPool* pool,
     ClassicalStats* stats, const VerifyFn& verify) {
-  ClassicalStats local;
-  local.pairs_in = pairs.size();
-  std::vector<ScoredPair> out;
-  if (pool == nullptr || pool->num_threads() <= 1 ||
-      pairs.size() < kMinPairsPerShard * pool->num_threads()) {
-    for (size_t i = 0; i < pairs.size(); ++i) verify(i, &out, &local);
-  } else {
-    const uint32_t num_shards = pool->num_threads();
-    struct Shard {
-      std::vector<ScoredPair> out;
-      ClassicalStats stats;
-    };
-    std::vector<Shard> shards(num_shards);
-    pool->RunShards(pairs.size(),
-                    [&](uint32_t s, uint64_t begin, uint64_t end) {
-                      for (uint64_t i = begin; i < end; ++i) {
-                        verify(i, &shards[s].out, &shards[s].stats);
-                      }
-                    });
-    for (Shard& shard : shards) {
-      out.insert(out.end(), shard.out.begin(), shard.out.end());
-      local.accepted += shard.stats.accepted;
-      local.hashes_compared += shard.stats.hashes_compared;
-    }
-  }
-  if (stats != nullptr) *stats = local;
-  return out;
+  struct Part {
+    std::vector<ScoredPair> out;
+    ClassicalStats stats;
+  };
+  const bool shard = pool != nullptr &&
+                     pairs.size() >= kMinPairsPerShard * pool->num_threads();
+  Part all = ParallelReduce(
+      shard ? pool : nullptr, pairs.size(), Part{},
+      [&](uint32_t, uint64_t begin, uint64_t end) {
+        Part part;
+        for (uint64_t i = begin; i < end; ++i) verify(i, &part.out, &part.stats);
+        return part;
+      },
+      [](Part acc, Part part) {
+        acc.out.insert(acc.out.end(), part.out.begin(), part.out.end());
+        acc.stats.accepted += part.stats.accepted;
+        acc.stats.hashes_compared += part.stats.hashes_compared;
+        return acc;
+      });
+  all.stats.pairs_in = pairs.size();
+  if (stats != nullptr) *stats = all.stats;
+  return std::move(all.out);
 }
 
 }  // namespace
@@ -63,17 +57,18 @@ std::vector<ScoredPair> ExactVerify(
       });
 }
 
-std::vector<ScoredPair> MleVerifyCosine(
-    BitSignatureStore* store,
-    const std::vector<std::pair<uint32_t, uint32_t>>& pairs, double threshold,
-    uint32_t num_hashes, ClassicalStats* stats, ThreadPool* pool) {
+template <typename Store>
+std::vector<ScoredPair> MleVerify(
+    Store* store, const std::vector<std::pair<uint32_t, uint32_t>>& pairs,
+    double threshold, uint32_t num_hashes, double (*estimate)(double),
+    ClassicalStats* stats, ThreadPool* pool) {
   const bool parallel = pool != nullptr && pool->num_threads() > 1 &&
                         pairs.size() >= kMinPairsPerShard * pool->num_threads();
   if (parallel) {
     // Fixed verification depth: prefetching involved rows to num_hashes is
     // exactly what the sequential lazy path hashes, so the tally matches.
-    store->AddComputed(
-        internal::PrefetchPairRows(store, pairs, num_hashes, pool));
+    internal::PrefetchRows(store, internal::PairRows(pairs, store->num_rows()),
+                           num_hashes, pool);
   }
   return ShardedVerify(
       pairs, parallel ? pool : nullptr, stats,
@@ -84,7 +79,7 @@ std::vector<ScoredPair> MleVerifyCosine(
             parallel ? store->MatchCountReadOnly(a, b, 0, num_hashes)
                      : store->MatchCount(a, b, 0, num_hashes);
         st->hashes_compared += num_hashes;
-        const double est = SrpRToCosine(static_cast<double>(m) / num_hashes);
+        const double est = estimate(static_cast<double>(m) / num_hashes);
         if (est >= threshold) {
           out->push_back({a, b, est});
           ++st->accepted;
@@ -92,31 +87,11 @@ std::vector<ScoredPair> MleVerifyCosine(
       });
 }
 
-std::vector<ScoredPair> MleVerifyJaccard(
-    IntSignatureStore* store,
-    const std::vector<std::pair<uint32_t, uint32_t>>& pairs, double threshold,
-    uint32_t num_hashes, ClassicalStats* stats, ThreadPool* pool) {
-  const bool parallel = pool != nullptr && pool->num_threads() > 1 &&
-                        pairs.size() >= kMinPairsPerShard * pool->num_threads();
-  if (parallel) {
-    store->AddComputed(
-        internal::PrefetchPairRows(store, pairs, num_hashes, pool));
-  }
-  return ShardedVerify(
-      pairs, parallel ? pool : nullptr, stats,
-      [&, parallel](size_t i, std::vector<ScoredPair>* out,
-                    ClassicalStats* st) {
-        const auto& [a, b] = pairs[i];
-        const uint32_t m =
-            parallel ? store->MatchCountReadOnly(a, b, 0, num_hashes)
-                     : store->MatchCount(a, b, 0, num_hashes);
-        st->hashes_compared += num_hashes;
-        const double est = static_cast<double>(m) / num_hashes;
-        if (est >= threshold) {
-          out->push_back({a, b, est});
-          ++st->accepted;
-        }
-      });
-}
+template std::vector<ScoredPair> MleVerify(
+    BitSignatureStore*, const std::vector<std::pair<uint32_t, uint32_t>>&,
+    double, uint32_t, double (*)(double), ClassicalStats*, ThreadPool*);
+template std::vector<ScoredPair> MleVerify(
+    IntSignatureStore*, const std::vector<std::pair<uint32_t, uint32_t>>&,
+    double, uint32_t, double (*)(double), ClassicalStats*, ThreadPool*);
 
 }  // namespace bayeslsh

@@ -2,11 +2,14 @@
 //
 //  * ExactVerify      — compute every candidate's exact similarity; keep
 //                       pairs >= threshold ("LSH" / exact baselines).
-//  * MLE verification — estimate the similarity as the match fraction over
-//                       a *fixed* number of hashes ("LSH Approx"); keep
-//                       pairs whose estimate >= threshold. The fixed hash
-//                       count is the knob §3.1 shows cannot be tuned well,
-//                       which is BayesLSH's motivation.
+//  * MLE verification — estimate the similarity from the match fraction
+//                       over a *fixed* number of hashes ("LSH Approx");
+//                       keep pairs whose estimate >= threshold. The fixed
+//                       hash count is the knob §3.1 shows cannot be tuned
+//                       well, which is BayesLSH's motivation. One body,
+//                       MleVerify, serves every store; the estimator maps
+//                       the fraction to the similarity (MleVerifyCosine and
+//                       MleVerifyJaccard fix it).
 
 #ifndef BAYESLSH_CORE_CLASSICAL_H_
 #define BAYESLSH_CORE_CLASSICAL_H_
@@ -18,6 +21,7 @@
 
 #include "common/thread_pool.h"
 #include "lsh/signature_store.h"
+#include "lsh/srp_hasher.h"
 #include "sim/brute_force.h"
 #include "sim/similarity.h"
 #include "vec/dataset.h"
@@ -42,23 +46,42 @@ std::vector<ScoredPair> ExactVerify(
     const std::function<double(uint32_t, uint32_t)>& exact_sim,
     ClassicalStats* stats = nullptr, ThreadPool* pool = nullptr);
 
+// MLE verification: a pair's estimate is estimate(m / n), its match
+// fraction over a fixed n = num_hashes hashes mapped to the similarity
+// axis. The parallel path pre-hashes every involved row to num_hashes
+// (exactly the set and depth the sequential lazy path hashes), then
+// compares read-only. Instantiated for the bit and int stores.
+template <typename Store>
+std::vector<ScoredPair> MleVerify(
+    Store* store, const std::vector<std::pair<uint32_t, uint32_t>>& pairs,
+    double threshold, uint32_t num_hashes, double (*estimate)(double),
+    ClassicalStats* stats = nullptr, ThreadPool* pool = nullptr);
+
+// The Jaccard estimate of a minwise match fraction: the fraction itself
+// (an SRP collision rate maps to cosine through SrpRToCosine instead).
+inline double MinwiseRToJaccard(double r) { return r; }
+
 // MLE verification for cosine: m/n estimates the SRP collision probability
 // r, so the similarity estimate is r2c(m/n). Uses `num_hashes` bits per pair.
-// The parallel path pre-hashes every involved row to num_hashes (exactly the
-// set and depth the sequential lazy path hashes), then compares read-only.
-std::vector<ScoredPair> MleVerifyCosine(
+inline std::vector<ScoredPair> MleVerifyCosine(
     BitSignatureStore* store,
     const std::vector<std::pair<uint32_t, uint32_t>>& pairs, double threshold,
     uint32_t num_hashes, ClassicalStats* stats = nullptr,
-    ThreadPool* pool = nullptr);
+    ThreadPool* pool = nullptr) {
+  return MleVerify(store, pairs, threshold, num_hashes, SrpRToCosine, stats,
+                   pool);
+}
 
 // MLE verification for Jaccard: the estimate is the match fraction m/n
 // itself. Uses `num_hashes` minwise hashes per pair.
-std::vector<ScoredPair> MleVerifyJaccard(
+inline std::vector<ScoredPair> MleVerifyJaccard(
     IntSignatureStore* store,
     const std::vector<std::pair<uint32_t, uint32_t>>& pairs, double threshold,
     uint32_t num_hashes, ClassicalStats* stats = nullptr,
-    ThreadPool* pool = nullptr);
+    ThreadPool* pool = nullptr) {
+  return MleVerify(store, pairs, threshold, num_hashes, MinwiseRToJaccard,
+                   stats, pool);
+}
 
 }  // namespace bayeslsh
 

@@ -52,7 +52,11 @@ class InferenceCache {
   };
 
   // Memoized concentration test + MAP estimate at (m, n).
-  EstimateResult EstimateAt(uint32_t m, uint32_t n);
+  EstimateResult EstimateAt(uint32_t m, uint32_t n) {
+    EstimateResult out;
+    EstimateAtBatch(&m, 1, n, &out);
+    return out;
+  }
 
   // Batched EstimateAt: evaluates `count` match counts, all at the same
   // hash depth n, in one pass over the round's memo arrays (one round

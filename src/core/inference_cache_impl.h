@@ -55,26 +55,6 @@ uint32_t InferenceCache<Model>::RoundIndex(uint32_t n) const {
 }
 
 template <typename Model>
-typename InferenceCache<Model>::EstimateResult
-InferenceCache<Model>::EstimateAt(uint32_t m, uint32_t n) {
-  const uint32_t r = RoundIndex(n);
-  assert(m <= n);
-  int8_t& st = state_[r][m];
-  if (st < 0) {
-    ++stats_.concentration_misses;
-    const double est = model_->Estimate(static_cast<int>(m),
-                                        static_cast<int>(n));
-    const double conc = model_->Concentration(static_cast<int>(m),
-                                              static_cast<int>(n), delta_);
-    estimate_[r][m] = static_cast<float>(est);
-    st = (conc >= 1.0 - gamma_) ? 1 : 0;
-  } else {
-    ++stats_.concentration_hits;
-  }
-  return {st == 1, estimate_[r][m]};
-}
-
-template <typename Model>
 void InferenceCache<Model>::EstimateAtBatch(const uint32_t* ms,
                                             uint32_t count, uint32_t n,
                                             EstimateResult* out) {

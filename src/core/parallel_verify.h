@@ -1,33 +1,24 @@
-// Sharded candidate verification: the parallel drivers for the BayesLSH /
-// BayesLSH-Lite engines of core/bayes_lsh.h.
+// Sharded verification: ShardRounds, the one function that runs the rounds
+// of core/bayes_lsh_impl.h over a pool, for the parallel join engines
+// below and for QuerySearcher's within-query sharding (docs/ARCHITECTURE.md,
+// "Verification by claimed blocks"):
 //
-// Strategy (docs/ARCHITECTURE.md, "Concurrency model"):
+//   1. Prefetch: under the store's growth lock, held to the end, the rows
+//      the candidates reference are grown to one round (rounded up to
+//      whole chunks), where most candidates die. A frozen store skips it.
+//   2. Claim blocks: the candidates are cut into the caller's count of
+//      contiguous blocks, which the workers claim in increasing order
+//      from an atomic counter. Each worker owns one inference cache and
+//      one overflow shard for the rows that outlive the prefetch.
+//   3. Merge: block outputs concatenate in block order, which is candidate
+//      order, and stats are summed; overflow work joins the store's tally
+//      and overflow rows are merged back into the store.
 //
-//   1. Prefetch: every row appearing in the candidate list (found by
-//      marking one byte per row) is grown to the prefetch horizon (one
-//      signature chunk — enough for the first rounds, where the vast
-//      majority of candidates die), in parallel over disjoint row ranges.
-//   2. Claim blocks: the candidate list is cut into kBlocksPerWorker
-//      contiguous blocks per worker, and workers claim blocks in
-//      increasing order from an atomic counter until none is left. The
-//      expensive (deep-hashed) pairs bunch in parts of the (a, b)-sorted
-//      list, so a static one-range-per-worker split leaves workers idle.
-//      Each worker owns a private InferenceCache (memoization is
-//      per-worker) and a private overflow store for the rare pairs that
-//      outlive the horizon, and runs the same per-pair loop as the
-//      sequential engine over each block it claims.
-//   3. Merge: block outputs are concatenated in block order — which *is*
-//      candidate order, since blocks are contiguous ranges of the input —
-//      and per-worker stats are summed. Overflow hashing work is folded
-//      into the shared store's tally.
-//
-// Results are bit-identical to the sequential engines for any thread
-// count and any claiming order: hash values are pure functions of
-// (hasher, row, chunk), each pair's verdict depends only on its own match
-// counts, and the merge preserves input order. The only quantities that
-// legitimately vary with the thread count are cache hit/miss counters and
-// the hashing tally's overflow component (bounded by cross-worker
-// duplication of overflow rows).
+// Results are bit-identical to the serial loop for any thread count and
+// any claiming order: hash values are pure functions of (hasher, row,
+// chunk) and each candidate's verdict depends only on its own match
+// counts. Only the cache hit/miss counters and the tally's overflow
+// component (cross-worker duplication of overflow rows) vary.
 
 #ifndef BAYESLSH_CORE_PARALLEL_VERIFY_H_
 #define BAYESLSH_CORE_PARALLEL_VERIFY_H_
@@ -35,6 +26,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -47,36 +40,40 @@ namespace bayeslsh {
 // and the sequential engine is used directly.
 inline constexpr uint64_t kMinPairsPerShard = 64;
 
-// Candidate blocks per worker of the block-claiming verifier. Smaller
-// blocks even out the workers' finishing times; larger ones extend each
-// overflow row on fewer workers. On a 4,500-row cosine LSH join at 4
-// threads (4-vCPU x86-64), 64 left the slowest worker at ~1.1 s against
-// ~1.3 s with 16 and ~1.5 s with 4, for ~2% more overflow hashing.
+// Candidate blocks per worker of a sharded join. Smaller blocks even out
+// the workers' finishing times; larger ones extend each overflow row on
+// fewer workers. On a 4,500-row cosine LSH join at 4 threads (4-vCPU
+// x86-64), 64 left the slowest worker at ~1.1 s against ~1.3 s with 16
+// and ~1.5 s with 4, for ~2% more overflow hashing.
 inline constexpr uint32_t kBlocksPerWorker = 64;
 
 namespace internal {
 
-// Grows every row referenced by `pairs` to `horizon` hashes, sharded over
-// row ranges. Returns the total hashing work done (the caller folds it
-// into the store's tally).
-template <typename Store>
-uint64_t PrefetchPairRows(
-    Store* store, const std::vector<std::pair<uint32_t, uint32_t>>& pairs,
-    uint32_t horizon, ThreadPool* pool) {
-  std::vector<uint8_t> referenced(store->num_rows(), 0);
-  for (const auto& [a, b] : pairs) {
-    referenced[a] = 1;
-    referenced[b] = 1;
+// The rows `pairs` reference, ascending (one mark per row).
+inline std::vector<uint32_t> PairRows(
+    const std::vector<std::pair<uint32_t, uint32_t>>& pairs,
+    uint32_t num_rows) {
+  std::vector<uint8_t> referenced(num_rows, 0);
+  for (const auto& [a, b] : pairs) referenced[a] = referenced[b] = 1;
+  std::vector<uint32_t> rows;
+  for (uint32_t row = 0; row < num_rows; ++row) {
+    if (referenced[row] != 0) rows.push_back(row);
   }
-  return ParallelWorkSum(pool, referenced.size(), [&](uint64_t row) {
-    return referenced[row] != 0
-               ? store->EnsureRowUncounted(static_cast<uint32_t>(row), horizon)
-               : uint64_t{0};
-  });
+  return rows;
 }
 
-// Sums `from` into `into` (surviving_after_round element-wise; `from` may
-// be empty for workers that ran no blocks).
+// Grows `rows` to n hashes, sharded over `pool`, and merges the work into
+// the store's tally once.
+template <typename Store>
+void PrefetchRows(Store* store, std::span<const uint32_t> rows, uint32_t n,
+                  ThreadPool* pool) {
+  store->AddComputed(ParallelWorkSum(pool, rows.size(), [&](uint64_t i) {
+    return store->EnsureRowUncounted(rows[i], n);
+  }));
+}
+
+// Sums `from` into `into` (surviving_after_round element-wise; `from`'s
+// curve is `into`'s size, or empty for a worker that never ran).
 inline void MergeVerifyStats(VerifyStats* into, const VerifyStats& from) {
   into->accepted += from.accepted;
   into->pruned += from.pruned;
@@ -84,84 +81,102 @@ inline void MergeVerifyStats(VerifyStats* into, const VerifyStats& from) {
   into->exact_computed += from.exact_computed;
   into->hashes_compared += from.hashes_compared;
   for (size_t r = 0; r < from.surviving_after_round.size(); ++r) {
-    if (r >= into->surviving_after_round.size()) {
-      into->surviving_after_round.resize(r + 1, 0);
-    }
     into->surviving_after_round[r] += from.surviving_after_round[r];
   }
   into->cache.concentration_hits += from.cache.concentration_hits;
   into->cache.concentration_misses += from.cache.concentration_misses;
 }
 
-// Shared prefetch/claim/merge scaffolding of the two parallel drivers
-// below. `run_range(cache, match, begin, end, &out, &stats)` runs the
-// engine-specific per-pair loop over one block; everything else — the
-// prefetch, per-worker cache + overflow construction, block claiming and
-// the order-preserving merge — is engine-independent.
-template <typename Model, typename Store, typename RangeFn>
-std::vector<ScoredPair> ShardedVerifyDriver(
-    const Model& model, Store* store,
-    const std::vector<std::pair<uint32_t, uint32_t>>& pairs,
-    uint32_t cache_budget, const BayesLshParams& params, ThreadPool* pool,
-    VerifyStats* stats, const RangeFn& run_range) {
-  assert(params.hashes_per_round > 0 &&
-         cache_budget % params.hashes_per_round == 0);
-  const uint32_t rounds = cache_budget / params.hashes_per_round;
+// Verifies `count` candidates, whose rows are `rows`, in
+// `num_blocks` contiguous blocks claimed by `pool`'s workers (steps 1–3
+// above). cache_for(w) returns worker w's inference cache; run_block(cache,
+// overflow, begin, end, &out, &stats) runs the verification rounds over
+// candidates [begin, end) with matches through the worker's overflow
+// shard. *stats arrives with pairs_in set and the curve sized as the
+// caller wants it; the workers' counters are summed into it.
+template <typename Out, typename Store, typename CacheFor, typename RunBlock>
+std::vector<Out> ShardRounds(Store* store, std::span<const uint32_t> rows,
+                             uint32_t horizon, uint64_t count,
+                             uint32_t num_blocks, ThreadPool* pool,
+                             const CacheFor& cache_for,
+                             const RunBlock& run_block, VerifyStats* stats) {
+  const auto growth_lock = store->GrowthLock();
+  if (!store->frozen()) PrefetchRows(store, rows, horizon, pool);
 
-  // The horizon: one verification round (growth rounds it up to whole
-  // chunks).
-  store->AddComputed(
-      PrefetchPairRows(store, pairs, params.hashes_per_round, pool));
-
-  const uint32_t num_workers = pool->num_threads();
-  const auto num_blocks = static_cast<uint32_t>(std::min<uint64_t>(
-      pairs.size(), uint64_t{kBlocksPerWorker} * num_workers));
-  std::vector<std::vector<ScoredPair>> block_out(num_blocks);
   struct Worker {
     VerifyStats stats;
-    uint64_t overflow_work = 0;
+    std::optional<typename Store::OverflowShard> overflow;
   };
-  std::vector<Worker> workers(num_workers);
+  std::vector<Worker> workers(pool->num_threads());
+  std::vector<std::vector<Out>> block_out(num_blocks);
+  const size_t curve = stats->surviving_after_round.size();
   std::atomic<uint32_t> next_block{0};
   // One unit per worker; a nested call runs as worker 0 claiming every
   // block.
-  pool->RunShards(num_workers, [&](uint32_t w, uint64_t, uint64_t) {
+  pool->RunShards(workers.size(), [&](uint32_t w, uint64_t, uint64_t) {
     Worker& worker = workers[w];
-    worker.stats.surviving_after_round.assign(rounds + 1, 0);
-    InferenceCache<Model> cache(&model, params.hashes_per_round,
-                                cache_budget, params.epsilon, params.delta,
-                                params.gamma);
-    typename Store::OverflowShard overflow(store);
-    const auto match = [&overflow](uint32_t a, uint32_t b, uint32_t from,
-                                   uint32_t to) {
-      return overflow.MatchCount(a, b, from, to);
-    };
+    worker.stats.surviving_after_round.assign(curve, 0);
+    auto& cache = cache_for(w);
+    auto& overflow = worker.overflow.emplace(store);
     for (uint32_t block;
          (block = next_block.fetch_add(1, std::memory_order_relaxed)) <
          num_blocks;) {
-      run_range(cache, match,
-                ThreadPool::ShardBegin(pairs.size(), block, num_blocks),
-                ThreadPool::ShardBegin(pairs.size(), block + 1, num_blocks),
+      run_block(cache, overflow,
+                ThreadPool::ShardBegin(count, block, num_blocks),
+                ThreadPool::ShardBegin(count, block + 1, num_blocks),
                 &block_out[block], &worker.stats);
     }
-    worker.stats.cache = cache.stats();
-    worker.overflow_work = overflow.computed();
   });
 
-  std::vector<ScoredPair> out;
-  VerifyStats merged;
-  merged.pairs_in = pairs.size();
-  merged.surviving_after_round.assign(rounds + 1, 0);
-  uint64_t overflow_total = 0;
-  for (const std::vector<ScoredPair>& block : block_out) {
+  std::vector<Out> out;
+  for (const std::vector<Out>& block : block_out) {
     out.insert(out.end(), block.begin(), block.end());
   }
-  for (const Worker& worker : workers) {
-    MergeVerifyStats(&merged, worker.stats);
-    overflow_total += worker.overflow_work;
+  uint64_t overflow_work = 0;
+  for (Worker& worker : workers) {
+    MergeVerifyStats(stats, worker.stats);
+    if (!worker.overflow.has_value()) continue;
+    overflow_work += worker.overflow->computed();
+    worker.overflow->MergeInto(store);
   }
-  store->AddComputed(overflow_total);
-  if (stats != nullptr) *stats = merged;
+  store->AddComputed(overflow_work);
+  return out;
+}
+
+// Both parallel join engines: the serial join when the pool is
+// single-threaded or the list too small to shard profitably, else
+// ShardRounds over kBlocksPerWorker blocks per worker, each with its cache.
+template <typename Model, typename Store>
+std::vector<ScoredPair> VerifyJoinParallel(
+    const Model& model, Store* store,
+    const std::vector<std::pair<uint32_t, uint32_t>>& pairs, uint32_t budget,
+    const std::function<double(uint32_t, uint32_t)>* exact_sim,
+    double threshold, const BayesLshParams& params, ThreadPool* pool,
+    VerifyStats* stats) {
+  const uint32_t workers = pool == nullptr ? 1 : pool->num_threads();
+  if (workers <= 1 || pairs.size() < kMinPairsPerShard * workers) {
+    return VerifyJoin(model, store, pairs, budget, exact_sim, threshold,
+                      params, stats);
+  }
+  VerifyStats local = JoinStats(pairs.size(), budget, params);
+  std::vector<std::optional<InferenceCache<Model>>> caches(workers);
+  std::vector<ScoredPair> out = ShardRounds<ScoredPair>(
+      store, PairRows(pairs, store->num_rows()), params.hashes_per_round,
+      pairs.size(),
+      static_cast<uint32_t>(std::min<uint64_t>(
+          pairs.size(), uint64_t{kBlocksPerWorker} * workers)),
+      pool,
+      [&](uint32_t w) -> InferenceCache<Model>& {
+        return caches[w].emplace(&model, params.hashes_per_round, budget,
+                                 params.epsilon, params.delta, params.gamma);
+      },
+      [&](InferenceCache<Model>& cache, auto& overflow, uint64_t begin,
+          uint64_t end, std::vector<ScoredPair>* block_out, VerifyStats* st) {
+        JoinRounds(model, cache, &overflow, pairs, begin, end, exact_sim,
+                   threshold, block_out, st);
+      },
+      &local);
+  if (stats != nullptr) *stats = local;
   return out;
 }
 
@@ -177,17 +192,8 @@ std::vector<ScoredPair> BayesLshVerifyParallel(
     const std::vector<std::pair<uint32_t, uint32_t>>& pairs,
     const BayesLshParams& params, ThreadPool* pool,
     VerifyStats* stats = nullptr) {
-  if (pool == nullptr || pool->num_threads() <= 1 ||
-      pairs.size() < kMinPairsPerShard * pool->num_threads()) {
-    return BayesLshVerify(model, store, pairs, params, stats);
-  }
-  return internal::ShardedVerifyDriver(
-      model, store, pairs, params.max_hashes, params, pool, stats,
-      [&](InferenceCache<Model>& cache, const auto& match, uint64_t begin,
-          uint64_t end, std::vector<ScoredPair>* out, VerifyStats* st) {
-        internal::BayesVerifyPairRange(model, cache, match, pairs, begin,
-                                       end, out, st);
-      });
+  return internal::VerifyJoinParallel(model, store, pairs, params.max_hashes,
+                                      nullptr, 0.0, params, pool, stats);
 }
 
 // BayesLSH-Lite (Algorithm 2), sharded across `pool`. exact_sim must be
@@ -199,18 +205,9 @@ std::vector<ScoredPair> BayesLshLiteVerifyParallel(
     uint32_t max_prune_hashes, const ExactFn& exact_sim, double threshold,
     const BayesLshParams& params, ThreadPool* pool,
     VerifyStats* stats = nullptr) {
-  if (pool == nullptr || pool->num_threads() <= 1 ||
-      pairs.size() < kMinPairsPerShard * pool->num_threads()) {
-    return BayesLshLiteVerify(model, store, pairs, max_prune_hashes,
-                              exact_sim, threshold, params, stats);
-  }
-  return internal::ShardedVerifyDriver(
-      model, store, pairs, max_prune_hashes, params, pool, stats,
-      [&](InferenceCache<Model>& cache, const auto& match, uint64_t begin,
-          uint64_t end, std::vector<ScoredPair>* out, VerifyStats* st) {
-        internal::LiteVerifyPairRange(cache, match, exact_sim, threshold,
-                                      pairs, begin, end, out, st);
-      });
+  const std::function<double(uint32_t, uint32_t)> exact(exact_sim);
+  return internal::VerifyJoinParallel(model, store, pairs, max_prune_hashes,
+                                      &exact, threshold, params, pool, stats);
 }
 
 }  // namespace bayeslsh

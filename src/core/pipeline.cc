@@ -129,18 +129,6 @@ const PersistentIndex* ResolveWarmIndex(const PipelineConfig& config,
   return warm;
 }
 
-std::vector<ScoredPair> MleVerify(BitSignatureStore* store,
-                                  const CandidateList& candidates, double t,
-                                  uint32_t n, ThreadPool* pool) {
-  return MleVerifyCosine(store, candidates.pairs, t, n, nullptr, pool);
-}
-
-std::vector<ScoredPair> MleVerify(IntSignatureStore* store,
-                                  const CandidateList& candidates, double t,
-                                  uint32_t n, ThreadPool* pool) {
-  return MleVerifyJaccard(store, candidates.pairs, t, n, nullptr, pool);
-}
-
 }  // namespace
 
 std::string AlgorithmName(const PipelineConfig& config) {
@@ -282,7 +270,10 @@ PipelineResult RunPipeline(const Dataset& data, const PipelineConfig& config) {
     const auto verify = [&](const auto& model, auto* store) {
       switch (verifier) {
         case VerifierKind::kMle:
-          return MleVerify(store, candidates, t, mle_n, pool);
+          return MleVerify(
+              store, candidates.pairs, t, mle_n,
+              traits.bit_signatures ? SrpRToCosine : MinwiseRToJaccard,
+              nullptr, pool);
         case VerifierKind::kBayesLsh:
           return BayesLshVerifyParallel(model, store, candidates.pairs,
                                         bayes, pool, &result.vstats);

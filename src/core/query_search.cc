@@ -1,7 +1,6 @@
 #include "core/query_search.h"
 
 #include <algorithm>
-#include <array>
 #include <cassert>
 #include <functional>
 #include <memory>
@@ -9,12 +8,10 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <type_traits>
 #include <utility>
 
 #include "candgen/banding_index.h"
 #include "common/bit_ops.h"
-#include "common/prng.h"
 #include "common/thread_pool.h"
 #include "core/bbit_posterior.h"
 #include "core/cosine_posterior.h"
@@ -22,6 +19,7 @@
 #include "core/inference_cache.h"
 #include "core/jaccard_posterior.h"
 #include "core/measure_table.h"
+#include "core/parallel_verify.h"
 #include "euclidean/distance_posterior.h"
 #include "lsh/bbit_minwise.h"
 
@@ -32,12 +30,15 @@ namespace {
 // Below this many candidates per worker a query is verified sequentially.
 constexpr uint64_t kMinQueryCandidatesPerShard = 16;
 
-// Candidates the verify loop drives side by side, so each round's
-// posterior updates share one batched inference-cache pass.
-// perfbench/blsh_trace.cc replays the serial path with the same width.
+// Candidates a query drives side by side through the verification loop
+// (internal::VerifyRounds), so each round's posterior updates share one
+// batched inference-cache pass; joins run one at a time
+// (internal::kJoinWidth says why). perfbench/blsh_trace.cc's query replay
+// copies these 8-wide EstimateAtBatch rounds.
 constexpr uint32_t kVerifyBlock = 8;
 
-// A mutex-guarded pool of inference caches. Every serving path leases the
+// A posterior model (threshold-bound, hence per-searcher) and a
+// mutex-guarded pool of its inference caches. Every serving path leases the
 // caches it needs for one call (one for a serial query, one per worker for
 // a sharded query or a batch) and returns them afterwards, so concurrent
 // Query()/QueryBatch() callers never share a cache — the memoized state
@@ -47,16 +48,17 @@ constexpr uint32_t kVerifyBlock = 8;
 template <typename Model>
 class CachePool {
  public:
-  void Configure(const Model* model, uint32_t hashes_per_round,
-                 uint32_t max_hashes, double epsilon, double delta,
-                 double gamma) {
-    model_ = model;
-    k_ = hashes_per_round;
-    budget_ = max_hashes;
-    epsilon_ = epsilon;
-    delta_ = delta;
-    gamma_ = gamma;
+  // Serves caches for `model` over `budget` hashes per candidate, in
+  // rounds of params.hashes_per_round.
+  void Configure(const Model& model, const BayesLshParams& params,
+                 uint32_t budget) {
+    model_.emplace(model);
+    params_ = params;
+    budget_ = budget;
   }
+
+  // The model, or null until Configure().
+  const Model* model() const { return model_ ? &*model_ : nullptr; }
 
   std::vector<InferenceCache<Model>*> Acquire(uint32_t n) {
     std::lock_guard<std::mutex> lock(mu_);
@@ -68,7 +70,8 @@ class CachePool {
         free_.pop_back();
       } else {
         owned_.push_back(std::make_unique<InferenceCache<Model>>(
-            model_, k_, budget_, epsilon_, delta_, gamma_));
+            &*model_, params_.hashes_per_round, budget_, params_.epsilon,
+            params_.delta, params_.gamma));
         out.push_back(owned_.back().get());
       }
     }
@@ -81,12 +84,9 @@ class CachePool {
   }
 
  private:
-  const Model* model_ = nullptr;
-  uint32_t k_ = 0;
+  std::optional<Model> model_;
+  BayesLshParams params_;
   uint32_t budget_ = 0;
-  double epsilon_ = 0.0;
-  double delta_ = 0.0;
-  double gamma_ = 0.0;
 
   std::mutex mu_;
   std::vector<std::unique_ptr<InferenceCache<Model>>> owned_;
@@ -113,8 +113,9 @@ class CacheLease {
 
 // A query's verification signature, hashed on demand: To(n) extends it to
 // cover hash positions [0, n) and returns it. `extend` appends to the
-// signature in the store's layout; a copy carries its own signature and
-// extension state.
+// signature in the store's layout; it runs only when n passes the deepest
+// position asked for so far, so once a signature covers n, To(m <= n)
+// only reads and workers may share it.
 template <typename Word>
 class QuerySignature {
  public:
@@ -123,13 +124,17 @@ class QuerySignature {
   explicit QuerySignature(Extend extend) : extend_(std::move(extend)) {}
 
   const Word* To(uint32_t n) {
-    extend_(n, &sig_);
+    if (n > covered_) {
+      extend_(n, &sig_);
+      covered_ = n;
+    }
     return sig_.data();
   }
 
  private:
   Extend extend_;
   std::vector<Word> sig_;
+  uint32_t covered_ = 0;
 };
 
 }  // namespace
@@ -168,12 +173,7 @@ struct QuerySearcher::Impl {
   // The engaged one, through its layout-independent lifecycle.
   SignatureStoreBase* store = nullptr;
 
-  // Posterior models (threshold-bound, hence per-searcher) and the pools
-  // their per-call inference caches are leased from.
-  std::optional<CosinePosterior> cos_model;
-  std::optional<JaccardPosterior> jac_model;
-  std::optional<BbitMinwisePosterior> bbit_model;
-  std::optional<EuclideanPosterior> euc_model;
+  // The posterior models and their cache pools (one configured).
   mutable CachePool<CosinePosterior> cos_pool;
   mutable CachePool<JaccardPosterior> jac_pool;
   mutable CachePool<BbitMinwisePosterior> bbit_pool;
@@ -207,30 +207,22 @@ struct QuerySearcher::Impl {
   void Init(const Dataset* d, const QuerySearchConfig& config,
             const MeasureSpec& spec);
 
-  // Candidate ids from the buckets the query falls into (sorted, unique).
-  std::vector<uint32_t> CollectCandidates(const SparseVectorView& q) const;
-
-  // Exact score of collection row vs the query on the measure's score axis
-  // (negated distance for Euclidean; compare against score_threshold). A
-  // cosine query must be pre-normalized.
-  double ExactSim(uint32_t row, const SparseVectorView& q) const {
-    return family->Score(data->Row(row), q);
-  }
+  // A KLSH query's anchor kernel row (null for the other measures).
+  using KernelRow = std::shared_ptr<const std::vector<double>>;
 
   // A vector's signature in the bit layout, hashed on demand with the
   // generation or verification family. `row` is v's collection row id (so
   // KLSH takes its anchor kernel row from the shared row cache), or
-  // kNoStoreRow for a query: a KLSH query's anchor kernel row is computed
-  // once here and reused by every chunk (the chunk hasher's
-  // external-vector fallback would redo the p kernel evaluations per
-  // chunk).
+  // kNoStoreRow for a query, whose KLSH anchor kernel row is `krow`,
+  // reused by every chunk (the chunk hasher's external-vector fallback
+  // would redo the p kernel evaluations per chunk).
   QuerySignature<uint64_t> BitSignature(const SparseVectorView& v,
-                                        uint32_t row, bool generation) const {
+                                        uint32_t row, bool generation,
+                                        KernelRow krow) const {
     const HashStream& stream = generation ? gen : ver;
     std::function<uint64_t(uint32_t)> chunk;
     if (stream.klsh != nullptr && row == kNoStoreRow) {
-      auto krow = std::make_shared<const std::vector<double>>(
-          stream.klsh->AnchorKernelRow(v));
+      assert(krow != nullptr);
       chunk = [h = stream.klsh.get(), krow = std::move(krow)](uint32_t c) {
         return h->HashChunk(*krow, c);
       };
@@ -265,13 +257,15 @@ struct QuerySearcher::Impl {
 
   // v's generation signature, l*k hashes deep, handed to f as the span
   // BandingIndex keys (bit words or hash values) — the banding paths' one
-  // branch on the generation family. `row` is as for BitSignature.
+  // branch on the generation family. `row` and `krow` are as for
+  // BitSignature.
   template <typename F>
   void WithGenerationSignature(const SparseVectorView& v, uint32_t row,
-                               F&& f) const {
+                               const KernelRow& krow, F&& f) const {
     const uint32_t n = l * k;
     if (gen.bits != nullptr) {
-      QuerySignature<uint64_t> sig = BitSignature(v, row, /*generation=*/true);
+      QuerySignature<uint64_t> sig =
+          BitSignature(v, row, /*generation=*/true, krow);
       return f(std::span<const uint64_t>(sig.To(n), WordsForBits(n)));
     }
     QuerySignature<uint32_t> sig = IntSignature(v, row, /*generation=*/true);
@@ -284,28 +278,32 @@ struct QuerySearcher::Impl {
   // measure.
   template <typename F>
   void WithModel(F&& f) const {
-    if (cos_model.has_value()) return f(*cos_model, cos_pool, *bits);
-    if (bbit_model.has_value()) return f(*bbit_model, bbit_pool, *bbits);
-    if (euc_model.has_value()) return f(*euc_model, euc_pool, *ints);
-    f(*jac_model, jac_pool, *ints);
+    if (cos_pool.model()) return f(*cos_pool.model(), cos_pool, *bits);
+    if (bbit_pool.model()) return f(*bbit_pool.model(), bbit_pool, *bbits);
+    if (euc_pool.model()) return f(*euc_pool.model(), euc_pool, *ints);
+    f(*jac_pool.model(), jac_pool, *ints);
   }
 
   // The query's verification signature in `store`'s layout, one overload
-  // per store kind: packed bit words, full-width hash values, or packed
-  // b-bit groups (the query is hashed with the full-width minwise hasher
-  // and the low b bits packed into the store's group layout).
+  // per store kind: packed bit words (from q's QueryKernelRow `krow` for
+  // KLSH), full-width hash values, or packed b-bit groups (the query is
+  // hashed with the full-width minwise hasher and the low b bits packed
+  // into the store's group layout).
   QuerySignature<uint64_t> VerificationQuery(const BitSignatureStore&,
-                                             const SparseVectorView& q) const {
-    return BitSignature(q, kNoStoreRow, /*generation=*/false);
+                                             const SparseVectorView& q,
+                                             const KernelRow& krow) const {
+    return BitSignature(q, kNoStoreRow, /*generation=*/false, krow);
   }
 
   QuerySignature<uint32_t> VerificationQuery(const IntSignatureStore&,
-                                             const SparseVectorView& q) const {
+                                             const SparseVectorView& q,
+                                             const KernelRow&) const {
     return IntSignature(q, kNoStoreRow, /*generation=*/false);
   }
 
   QuerySignature<uint64_t> VerificationQuery(const BbitSignatureStore& store,
-                                             const SparseVectorView& q) const {
+                                             const SparseVectorView& q,
+                                             const KernelRow&) const {
     return QuerySignature<uint64_t>(
         [h = &*ver.minwise, q, b = store.layout().bits_per_hash(),
          full = std::vector<uint32_t>()](uint32_t n,
@@ -325,160 +323,52 @@ struct QuerySearcher::Impl {
         });
   }
 
-  // The verify loop: BayesLSH (paper Algorithm 1), or BayesLSH-Lite's
-  // pruning rounds plus exact verification (Algorithm 2), over
-  // `candidates`, appending the accepted ones to *out in candidate order.
-  // Candidates run in blocks of kVerifyBlock, round by round: a round
-  // extends the query signature once, adds each undecided candidate's
-  // matches over the round's hashes (matcher.MatchAgainstQuery — the store
-  // on the serial path, a worker's overflow shard on the sharded one),
-  // prunes against the precomputed minimum match count, and pushes the
-  // survivors' posterior updates through one batched inference-cache pass
-  // (§4.3). A candidate's (m, n) trajectory depends on no other candidate
-  // and the cache memo is order-invariant, so decisions, similarities,
-  // stats and cache tallies are those of a one-at-a-time loop.
-  template <typename Model, typename Matcher, typename Word>
-  void Verify(const SparseVectorView& q, std::span<const uint32_t> candidates,
-              QuerySignature<Word>& query, Matcher& matcher,
-              const Model& model, InferenceCache<Model>& cache,
-              QueryStats& stats, std::vector<QueryMatch>* out) const {
-    const uint32_t kk = bayes.hashes_per_round;
-    const uint32_t budget = ServeBudget();
-    struct Slot {
-      uint32_t row = 0;
-      uint32_t m = 0;
-      double sim = 0.0;
-      bool done = false;
-      bool accepted = false;
-    };
-    std::array<Slot, kVerifyBlock> slots;
-    std::array<uint32_t, kVerifyBlock> ms;   // Survivor match counts.
-    std::array<uint32_t, kVerifyBlock> idx;  // Slot behind each ms entry.
-    std::array<typename InferenceCache<Model>::EstimateResult, kVerifyBlock>
-        res;
-    for (size_t base = 0; base < candidates.size(); base += kVerifyBlock) {
-      const auto bsz = static_cast<uint32_t>(
-          std::min<size_t>(kVerifyBlock, candidates.size() - base));
-      for (uint32_t i = 0; i < bsz; ++i) {
-        slots[i] = Slot{};
-        slots[i].row = candidates[base + i];
-      }
-      uint32_t active = bsz;
-      uint32_t n = 0;
-      while (active > 0 && n < budget) {
-        const Word* qsig = query.To(n + kk);
-        for (uint32_t i = 0; i < bsz; ++i) {
-          if (slots[i].done) continue;
-          slots[i].m += matcher.MatchAgainstQuery(slots[i].row, qsig, n,
-                                                  n + kk);
-          stats.hashes_compared += kk;
-        }
-        n += kk;
-        const uint32_t min_m = cache.MinMatches(n);
-        uint32_t survivors = 0;
-        for (uint32_t i = 0; i < bsz; ++i) {
-          Slot& s = slots[i];
-          if (s.done) continue;
-          if (s.m < min_m) {
-            s.done = true;
-            --active;
-            ++stats.pruned;
-          } else if (!cfg.exact_verification) {
-            ms[survivors] = s.m;
-            idx[survivors++] = i;
-          }
-        }
-        if (survivors == 0) continue;
-        cache.EstimateAtBatch(ms.data(), survivors, n, res.data());
-        for (uint32_t j = 0; j < survivors; ++j) {
-          if (!res[j].concentrated) continue;
-          Slot& s = slots[idx[j]];
-          s.done = s.accepted = true;
-          s.sim = res[j].estimate;
-          --active;
-        }
-      }
-      // Budget exhausted: the still-undecided slots all saw n hashes.
-      for (uint32_t i = 0; i < bsz; ++i) {
-        Slot& s = slots[i];
-        if (s.done) continue;
-        if (cfg.exact_verification) {
-          s.sim = ExactSim(s.row, q);
-          s.accepted = s.sim >= score_threshold;
-        } else {
-          // Forced accept at the MAP estimate (cf. Algorithm 1). Euclidean
-          // always verifies exactly, but its estimate is a distance: it
-          // would go on the score axis negated.
-          s.sim = model.Estimate(static_cast<int>(s.m), static_cast<int>(n));
-          if constexpr (std::is_same_v<Model, EuclideanPosterior>) {
-            s.sim = -s.sim;
-          }
-          s.accepted = true;
-        }
-      }
-      for (uint32_t i = 0; i < bsz; ++i) {
-        if (slots[i].accepted) out->push_back({slots[i].row, slots[i].sim});
-      }
+  // Hashes query q: probes the buckets it falls into for *candidates
+  // (sorted, unique) and returns its verification signature in `store`'s
+  // layout. A KLSH query's anchor kernel row (p kernel evaluations) is
+  // computed once for both: the two hash streams share the kernel and the
+  // anchors.
+  template <typename Store>
+  auto HashQuery(const Store& store, const SparseVectorView& q,
+                 std::vector<uint32_t>* candidates) const {
+    KernelRow krow;
+    if (gen.klsh != nullptr) {
+      krow = std::make_shared<const std::vector<double>>(
+          gen.klsh->AnchorKernelRow(q));
     }
+    WithGenerationSignature(q, kNoStoreRow, krow, [&](auto sig) {
+      banding->Probe(sig, candidates);
+    });
+    std::sort(candidates->begin(), candidates->end());
+    candidates->erase(std::unique(candidates->begin(), candidates->end()),
+                      candidates->end());
+    return VerificationQuery(store, q, krow);
   }
 
-  // Within-query sharded verification (the caller holds pool_mu_): the
-  // query is hashed to the full budget up front, candidate rows are
-  // prefetched to one round (growth rounds it up to whole chunks), and
-  // each worker runs the verify loop over its contiguous range of the
-  // candidates against a private overflow shard, whose beyond-horizon
-  // rows are folded back into the store afterwards.
-  // The caller's similarity sort makes the output independent of the
-  // thread count. On a frozen store the whole path is read-only: the
-  // growth lock is a no-op, the prefetch is skipped, and overflow shards
-  // never materialize rows.
-  template <typename Model, typename Store, typename Word>
-  void VerifySharded(const SparseVectorView& q,
-                     std::span<const uint32_t> candidates, Store& store,
-                     QuerySignature<Word>& query, const Model& model,
-                     CachePool<Model>& cache_pool, QueryStats& stats,
-                     std::vector<QueryMatch>* out) const {
-    ThreadPool* p = pool.get();
-    const CacheLease<Model> caches(&cache_pool, p->num_threads());
-    stats.threads_used = p->num_threads();
-    query.To(ServeBudget());
-
-    auto growth_lock = store.GrowthLock();
-    if (!store.frozen()) {
-      store.AddComputed(
-          ParallelWorkSum(p, candidates.size(), [&](uint64_t i) {
-            return store.EnsureRowUncounted(candidates[i],
-                                            bayes.hashes_per_round);
-          }));
-    }
-
-    struct Shard {
-      std::vector<QueryMatch> out;
-      QueryStats stats;
-      std::optional<typename Store::OverflowShard> overflow;
+  // The verification loop (internal::VerifyRounds, kVerifyBlock wide)
+  // over candidates [begin, end) of query q, whose verification signature
+  // is `query`: BayesLSH, or with exact_verification BayesLSH-Lite's
+  // pruning rounds plus exact scores on the measure's score axis (a cosine
+  // query must be pre-normalized). `matcher` is the store (serial and
+  // batch paths) or a worker's overflow shard (within-query sharding).
+  // Accepted candidates are appended to *out in candidate order.
+  template <typename Model, typename Matcher, typename Word>
+  void Rounds(const SparseVectorView& q, std::span<const uint32_t> candidates,
+              uint64_t begin, uint64_t end, Matcher& matcher,
+              QuerySignature<Word>& query, const Model& model,
+              InferenceCache<Model>& cache, std::vector<QueryMatch>* out,
+              VerifyStats* stats) const {
+    const auto match = [&](size_t i, uint32_t from, uint32_t to) {
+      return matcher.MatchAgainstQuery(candidates[i], query.To(to), from, to);
     };
-    std::vector<Shard> shards(p->num_threads());
-    p->RunShards(candidates.size(), [&](uint32_t s, uint64_t begin,
-                                        uint64_t end) {
-      Shard& sh = shards[s];
-      // A private copy of the full-budget signature: never extended.
-      QuerySignature<Word> worker_query = query;
-      Verify(q, candidates.subspan(begin, end - begin), worker_query,
-             sh.overflow.emplace(&store), model, caches[s], sh.stats,
-             &sh.out);
-    });
-    uint64_t overflow_total = 0;
-    for (Shard& sh : shards) {
-      out->insert(out->end(), sh.out.begin(), sh.out.end());
-      stats.MergeFrom(sh.stats);
-      if (sh.overflow.has_value()) {
-        overflow_total += sh.overflow->computed();
-        // Fold beyond-horizon signatures back into the persistent store
-        // so later queries reuse them (the hashing is already counted).
-        sh.overflow->MergeInto(&store);
-      }
-    }
-    store.AddComputed(overflow_total);
+    const auto exact = [&](size_t i) {
+      return family->Score(data->Row(candidates[i]), q);
+    };
+    internal::VerifyRounds<kVerifyBlock>(
+        model, cache, begin, end, match,
+        cfg.exact_verification ? &exact : nullptr, score_threshold,
+        [&](size_t i, double sim) { out->push_back({candidates[i], sim}); },
+        stats);
   }
 };
 
@@ -522,40 +412,24 @@ void QuerySearcher::Impl::Init(const Dataset* d,
   if (ver.bits != nullptr) {
     // SRP cosine, binary cosine and KLSH bits all obey the angle law.
     store = &bits.emplace(d, ver.bits);
-    cos_model.emplace(config.threshold);
-    cos_pool.Configure(&*cos_model, bayes.hashes_per_round, cache_budget,
-                       bayes.epsilon, bayes.delta, bayes.gamma);
+    cos_pool.Configure(CosinePosterior(config.threshold), bayes,
+                       cache_budget);
   } else if (config.bbit != 0) {
     store = &bbits.emplace(d, *ver.minwise, config.bbit);
-    bbit_model.emplace(config.threshold, config.bbit);
-    bbit_pool.Configure(&*bbit_model, bayes.hashes_per_round, cache_budget,
-                        bayes.epsilon, bayes.delta, bayes.gamma);
+    bbit_pool.Configure(BbitMinwisePosterior(config.threshold, config.bbit),
+                        bayes, cache_budget);
   } else if (traits.distance) {
     store = &ints.emplace(d, ver.ints);
-    euc_model.emplace(EuclideanPosterior::MakeForRadius(
-        config.threshold, fam.pstable_width()));
-    euc_pool.Configure(&*euc_model, bayes.hashes_per_round, cache_budget,
-                       bayes.epsilon, bayes.delta, bayes.gamma);
+    euc_pool.Configure(EuclideanPosterior::MakeForRadius(
+                           config.threshold, fam.pstable_width()),
+                       bayes, cache_budget);
   } else {
     // Minwise and ICWS collisions both obey Pr[h(x) = h(y)] = J, so the
     // Jaccard posterior (uniform prior in query mode) verifies both.
     store = &ints.emplace(d, ver.ints);
-    jac_model.emplace(config.threshold);
-    jac_pool.Configure(&*jac_model, bayes.hashes_per_round, cache_budget,
-                       bayes.epsilon, bayes.delta, bayes.gamma);
+    jac_pool.Configure(JaccardPosterior(config.threshold), bayes,
+                       cache_budget);
   }
-}
-
-std::vector<uint32_t> QuerySearcher::Impl::CollectCandidates(
-    const SparseVectorView& q) const {
-  std::vector<uint32_t> candidates;
-  WithGenerationSignature(q, kNoStoreRow, [&](auto sig) {
-    banding->Probe(sig, &candidates);
-  });
-  std::sort(candidates.begin(), candidates.end());
-  candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                   candidates.end());
-  return candidates;
 }
 
 QuerySearcher::QuerySearcher(const Dataset* data,
@@ -652,7 +526,7 @@ void QuerySearcher::SyncAppendedRows() {
     im.store->AppendRow();
     const SparseVectorView v = im.data->Row(row);
     if (v.empty()) continue;  // Never a candidate, as in the batch build.
-    im.WithGenerationSignature(v, row, [&](auto sig) {
+    im.WithGenerationSignature(v, row, nullptr, [&](auto sig) {
       im.banding_storage.Insert(sig, row);
     });
   }
@@ -679,31 +553,50 @@ std::vector<QueryMatch> QuerySearcher::Query(const SparseVectorView& q,
   QueryStats qs{.threads_used = 1};
   std::vector<QueryMatch> out;
   if (!q.empty()) {
-    // 1. Collect candidates from the buckets the query falls into.
-    const std::vector<uint32_t> candidates = im.CollectCandidates(q);
-    qs.candidates = candidates.size();
-
-    // 2. Verify them with incremental Bayesian pruning, using
-    //    verification-seed hashes (independent of the banding hashes).
-    //
-    // With a pool, enough candidates, and no batch in flight, verification
-    // shards over the candidate list. Every path produces identical
-    // results, so a busy pool degrades to serial instead of blocking.
     ThreadPool* pool = im.pool.get();
     std::unique_lock<std::mutex> pool_lock(im.pool_mu_, std::defer_lock);
-    const bool sharded =
-        pool != nullptr &&
-        candidates.size() >=
-            kMinQueryCandidatesPerShard * pool->num_threads() &&
-        pool_lock.try_lock();
     im.WithModel([&](const auto& model, auto& cache_pool, auto& store) {
-      auto query = im.VerificationQuery(store, q);
-      if (sharded) {
-        return im.VerifySharded(q, candidates, store, query, model,
-                                cache_pool, qs, &out);
+      // 1. Collect candidates from the buckets the query falls into.
+      std::vector<uint32_t> candidates;
+      auto query = im.HashQuery(store, q, &candidates);
+      qs.candidates = candidates.size();
+
+      // 2. Verify them with incremental Bayesian pruning, using
+      //    verification-seed hashes (independent of the banding hashes).
+      //
+      // With a pool, enough candidates, and no batch in flight,
+      // verification shards over the candidate list. Every path produces
+      // identical results, so a busy pool degrades to serial instead of
+      // blocking.
+      VerifyStats vs;
+      if (pool != nullptr &&
+          candidates.size() >=
+              kMinQueryCandidatesPerShard * pool->num_threads() &&
+          pool_lock.try_lock()) {
+        // Within-query sharding (internal::ShardRounds): the query is
+        // hashed to the full budget up front; one contiguous block of
+        // candidates per worker, each against its overflow shard and a
+        // leased cache. On a frozen store the whole path is read-only.
+        const uint32_t workers = pool->num_threads();
+        qs.threads_used = workers;
+        const CacheLease caches(&cache_pool, workers);
+        query.To(im.ServeBudget());
+        out = internal::ShardRounds<QueryMatch>(
+            &store, candidates, im.bayes.hashes_per_round, candidates.size(),
+            workers, pool, [&](uint32_t w) -> auto& { return caches[w]; },
+            [&](auto& cache, auto& overflow, uint64_t begin, uint64_t end,
+                std::vector<QueryMatch>* block_out, VerifyStats* st) {
+              im.Rounds(q, candidates, begin, end, overflow, query, model,
+                        cache, block_out, st);
+            },
+            &vs);
+      } else {
+        const CacheLease cache(&cache_pool, 1);
+        im.Rounds(q, candidates, 0, candidates.size(), store, query, model,
+                  cache[0], &out, &vs);
       }
-      const CacheLease cache(&cache_pool, 1);
-      im.Verify(q, candidates, query, store, model, cache[0], qs, &out);
+      qs.pruned = vs.pruned;
+      qs.hashes_compared = vs.hashes_compared;
     });
     SortMatches(&out);
   }
@@ -736,15 +629,16 @@ std::vector<std::vector<QueryMatch>> QuerySearcher::QueryBatch(
     auto serve = [&](uint32_t w, uint64_t begin, uint64_t end) {
       for (uint64_t i = begin; i < end; ++i) {
         if (queries[i].empty()) continue;
-        QueryStats qs;
-        const std::vector<uint32_t> cand = im.CollectCandidates(queries[i]);
-        qs.candidates = cand.size();
-        auto query = im.VerificationQuery(store, queries[i]);
-        im.Verify(queries[i], cand, query, store, model, caches[w], qs,
-                  &results[i]);
+        std::vector<uint32_t> cand;
+        auto query = im.HashQuery(store, queries[i], &cand);
+        VerifyStats vs;
+        im.Rounds(queries[i], cand, 0, cand.size(), store, query, model,
+                  caches[w], &results[i], &vs);
+        worker_stats[w].MergeFrom({.candidates = cand.size(),
+                                   .pruned = vs.pruned,
+                                   .hashes_compared = vs.hashes_compared});
         SortMatches(&results[i]);
         if (top_k != 0 && results[i].size() > top_k) results[i].resize(top_k);
-        worker_stats[w].MergeFrom(qs);
       }
     };
     if (pool == nullptr) return serve(0, 0, queries.size());

@@ -1,20 +1,25 @@
-// Reference test for QuerySearcher's verify loop: each query must verify
-// its candidates exactly as the join engine's per-pair loops
-// (BayesLshVerify / BayesLshLiteVerify, core/bayes_lsh_impl.h) verify the
-// pairs (query row, candidate) — same matches, same similarities, and
-// QueryStats::pruned / hashes_compared equal to the VerifyStats values.
+// Two widths of the one verification loop (internal::VerifyRounds,
+// core/bayes_lsh_impl.h). A query verifies its candidates 8 at a time
+// (kVerifyBlock), each round's survivors through one batched posterior
+// pass (InferenceCache::EstimateAtBatch), and with a pool and enough
+// candidates it splits them over workers' overflow shards; the join
+// engines (BayesLshVerify / BayesLshLiteVerify) run the same loop one pair
+// at a time. Each query must verify its candidates exactly as the join
+// engines verify the pairs (query row, candidate) — same matches, same
+// similarities, and QueryStats::pruned / hashes_compared equal to the
+// VerifyStats values. An indexed row hashes exactly like its stored
+// signature, so every comparison is exact: a divergence is a bug in the
+// loop, not tolerance noise. Covered: all six measures plus b-bit
+// Jaccard, in both verification modes (Euclidean verifies exactly only),
+// through Query() and QueryBatch(), at 1 and 8 threads.
 //
-// The searcher drives candidates in blocks of 8 through one batched
-// posterior pass per round (InferenceCache::EstimateAtBatch) and, with a
-// pool and enough candidates, splits them over workers' overflow shards;
-// the join engine walks one pair at a time. An indexed row hashes exactly
-// like its stored signature, so every comparison is exact: a divergence is
-// a bug in the loop, not tolerance noise. Covered: all six measures plus
-// b-bit Jaccard, in both verification modes (Euclidean verifies exactly
-// only), through Query() and QueryBatch(), at 1 and 8 threads.
+// The join's width is pinned too: each pair's MatchCount calls must run
+// back to back, [0, k), [k, 2k), ..., the order perfbench's traced join
+// replay rebuilds match counts from.
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <utility>
@@ -22,7 +27,9 @@
 
 #include <gtest/gtest.h>
 
+#include "candgen/allpairs.h"
 #include "candgen/banding_index.h"
+#include "candgen/prefix_filter_join.h"
 #include "core/bayes_lsh_impl.h"
 #include "core/inference_cache.h"
 #include "core/jaccard_posterior.h"
@@ -32,6 +39,8 @@
 #include "data/text_generator.h"
 #include "lsh/bbit_minwise.h"
 #include "lsh/signature_store.h"
+#include "lsh/srp_hasher.h"
+#include "sim/similarity.h"
 #include "vec/transforms.h"
 
 namespace bayeslsh {
@@ -273,6 +282,88 @@ TEST(BatchedPosteriorTest, KernelCosineMatchesJoinEngine) {
 
 TEST(BatchedPosteriorTest, EuclideanLiteMatchesJoinEngine) {
   ExpectJoinEngineAnswers(Text(19, false), Config(Measure::kEuclidean, 4.0));
+}
+
+// Forwards MatchCount to a real store and records every call.
+template <typename Store>
+class RecordingStore {
+ public:
+  struct Call {
+    uint32_t a, b, from, to;
+  };
+
+  explicit RecordingStore(Store* store) : store_(store) {}
+
+  uint32_t MatchCount(uint32_t a, uint32_t b, uint32_t from, uint32_t to) {
+    calls.push_back({a, b, from, to});
+    return store_->MatchCount(a, b, from, to);
+  }
+
+  std::vector<Call> calls;
+
+ private:
+  Store* store_;
+};
+
+// Runs both join engines over `pairs` through a recording store and
+// checks that each pair's calls are contiguous and cover [0, k), [k, 2k),
+// ... in order — with enough pairs alive past the first round that a
+// wider join, interleaving the calls of its pairs, would fail.
+template <typename Model, typename Store>
+void ExpectPairByPairCalls(
+    const Model& model, Store* store, double threshold,
+    const std::vector<std::pair<uint32_t, uint32_t>>& pairs,
+    const std::function<double(uint32_t, uint32_t)>& exact) {
+  const BayesLshParams params;
+  const uint32_t k = params.hashes_per_round;
+  for (const bool lite : {false, true}) {
+    SCOPED_TRACE(lite ? "BayesLSH-Lite" : "BayesLSH");
+    RecordingStore<Store> rec(store);
+    VerifyStats stats;
+    if (lite) {
+      BayesLshLiteVerify(model, &rec, pairs, 4 * k, exact, threshold, params,
+                         &stats);
+    } else {
+      BayesLshVerify(model, &rec, pairs, params, &stats);
+    }
+    size_t next = 0;
+    uint64_t multi_round = 0;
+    for (const auto& [a, b] : pairs) {
+      uint32_t from = 0;
+      for (; next < rec.calls.size() && rec.calls[next].a == a &&
+             rec.calls[next].b == b;
+           ++next, from += k) {
+        ASSERT_EQ(rec.calls[next].from, from) << a << "," << b;
+        ASSERT_EQ(rec.calls[next].to, from + k) << a << "," << b;
+      }
+      ASSERT_GT(from, 0u) << "pair " << a << "," << b
+                          << " has no call where its turn comes";
+      multi_round += from > k;
+    }
+    EXPECT_EQ(next, rec.calls.size());
+    EXPECT_EQ(stats.hashes_compared, uint64_t{k} * rec.calls.size());
+    EXPECT_GT(multi_round, pairs.size() / 100);
+  }
+}
+
+TEST(BatchedPosteriorTest, JoinCallsRunPairByPair) {
+  const Dataset text = Text(21, true);
+  const auto gauss = std::make_shared<ImplicitGaussianSource>(uint64_t{3});
+  BitSignatureStore bits(&text, SrpHasher(gauss.get()));
+  ExpectPairByPairCalls(
+      CosinePosterior(0.5), &bits, 0.5, AllPairsCandidates(text, 0.5).pairs,
+      [&](uint32_t a, uint32_t b) {
+        return ExactSimilarity(text, a, b, Measure::kCosine);
+      });
+
+  const Dataset graph = GraphBinary(23);
+  IntSignatureStore ints(&graph, MinwiseHasher(4));
+  ExpectPairByPairCalls(
+      JaccardPosterior(0.3), &ints, 0.3,
+      PrefixFilterCandidates(graph, 0.3, Measure::kJaccard).pairs,
+      [&](uint32_t a, uint32_t b) {
+        return ExactSimilarity(graph, a, b, Measure::kJaccard);
+      });
 }
 
 TEST(BatchedPosteriorTest, EstimateAtBatchMatchesSerialCalls) {

@@ -573,6 +573,33 @@ cmp -s matches.txt v2_q.txt || { echo "FAIL: v2 index answers differ from the v3
   --format-version 7 2>/dev/null
 check_rc "out-of-range --format-version" 1 $?
 
+# Each subcommand refuses a flag it does not read, and a token that is no
+# flag's value, with one error line naming it (a typo such as --theshold
+# would otherwise run with the default).
+refused() { # description expected_word args...
+  desc="$1"; word="$2"; shift 2
+  "$CLI" "$@" </dev/null >refused_out.txt 2>err.txt
+  check_rc "$desc" 1 $?
+  check_one_error_line "$desc" err.txt
+  grep -qF -- "$word" err.txt || { echo "FAIL: $desc: the error does not name $word" >&2; fails=$((fails + 1)); }
+  [ -s refused_out.txt ] && { echo "FAIL: $desc printed output" >&2; fails=$((fails + 1)); }
+}
+refused "allpairs unknown flag" --frobnicate \
+  allpairs --input corpus.txt --threshold 0.7 --frobnicate 3
+refused "allpairs stray token" stray allpairs --input corpus.txt \
+  --threshold 0.7 stray --generator lsh --band-hashes 65
+refused "allpairs index-only flag" --band-hashes allpairs \
+  --input corpus.txt --threshold 0.7 --generator lsh --band-hashes 65
+refused "switch followed by a stray token" stray allpairs \
+  --input corpus.txt --tfidf stray --threshold 0.7
+refused "query typo" --theshold query --index corpus.idx \
+  --query-file corpus.txt --theshold 0.5
+refused "index query-only flag" --top-k index --input corpus.txt \
+  --output refused.idx --top-k 3
+[ -e refused.idx ] && { echo "FAIL: a refused index command wrote a file" >&2; fails=$((fails + 1)); }
+refused "serve write-only flag" --wal serve --index corpus.idx --wal w.log
+refused "stats stray token" extra stats --input corpus.txt extra
+
 if [ "$fails" -ne 0 ]; then
   echo "$fails CLI contract check(s) failed" >&2
   exit 1

@@ -77,6 +77,7 @@
 #include <iostream>
 #include <map>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -212,18 +213,76 @@ struct FlagError {
   std::string message;
 };
 
+// The flags a subcommand reads, its helpers' included: `values` take an
+// argument, `switches` never do.
+struct CommandFlags {
+  std::set<std::string> values;
+  std::set<std::string> switches;
+};
+
+// The subcommand's flags, or null for an unknown subcommand.
+const CommandFlags* FlagsOf(const std::string& cmd) {
+  static const std::map<std::string, CommandFlags> kFlags = {
+      {"allpairs",
+       {{"input", "threshold", "measure", "generator", "verifier", "kernel",
+         "kernel-gamma", "anchors", "epsilon", "delta", "gamma", "threads",
+         "seed", "output"},
+        {"tfidf", "normalize"}}},
+      {"index",
+       {{"input", "output", "measure", "threshold", "bands", "band-hashes",
+         "bbit", "kernel", "kernel-gamma", "anchors", "prefetch",
+         "format-version", "threads", "seed"},
+        {"tfidf", "normalize"}}},
+      {"query",
+       {{"index", "query-file", "threshold", "top-k", "threads", "output",
+         "wal"},
+        {"exact", "normalize", "batch", "freeze", "mmap", "qps-report"}}},
+      {"serve",
+       {{"index", "shards", "threshold", "top-k", "threads", "deadline-ms",
+         "rate", "burst", "max-in-flight", "breaker-failures",
+         "breaker-open-ms", "shard-timeout-ms", "drain-timeout-ms"},
+        {"exact", "normalize", "mmap"}}},
+      {"add",
+       {{"index", "input", "output", "threads", "wal", "compact-delta-rows",
+         "compact-tombstones"},
+        {"normalize", "wal-sync"}}},
+      {"remove",
+       {{"index", "ids", "output", "threads", "wal", "compact-delta-rows",
+         "compact-tombstones"},
+        {"wal-sync"}}},
+      {"compact",
+       {{"index", "output", "threads", "wal", "compact-delta-rows",
+         "compact-tombstones"},
+        {"wal-sync"}}},
+      {"generate", {{"kind", "vectors", "seed", "output"}, {"binary"}}},
+      {"stats", {{"input"}, {}}},
+  };
+  const auto it = kFlags.find(cmd);
+  return it == kFlags.end() ? nullptr : &it->second;
+}
+
 // Minimal flag parser: --key value pairs plus boolean --flags.
 struct Args {
   std::map<std::string, std::string> values;
   std::map<std::string, bool> flags;
 
-  static Args Parse(int argc, char** argv, int first) {
+  // Parses subcommand `cmd`'s command line. Throws FlagError on a flag
+  // the subcommand does not read or a token that is no flag's value.
+  static Args Parse(int argc, char** argv, int first, const std::string& cmd,
+                    const CommandFlags& known) {
     Args a;
     for (int i = first; i < argc; ++i) {
-      std::string key = argv[i];
-      if (key.rfind("--", 0) != 0) continue;
-      key = key.substr(2);
-      if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
+      const std::string token = argv[i];
+      const std::string key = token.rfind("--", 0) == 0 ? token.substr(2) : "";
+      if (key.empty()) {
+        throw FlagError{"unexpected argument '" + token + "'"};
+      }
+      if (known.switches.count(key) > 0) {
+        a.flags[key] = true;
+      } else if (known.values.count(key) == 0) {
+        throw FlagError{cmd + " does not take " + token};
+      } else if (i + 1 < argc &&
+                 std::string(argv[i + 1]).rfind("--", 0) != 0) {
         a.values[key] = argv[++i];
       } else {
         a.flags[key] = true;
@@ -1340,8 +1399,10 @@ int RunStats(const Args& args) {
 int main(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string cmd = argv[1];
-  const Args args = Args::Parse(argc, argv, 2);
+  const CommandFlags* known = FlagsOf(cmd);
+  if (known == nullptr) return Usage();
   try {
+    const Args args = Args::Parse(argc, argv, 2, cmd, *known);
     if (cmd == "allpairs") return RunAllPairs(args);
     if (cmd == "index") return RunIndex(args);
     if (cmd == "query") return RunQuery(args);
