@@ -4,6 +4,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <deque>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
@@ -299,15 +300,14 @@ ShardedIndex::ShardedIndex(Dataset data, const IndexBuildConfig& build,
   IndexBuildConfig shard_build = build;
   static_cast<MeasureSpec&>(shard_build) =
       MeasureFamily(build, &data, "IndexBuildConfig").spec();
-  std::vector<DatasetBuilder> builders;
-  builders.reserve(K);
-  for (uint32_t s = 0; s < K; ++s) builders.emplace_back(data.num_dims());
-  std::vector<std::vector<uint32_t>> globals(K);
+  impl_->shards.reserve(K);
+  for (uint32_t s = 0; s < K; ++s) {
+    impl_->shards.push_back(std::make_unique<Impl::Shard>());
+    impl_->shards[s]->breaker = std::make_unique<CircuitBreaker>(cfg.breaker);
+  }
   const uint32_t n = data.num_vectors();
   for (uint32_t i = 0; i < n; ++i) {
-    const uint32_t s = ShardOfId(build.seed, i, K);
-    builders[s].AddRow(RowEntries(data.Row(i)));
-    globals[s].push_back(i);
+    impl_->shards[ShardOfId(build.seed, i, K)]->globals.push_back(i);
   }
   impl_->next_id = n;
 
@@ -315,15 +315,34 @@ ShardedIndex::ShardedIndex(Dataset data, const IndexBuildConfig& build,
   dcfg.threshold = cfg.threshold;
   dcfg.exact_verification = cfg.exact_verification;
   dcfg.num_threads = cfg.num_threads;
-  impl_->shards.reserve(K);
-  for (uint32_t s = 0; s < K; ++s) {
-    auto shard = std::make_unique<Impl::Shard>();
-    shard->dyn = std::make_unique<DynamicIndex>(
-        PersistentIndex::Build(std::move(builders[s]).Build(), shard_build),
-        dcfg);
-    shard->breaker = std::make_unique<CircuitBreaker>(cfg.breaker);
-    shard->globals = std::move(globals[s]);
-    impl_->shards.push_back(std::move(shard));
+
+  // One builder thread per shard, each building at build.num_threads: a
+  // ThreadPool would run every nested build pool inline on its worker.
+  // Every build is joined before any failure is rethrown (the
+  // lowest-numbered shard's), so a failed build leaves no thread behind.
+  std::vector<std::exception_ptr> errors(K);
+  {
+    std::vector<std::jthread> builders;
+    builders.reserve(K);
+    for (uint32_t s = 0; s < K; ++s) {
+      builders.emplace_back([&, s] {
+        Impl::Shard& shard = *impl_->shards[s];
+        try {
+          DatasetBuilder rows(data.num_dims());
+          for (const uint32_t i : shard.globals) {
+            rows.AddRow(RowEntries(data.Row(i)));
+          }
+          shard.dyn = std::make_unique<DynamicIndex>(
+              PersistentIndex::Build(std::move(rows).Build(), shard_build),
+              dcfg);
+        } catch (...) {
+          errors[s] = std::current_exception();
+        }
+      });
+    }
+  }
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
   }
   impl_->measure = impl_->shards[0]->dyn->measure();
   for (uint32_t s = 0; s < K; ++s) {

@@ -56,7 +56,10 @@
 // `serve`), because "client" is a protocol notion; the primitives are in
 // core/serve_control.h.
 //
-// Concurrency: Query/QueryTopK/QueryBatch are safe from any number of
+// Concurrency: the constructor builds the K shards concurrently, one
+// builder thread per shard, joins them all, rethrows the first failure
+// (lowest shard number) if any build threw, and only then starts the
+// shard executors. Query/QueryTopK/QueryBatch are safe from any number of
 // threads (the router fan-out state is per-call; shard executors are
 // internally synchronized). Add/Remove serialize against each other and
 // against the id map reads inside queries via a shared_mutex, exactly as
@@ -120,7 +123,11 @@ class ShardedIndex {
   // ShardOfId(build.seed, i, K)) and builds one frozen PersistentIndex +
   // DynamicIndex per shard with the same build config — so every shard
   // agrees on (measure, seed, banding shape, bbit) and signatures are
-  // shard-independent. Throws std::invalid_argument for num_shards == 0.
+  // shard-independent. The K shards build concurrently, each at
+  // build.num_threads; if any build throws, the constructor rethrows the
+  // lowest-numbered shard's exception once every build has finished, with
+  // no executor started. Throws std::invalid_argument for
+  // num_shards == 0.
   ShardedIndex(Dataset data, const IndexBuildConfig& build,
                const ShardedIndexConfig& cfg);
 

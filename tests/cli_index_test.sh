@@ -599,6 +599,12 @@ refused "index query-only flag" --top-k index --input corpus.txt \
 [ -e refused.idx ] && { echo "FAIL: a refused index command wrote a file" >&2; fails=$((fails + 1)); }
 refused "serve write-only flag" --wal serve --index corpus.idx --wal w.log
 refused "stats stray token" extra stats --input corpus.txt extra
+# A value flag given no value (last, or followed by another flag) is
+# refused, not read as a switch that runs with the default.
+refused "value flag last" --threshold allpairs --input corpus.txt \
+  --tfidf --threshold
+refused "value flag before another flag" --output allpairs \
+  --input corpus.txt --tfidf --threshold 0.7 --output
 
 if [ "$fails" -ne 0 ]; then
   echo "$fails CLI contract check(s) failed" >&2

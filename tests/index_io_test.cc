@@ -19,6 +19,7 @@
 #include "core/index_io.h"
 #include "core/pipeline.h"
 #include "core/query_search.h"
+#include "core/sharded_index.h"
 #include "core/topk_search.h"
 #include "data/graph_generator.h"
 #include "data/text_generator.h"
@@ -332,6 +333,25 @@ TEST(QuerySearcherBanding, UnbandableShapeRejected) {
       cfg.klsh.num_anchors = 8;
       cfg.banding = banding;
       EXPECT_THROW(QuerySearcher(&data, cfg), std::invalid_argument)
+          << MeasureName(m) << " k=" << banding.hashes_per_band;
+    }
+  }
+}
+
+// Four shards build concurrently and every build throws: the constructor
+// must join them all and rethrow one exception, not terminate.
+TEST(ShardedServe, UnbandableShapeRejected) {
+  const Dataset data = TextWeighted(35, 50);
+  ShardedIndexConfig scfg;
+  scfg.num_shards = 4;
+  for (const Measure m : kEveryMeasure) {
+    for (const LshBandingParams& banding : UnbandableShapes()) {
+      IndexBuildConfig build;
+      build.measure = m;
+      build.threshold = 0.6;  // A radius for Euclidean.
+      build.klsh.num_anchors = 8;
+      build.banding = banding;
+      EXPECT_THROW(ShardedIndex(data, build, scfg), std::invalid_argument)
           << MeasureName(m) << " k=" << banding.hashes_per_band;
     }
   }

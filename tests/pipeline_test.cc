@@ -470,7 +470,13 @@ TEST_P(PipelineWarmIndexTest, IdenticalWithAndWithoutWarmIndex) {
       EXPECT_EQ(warm.pairs, cold.pairs)
           << warm.algorithm << ", " << threads << " threads";
       EXPECT_FALSE(cold.pairs.empty());
-      EXPECT_LT(warm.verify_hashes_computed, cold.verify_hashes_computed);
+      // The saving is asserted on the exact 1-thread tally: at 8 threads
+      // its overflow part depends on scheduling (a deep row is re-hashed
+      // once per worker that extends it), so warm can exceed cold there.
+      if (threads == 1) {
+        EXPECT_LT(warm.verify_hashes_computed, cold.verify_hashes_computed)
+            << warm.algorithm;
+      }
     }
   }
 }

@@ -267,7 +267,8 @@ struct Args {
   std::map<std::string, bool> flags;
 
   // Parses subcommand `cmd`'s command line. Throws FlagError on a flag
-  // the subcommand does not read or a token that is no flag's value.
+  // the subcommand does not read, a value flag without its value (last,
+  // or followed by another --flag), or a token that is no flag's value.
   static Args Parse(int argc, char** argv, int first, const std::string& cmd,
                     const CommandFlags& known) {
     Args a;
@@ -285,7 +286,7 @@ struct Args {
                  std::string(argv[i + 1]).rfind("--", 0) != 0) {
         a.values[key] = argv[++i];
       } else {
-        a.flags[key] = true;
+        throw FlagError{token + " needs a value"};
       }
     }
     return a;
