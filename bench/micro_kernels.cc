@@ -1,10 +1,12 @@
 // Micro-kernel timings for the signature hot paths, scalar vs SIMD
-// dispatch (common/simd_ops.h and the Gaussian kernel behind
-// ImplicitGaussianSource::FillChunk), plus serial vs batched posterior
-// evaluation (InferenceCache::EstimateAtBatch). Each kernel runs twice —
-// once with SetForceScalar(true) and once with the default dispatch — so
-// every run records the before/after delta of the vectorized paths as
-// (section, dataset, algorithm) record pairs the trend gate can track.
+// dispatch (common/simd_ops.h, the Gaussian kernel behind
+// ImplicitGaussianSource::FillChunk as gaussian_chunk_64, and the minwise
+// kernel behind MinwiseHasher::HashChunk as minwise_chunk_16), plus serial
+// vs batched posterior evaluation (InferenceCache::EstimateAtBatch). Each
+// kernel runs twice — once with SetForceScalar(true) and once with the
+// default dispatch — so every run records the before/after delta of the
+// vectorized paths as (section, dataset, algorithm) record pairs the trend
+// gate can track.
 // The two modes' checksums must agree exactly; a mismatch fails the run
 // (the differential contract tests/simd_kernels_test.cc enforces, checked
 // again here on the bench inputs).
@@ -29,6 +31,7 @@
 #include "core/inference_cache.h"
 #include "lsh/bbit_minwise.h"
 #include "lsh/gaussian_source.h"
+#include "lsh/minwise_hasher.h"
 
 namespace bayeslsh {
 namespace {
@@ -73,7 +76,7 @@ void PrintRow(const char* name, uint64_t iters, double scalar_s,
               double simd_s) {
   const double scalar_mcps = iters / scalar_s / 1e6;
   const double simd_mcps = iters / simd_s / 1e6;
-  std::printf("%-26s %12.1f %12.1f %9.2fx\n", name, scalar_mcps, simd_mcps,
+  std::printf("%-26s %12.3f %12.3f %9.2fx\n", name, scalar_mcps, simd_mcps,
               scalar_s / simd_s);
 }
 
@@ -147,7 +150,7 @@ bool RunPosteriorBatch(BenchJsonWriter* writer) {
   AddRecord(writer, "posterior_update_x8", "batched", kIters, batch_s);
   const double serial_mcps = kIters / serial_s / 1e6;
   const double batch_mcps = kIters / batch_s / 1e6;
-  std::printf("%-26s %12.1f %12.1f %9.2fx  (serial vs batched)\n",
+  std::printf("%-26s %12.3f %12.3f %9.2fx  (serial vs batched)\n",
               "posterior_update_x8", serial_mcps, batch_mcps,
               serial_s / batch_s);
   return true;
@@ -159,7 +162,8 @@ int Run(int argc, char** argv) {
                          bench::BenchThreads(argc, argv));
 
   bench::PrintHeader(
-      "micro-kernels: signature match, Gaussian chunks, posterior batching");
+      "micro-kernels: signature match, Gaussian and minwise chunks, "
+      "posterior batching");
   std::printf("SIMD: compiled_in=%s enabled=%s\n", simd::CompiledIn() ? "yes" : "no",
               simd::Enabled() ? "yes" : "no (dispatch falls back to scalar)");
   std::printf("%-26s %12s %12s %10s\n", "kernel", "scalar Mc/s",
@@ -234,6 +238,27 @@ int Run(int argc, char** argv) {
                                       static_cast<uint32_t>(i % 8), g);
                      uint64_t sum = 0;
                      for (const double x : g) sum += std::bit_cast<uint64_t>(x);
+                     return sum;
+                   }) &&
+         ok;
+  }
+
+  {
+    // One 16-hash minwise chunk of a 128-element set per call, the unit
+    // Jaccard and b-bit hashing consume; the checksum folds all 16 values
+    // in order.
+    std::vector<DimId> dims(128);
+    for (DimId& d : dims) d = static_cast<DimId>(rng.Next());
+    std::sort(dims.begin(), dims.end());
+    const std::vector<float> ones(dims.size(), 1.0f);
+    const SparseVectorView set{dims, ones};
+    const MinwiseHasher minwise(bench::BenchSeed());
+    ok = RunKernel(&writer, "minwise_chunk_16", 50'000,
+                   [&](uint64_t i) {
+                     uint32_t h[kMinhashChunkInts];
+                     minwise.HashChunk(set, static_cast<uint32_t>(i % 64), h);
+                     uint64_t sum = 0;
+                     for (const uint32_t x : h) sum = sum * 31 + x;
                      return sum;
                    }) &&
          ok;

@@ -1,12 +1,18 @@
 // Runtime-dispatched SIMD kernels for the signature-matching hot loops.
 //
 // The build carries no -march flags (binaries must run on any x86-64), so
-// the AVX2 bodies live in simd_ops.cc behind __attribute__((target("avx2")))
-// and are reached only after a one-time cpuid probe. The fourth AVX2
-// kernel, the Gaussian components behind SRP and p-stable hashing
-// (ImplicitGaussianSource::FillChunk), lives in lsh/gaussian_source.cc and
-// dispatches through Enabled() below. Three knobs control dispatch of all
-// four, from coarsest to finest:
+// every AVX2 body sits behind __attribute__((target("avx2"))) and is
+// reached only after a one-time cpuid probe. Five kernels have one:
+//
+//   - the three compare kernels below, their bodies in simd_ops.cc;
+//   - the Gaussian components behind SRP and p-stable hashing
+//     (ImplicitGaussianSource::FillChunk, lsh/gaussian_source.cc);
+//   - the minwise chunk behind Jaccard and b-bit hashing
+//     (MinwiseHasher::HashChunk, lsh/minwise_hasher.cc).
+//
+// The two hashing kernels dispatch through Enabled() below and share the
+// one lane-wise Mix64 of common/mix64x4.h. Three knobs control dispatch
+// of all five, from coarsest to finest:
 //
 //   - -DBAYESLSH_DISABLE_SIMD (CMake option): the AVX2 bodies are not
 //     compiled at all; every kernel IS its scalar loop.

@@ -7,14 +7,11 @@
 #include <cstring>
 #include <string>
 
+#include "common/mix64x4.h"
 #include "common/prng.h"
 #include "common/simd_ops.h"
 #include "lsh/inverse_normal_cdf.h"
 #include "vec/binary_io.h"
-
-#if BAYESLSH_SIMD_AVX2
-#include <immintrin.h>
-#endif
 
 namespace bayeslsh {
 
@@ -39,9 +36,9 @@ namespace {
 // The AVX2 body of ImplicitGaussianSource::FillChunk, four components at a
 // time. It returns exactly the scalar loop's doubles, so signatures never
 // depend on which path hashed them:
-//  - 64x64-bit multiplies keep their low 64 bits, built from three
-//    32x32->64 VPMULUDQ products, and the hash index chunk * 64 + j is
-//    formed in uint32_t as the scalar sum is (it wraps for chunk >= 2^26);
+//  - the hash bits come from the lane-wise Mix64 of common/mix64x4.h,
+//    and the hash index chunk * 64 + j is formed in uint32_t as the
+//    scalar sum is (it wraps for chunk >= 2^26);
 //  - bits >> 11 converts to double exactly (two 32-bit halves through the
 //    2^52 / 2^84 exponent trick), then + 0.5 and * 2^-53 round separately;
 //  - the central region evaluates acklam::kA/kB in the scalar operation
@@ -52,31 +49,11 @@ namespace {
 //    InverseNormalCdf, so std::log/std::log1p/std::sqrt stay the only
 //    transcendental evaluations.
 
-__attribute__((target("avx2"))) inline __m256i MulLo64(__m256i a,
-                                                       uint64_t b) {
-  const __m256i vb = _mm256_set1_epi64x(static_cast<long long>(b));
-  const __m256i vb_hi = _mm256_set1_epi64x(static_cast<long long>(b >> 32));
-  const __m256i cross =
-      _mm256_add_epi64(_mm256_mul_epu32(_mm256_srli_epi64(a, 32), vb),
-                       _mm256_mul_epu32(a, vb_hi));
-  return _mm256_add_epi64(_mm256_mul_epu32(a, vb),
-                          _mm256_slli_epi64(cross, 32));
-}
-
-// Mix64(z) of common/prng.h, per 64-bit lane.
-__attribute__((target("avx2"))) inline __m256i Mix64x4(__m256i z) {
-  z = _mm256_add_epi64(z, _mm256_set1_epi64x(0x9e3779b97f4a7c15LL));
-  z = MulLo64(_mm256_xor_si256(z, _mm256_srli_epi64(z, 30)),
-              0xbf58476d1ce4e5b9ULL);
-  z = MulLo64(_mm256_xor_si256(z, _mm256_srli_epi64(z, 27)),
-              0x94d049bb133111ebULL);
-  return _mm256_xor_si256(z, _mm256_srli_epi64(z, 31));
-}
-
 __attribute__((target("avx2"))) void FillChunkAvx2(uint64_t seed, DimId dim,
                                                     uint32_t chunk,
                                                     double* out) {
   using namespace acklam;
+  using simd::internal::Mix64x4;
   const __m256i vseed = _mm256_set1_epi64x(static_cast<long long>(seed));
   const __m256i dim_mix =
       _mm256_set1_epi64x(static_cast<long long>(Mix64(dim)));

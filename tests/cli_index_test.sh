@@ -371,6 +371,36 @@ check_rc "serve with non-finite weights" 0 $?
 [ "$(grep -c '^error: ' serve_nonfinite.txt)" -eq 3 ] || { echo "FAIL: non-finite weights must each answer one error" >&2; fails=$((fails + 1)); }
 grep -q '"num_live": 200,' serve_nonfinite.txt || { echo "FAIL: a rejected non-finite add changed num_live" >&2; fails=$((fails + 1)); }
 
+# A zero weight drops its entry, as in the dataset text format. On a
+# Jaccard index a kept entry would join the query's set, so vector 0 with
+# ten zero-weight dims appended (dims it does not hold) must answer as
+# `query` answers vector 0 read from the corpus file.
+"$CLI" index --input corpus.txt --output serve_j.idx --measure jaccard \
+  --threshold 0.3 2>/dev/null
+check_rc "jaccard index build for serve" 0 $?
+"$CLI" query --index serve_j.idx --query-file corpus.txt \
+  --output serve_j_expected.txt 2>/dev/null
+check_rc "jaccard oracle for serve" 0 $?
+zeros=$(sed -n 2p corpus.txt | awk -v row="$row" '{
+  n = split(row, e, " "); for (i = 1; i <= n; ++i) { split(e[i], p, ":"); held[p[1]] = 1 }
+  for (d = $2 - 1; d >= 0 && k < 10; --d) if (!(d in held)) { printf " %d:0", d; ++k }
+}')
+printf 'query %s%s\nquit\n' "$row" "$zeros" \
+  | "$CLI" serve --index serve_j.idx --shards 2 >serve_zero.txt 2>/dev/null
+check_rc "serve with zero weights" 0 $?
+n=$(head -n1 serve_zero.txt | awk '{print $2}')
+sed -n "2,$((n + 1))p" serve_zero.txt > serve_zero_matches.txt
+grep '^0 ' serve_j_expected.txt | cut -d' ' -f2- > serve_zero_oracle.txt
+[ -s serve_zero_oracle.txt ] && cmp -s serve_zero_matches.txt serve_zero_oracle.txt || { echo "FAIL: serve answers a vector with zero weights differently from query" >&2; fails=$((fails + 1)); }
+
+# A vector whose every weight is zero is empty: query and add both refuse
+# it in-band, and the add leaves the index unchanged.
+printf 'query 5:0\nadd 5:0 7:0\nstats\nquit\n' \
+  | "$CLI" serve --index serve_j.idx --shards 2 >serve_allzero.txt 2>/dev/null
+check_rc "serve with all-zero vectors" 0 $?
+[ "$(grep -c '^error: vector has no entries' serve_allzero.txt)" -eq 2 ] || { echo "FAIL: all-zero vectors must each answer the no-entries error" >&2; fails=$((fails + 1)); }
+grep -q '"num_live": 200,' serve_allzero.txt || { echo "FAIL: a refused all-zero add changed num_live" >&2; fails=$((fails + 1)); }
+
 # Admission control: with a starved token bucket the second query is
 # rejected immediately and counted, and the server keeps serving.
 printf '@c query %s\n@c query %s\nstats\nquit\n' "$row" "$row" \

@@ -1,6 +1,7 @@
 // Differential equivalence suite for the SIMD kernels (common/simd_ops.h,
-// and the Gaussian kernel behind ImplicitGaussianSource::FillChunk): the
-// AVX2 and scalar paths must be exact drop-ins for each other, and the
+// the Gaussian kernel behind ImplicitGaussianSource::FillChunk and the
+// minwise kernel behind MinwiseHasher::HashChunk): the AVX2 and scalar
+// paths must be exact drop-ins for each other, and the
 // word-masking callers (MatchingBits, MatchingBbitGroups) must agree with
 // a naive bit-level reference at every boundary alignment. Every sweep
 // runs twice — dispatched (AVX2 when the CPU has it) and with
@@ -9,10 +10,12 @@
 // under Release, Debug and TSan in CI, plus a -DBAYESLSH_DISABLE_SIMD=ON
 // leg where the kernels compile to the scalar loops only.
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstring>
 #include <random>
+#include <span>
 #include <vector>
 
 #include "common/bit_ops.h"
@@ -23,6 +26,7 @@
 #include "lsh/bbit_minwise.h"
 #include "lsh/gaussian_source.h"
 #include "lsh/inverse_normal_cdf.h"
+#include "lsh/minwise_hasher.h"
 #include "lsh/srp_hasher.h"
 
 namespace bayeslsh {
@@ -347,6 +351,119 @@ TEST(SimdKernelsTest, GaussianChunkScalarVsDispatch) {
   EXPECT_GT(lower, 0u);
   EXPECT_GT(central, 0u);
   EXPECT_GT(upper, 0u);
+}
+
+// Minwise signatures, full-width and b-bit, are saved in index files as
+// well. These literals were recorded before the AVX2 minwise kernel
+// existed; both dispatch modes must keep reproducing them. Each chunk pins
+// hashes j = 0, 5, 10 and 15, one in every lane slot of each of the
+// kernel's four 4-lane vectors; the b-bit words pin all 64 hashes of
+// minwise chunks 4..7 at 2 bits each. Chunk 2^28 is the first whose
+// function index chunk * 16 + j wraps in uint32_t, so it repeats chunk 0.
+TEST(SimdKernelsTest, MinwiseFamiliesGolden) {
+  std::vector<DimId> big(128);
+  for (uint32_t i = 0; i < 128; ++i) big[i] = 5 + 7919 * i;
+  const std::vector<DimId> one = {4242};
+  const std::vector<DimId> extremes = {0u, 2147483647u, 4294967295u};
+  const std::vector<float> ones(128, 1.0f);
+  const std::span<const float> w(ones);
+  // The empty set takes the scalar sentinel in both modes.
+  enum { kEmpty, kOne, kExtremes, kBig };
+  const SparseVectorView sets[] = {
+      {}, {one, w.first(1)}, {extremes, w.first(3)}, {big, w}};
+  struct Chunk {
+    int set;
+    uint32_t chunk;
+    uint32_t hashes[4];  // j = 0, 5, 10, 15.
+  };
+  const Chunk golden[] = {
+      {kEmpty, 0u, {0x20d3652du, 0x720778b2u, 0x40d2380eu, 0xd1acd80du}},
+      {kEmpty, 1u, {0x407221d5u, 0x7e0ee0dau, 0x4d207219u, 0xffd5182du}},
+      {kEmpty, 268435455u,
+       {0xe4d4623eu, 0xe9d8ee51u, 0xd32b7a57u, 0x6eec415du}},
+      {kEmpty, 268435456u,
+       {0x20d3652du, 0x720778b2u, 0x40d2380eu, 0xd1acd80du}},
+      {kOne, 0u, {0x6354ea98u, 0x693cc764u, 0x707593d5u, 0x5245c704u}},
+      {kOne, 1u, {0x9c187e35u, 0xf01d0db8u, 0xc18a26b8u, 0xceb05ae6u}},
+      {kOne, 268435455u,
+       {0x4181e69cu, 0x0bf0ebc4u, 0x1b7ee672u, 0x97ec96c2u}},
+      {kOne, 268435456u,
+       {0x6354ea98u, 0x693cc764u, 0x707593d5u, 0x5245c704u}},
+      {kExtremes, 0u, {0xa5d63cefu, 0x786dfbe0u, 0x685be36bu, 0x385bbdcfu}},
+      {kExtremes, 1u, {0x35ce80c4u, 0x62852a99u, 0xa9434f39u, 0x6b2d6a3cu}},
+      {kExtremes, 268435455u,
+       {0x71b6843au, 0x0cbd7ed6u, 0x1e55fa05u, 0x85ad5103u}},
+      {kExtremes, 268435456u,
+       {0xa5d63cefu, 0x786dfbe0u, 0x685be36bu, 0x385bbdcfu}},
+      {kBig, 0u, {0x5edb9244u, 0x005087adu, 0xe23de1ffu, 0xa5e6afddu}},
+      {kBig, 1u, {0x1796fdc3u, 0x01c54107u, 0xaf5a8da1u, 0x80d362acu}},
+      {kBig, 268435455u,
+       {0x8e0dcd9au, 0xaf1580e8u, 0x2e6b2c11u, 0xc04b0b9bu}},
+      {kBig, 268435456u,
+       {0x5edb9244u, 0x005087adu, 0xe23de1ffu, 0xa5e6afddu}},
+  };
+  const uint64_t bbit2_chunk1[2] = {0xc4961ada2c038759ULL,
+                                    0x3111fe57a434ab5eULL};
+
+  const MinwiseHasher minwise(kSeed);
+  const BbitLayout bbit2(minwise, 2);
+  for (int force = 0; force <= 1; ++force) {
+    ScopedForceScalar guard(force != 0);
+    for (const Chunk& c : golden) {
+      uint32_t out[kMinhashChunkInts];
+      minwise.HashChunk(sets[c.set], c.chunk, out);
+      for (uint32_t i = 0; i < 4; ++i) {
+        EXPECT_EQ(out[5 * i], c.hashes[i])
+            << "set=" << c.set << " chunk=" << c.chunk << " j=" << 5 * i
+            << " force=" << force;
+      }
+    }
+    uint64_t words[2] = {0, 0};
+    bbit2.Fill(sets[kBig], 0, 1, words);
+    EXPECT_EQ(words[0], bbit2_chunk1[0]) << "force=" << force;
+    EXPECT_EQ(words[1], bbit2_chunk1[1]) << "force=" << force;
+  }
+}
+
+// HashChunk under forced scalar and default dispatch must write identical
+// bytes, across the seed and chunk extremes, for the empty set, sets
+// smaller and larger than a vector, and random sets over the whole DimId
+// range (whose ranks put bit 63 on either side of the running minimum).
+TEST(SimdKernelsTest, MinwiseChunkScalarVsDispatch) {
+  const uint64_t seeds[] = {0, 1, kSeed, 0x0123456789abcdefULL,
+                            ~uint64_t{0}};
+  const uint32_t sizes[] = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 128, 300};
+  const uint32_t chunks[] = {0,          1,          2,
+                             268435455u, 268435456u, 268435457u,
+                             4294967295u};
+  std::mt19937_64 rng(kSeed + 8);
+  const std::vector<float> ones(300, 1.0f);
+  std::vector<DimId> set;
+  const auto check = [&](uint64_t seed, uint32_t size, uint32_t chunk) {
+    set.resize(size);
+    for (DimId& d : set) d = static_cast<DimId>(rng());
+    std::sort(set.begin(), set.end());
+    const SparseVectorView v{set, std::span<const float>(ones).first(size)};
+    const MinwiseHasher minwise(seed);
+    uint32_t scalar[kMinhashChunkInts];
+    uint32_t dispatched[kMinhashChunkInts];
+    {
+      ScopedForceScalar guard(true);
+      minwise.HashChunk(v, chunk, scalar);
+    }
+    minwise.HashChunk(v, chunk, dispatched);
+    ASSERT_EQ(std::memcmp(scalar, dispatched, sizeof(scalar)), 0)
+        << "seed=" << seed << " size=" << size << " chunk=" << chunk;
+  };
+  for (const uint64_t seed : seeds) {
+    for (const uint32_t size : sizes) {
+      for (const uint32_t chunk : chunks) check(seed, size, chunk);
+    }
+    for (int i = 0; i < 200; ++i) {
+      const auto size = static_cast<uint32_t>(rng() % 301);
+      check(seed, size, static_cast<uint32_t>(rng()));
+    }
+  }
 }
 
 TEST(SimdKernelsTest, ForceScalarFlipsDispatch) {

@@ -855,10 +855,11 @@ std::unique_ptr<DynamicIndex> OpenDynamic(const std::string& path,
 
 // Parses the serve protocol's vector tokens — "dim:val" pairs, or bare
 // "dim" meaning weight 1.0 (the binary-measure shorthand) — into sorted
-// parallel arrays. On any malformed token, non-finite or float-overflowing
-// weight, duplicate or out-of-range dimension, or an empty vector, fills
-// *error and returns false: protocol errors answer the one client line,
-// they never kill the server.
+// parallel arrays, dropping zero-weight entries. On any malformed token,
+// non-finite or float-overflowing weight, duplicate or out-of-range
+// dimension, or a vector left with no entries, fills *error and returns
+// false: protocol errors answer the one client line, they never kill the
+// server.
 bool ParseServeVector(const std::vector<std::string>& tokens, size_t first,
                       uint32_t num_dims, std::vector<uint32_t>* indices,
                       std::vector<float>* values, std::string* error) {
@@ -899,16 +900,20 @@ bool ParseServeVector(const std::vector<std::string>& tokens, size_t first,
     entries.emplace_back(static_cast<uint32_t>(dim),
                          static_cast<float>(val));
   }
-  if (entries.empty()) {
-    *error = "vector has no entries (similarity to it is undefined)";
-    return false;
-  }
   std::sort(entries.begin(), entries.end());
   for (size_t i = 1; i < entries.size(); ++i) {
     if (entries[i].first == entries[i - 1].first) {
       *error = "duplicate dimension " + std::to_string(entries[i].first);
       return false;
     }
+  }
+  // As in the dataset text reader: otherwise minwise hashing would count a
+  // zero-weight dim as a set member, and serve would answer a row
+  // differently from query.
+  std::erase_if(entries, [](const auto& e) { return e.second == 0.0f; });
+  if (entries.empty()) {
+    *error = "vector has no entries (similarity to it is undefined)";
+    return false;
   }
   indices->clear();
   values->clear();
