@@ -1,11 +1,12 @@
 #include "candgen/allpairs.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <numeric>
+#include <utility>
 
-#include "common/bit_ops.h"
+#include "candgen/exact_join_impl.h"
+#include "core/measure_table.h"
 
 namespace bayeslsh {
 
@@ -107,8 +108,9 @@ struct IndexEntry {
 };
 
 // Core of both modes, in two phases so the probe loop can shard over row
-// ranges. If `out_matches` is non-null runs the exact join; if
-// `out_candidates` is non-null collects candidate pairs (original ids).
+// ranges: verify == true runs the exact join, false collects candidate
+// keys (original ids). Throws std::invalid_argument unless threshold lies
+// in (0, 1].
 //
 // Phase 1 computes each row's unindexed-prefix split (a per-row property)
 // and builds the *full* inverted index over every row's indexed suffix, in
@@ -117,11 +119,12 @@ struct IndexEntry {
 // break on the sorted lists), which is exactly the partial index the
 // classical interleaved formulation would have had at step p; candidate
 // sets, accumulators, and verification results are identical.
-void AllPairsCore(const Dataset& data, double threshold,
-                  std::vector<ScoredPair>* out_matches,
-                  std::vector<uint64_t>* out_candidates,
-                  AllPairsStats* stats, ThreadPool* pool) {
-  assert(threshold > 0.0);
+internal::ProbeOutput<AllPairsStats> AllPairsCore(const Dataset& data,
+                                                  double threshold,
+                                                  bool verify,
+                                                  ThreadPool* pool) {
+  CheckThreshold(Measure::kCosine, threshold,
+                 verify ? "AllPairsJoin" : "AllPairsCandidates");
   const uint32_t n = data.num_vectors();
   Reordered r = Reorder(data, pool);
 
@@ -146,32 +149,24 @@ void AllPairsCore(const Dataset& data, double threshold,
   });
 
   // --- Phase 1b: full index over indexed suffixes, in position order. ---
-  AllPairsStats local;
+  uint64_t indexed_entries = 0;
   std::vector<std::vector<IndexEntry>> index(data.num_dims());
   for (uint32_t p = 0; p < n; ++p) {
     const std::vector<Feature>& x = r.rows[p];
     for (uint32_t k = prefix_len[p]; k < x.size(); ++k) {
       index[x[k].rank].push_back({p, x[k].weight});
-      ++local.indexed_entries;
+      ++indexed_entries;
     }
   }
 
   // --- Phase 2: probe, sharded over probe rows. ---
-  const uint32_t num_shards = pool != nullptr ? pool->num_threads() : 1u;
-  struct ProbeShard {
-    std::vector<uint64_t> keys;
-    std::vector<ScoredPair> matches;
-    uint64_t candidates = 0;
-    uint64_t ubound_pruned = 0;
-    uint64_t exact_verified = 0;
-  };
-  std::vector<ProbeShard> shards(num_shards);
-  auto probe = [&](uint32_t shard, uint64_t p_begin, uint64_t p_end) {
-    ProbeShard& sh = shards[shard];
+  auto probe = [&](uint32_t p_begin, uint32_t p_end,
+                   internal::ProbeOutput<AllPairsStats>* out) {
+    AllPairsStats& st = out->stats;
     std::vector<double> acc(n, 0.0);
     std::vector<uint32_t> stamp(n, UINT32_MAX);
     std::vector<uint32_t> touched;
-    for (uint32_t p = static_cast<uint32_t>(p_begin); p < p_end; ++p) {
+    for (uint32_t p = p_begin; p < p_end; ++p) {
       const std::vector<Feature>& x = r.rows[p];
       const float x_maxw = r.row_maxweight[p];
       const double x_l1 = r.row_l1[p];
@@ -189,76 +184,49 @@ void AllPairsCore(const Dataset& data, double threshold,
           acc[e.pos] += static_cast<double>(f.weight) * e.weight;
         }
       }
-      sh.candidates += touched.size();
+      st.candidates += touched.size();
 
-      if (out_candidates != nullptr) {
-        for (uint32_t q : touched) {
-          const uint32_t a = r.orig_id[q], b = r.orig_id[p];
-          sh.keys.push_back(a < b ? PairKey(a, b) : PairKey(b, a));
-        }
+      if (!verify) {
+        for (uint32_t q : touched) out->AddKey(r.orig_id[q], r.orig_id[p]);
+        continue;
       }
-      if (out_matches != nullptr) {
-        for (uint32_t q : touched) {
-          // Upper bound on the unindexed-prefix contribution.
-          const double rest =
-              std::min(static_cast<double>(x_maxw) * prefix_l1[q],
-                       r.row_maxweight[q] * x_l1);
-          if (acc[q] + rest < threshold) {
-            ++sh.ubound_pruned;
-            continue;
-          }
-          ++sh.exact_verified;
-          const double s = acc[q] + PrefixDot(x, r.rows[q], prefix_len[q]);
-          if (s >= threshold) {
-            const uint32_t a = r.orig_id[q], b = r.orig_id[p];
-            sh.matches.push_back(a < b ? ScoredPair{a, b, s}
-                                       : ScoredPair{b, a, s});
-          }
+      for (uint32_t q : touched) {
+        // Upper bound on the unindexed-prefix contribution.
+        const double rest =
+            std::min(static_cast<double>(x_maxw) * prefix_l1[q],
+                     r.row_maxweight[q] * x_l1);
+        if (acc[q] + rest < threshold) {
+          ++st.ubound_pruned;
+          continue;
         }
+        ++st.exact_verified;
+        const double s = acc[q] + PrefixDot(x, r.rows[q], prefix_len[q]);
+        if (s >= threshold) out->AddPair(r.orig_id[q], r.orig_id[p], s);
       }
     }
   };
-  if (pool != nullptr) {
-    pool->RunShards(n, probe);
-  } else {
-    probe(0, 0, n);
-  }
-
-  // Merge in shard order == processing order.
-  for (ProbeShard& sh : shards) {
-    if (out_candidates != nullptr) {
-      out_candidates->insert(out_candidates->end(), sh.keys.begin(),
-                             sh.keys.end());
-    }
-    if (out_matches != nullptr) {
-      out_matches->insert(out_matches->end(), sh.matches.begin(),
-                          sh.matches.end());
-    }
-    local.candidates += sh.candidates;
-    local.ubound_pruned += sh.ubound_pruned;
-    local.exact_verified += sh.exact_verified;
-  }
-  if (stats != nullptr) *stats = local;
+  auto out = internal::ProbeRows<AllPairsStats>(
+      pool, n, probe, &AllPairsStats::candidates,
+      &AllPairsStats::ubound_pruned, &AllPairsStats::exact_verified);
+  out.stats.indexed_entries = indexed_entries;
+  return out;
 }
 
 }  // namespace
 
 std::vector<ScoredPair> AllPairsJoin(const Dataset& data, double threshold,
                                      AllPairsStats* stats, ThreadPool* pool) {
-  std::vector<ScoredPair> matches;
-  AllPairsCore(data, threshold, &matches, nullptr, stats, pool);
-  std::sort(matches.begin(), matches.end(),
-            [](const ScoredPair& a, const ScoredPair& b) {
-              return a.a != b.a ? a.a < b.a : a.b < b.b;
-            });
-  return matches;
+  auto out = AllPairsCore(data, threshold, /*verify=*/true, pool);
+  if (stats != nullptr) *stats = out.stats;
+  SortByIds(&out.pairs);
+  return std::move(out.pairs);
 }
 
 CandidateList AllPairsCandidates(const Dataset& data, double threshold,
                                  AllPairsStats* stats, ThreadPool* pool) {
-  std::vector<uint64_t> keys;
-  AllPairsCore(data, threshold, nullptr, &keys, stats, pool);
-  return DedupPairKeys(std::move(keys), pool);
+  auto out = AllPairsCore(data, threshold, /*verify=*/false, pool);
+  if (stats != nullptr) *stats = out.stats;
+  return DedupPairKeys(std::move(out.keys), pool);
 }
 
 }  // namespace bayeslsh

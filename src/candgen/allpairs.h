@@ -29,7 +29,10 @@
 //                           this is the candidate feed for AP+BayesLSH.
 //
 // Binary cosine reuses this module on BinarizeNormalized(data). Binary
-// Jaccard uses candgen/prefix_filter_join.h instead.
+// Jaccard uses candgen/prefix_filter_join.h instead. The probe loop runs
+// through internal::ProbeRows (candgen/exact_join_impl.h), the one
+// sharded probe driver of the three exact joins; the probe body is this
+// file's.
 
 #ifndef BAYESLSH_CANDGEN_ALLPAIRS_H_
 #define BAYESLSH_CANDGEN_ALLPAIRS_H_
@@ -53,7 +56,8 @@ struct AllPairsStats {
 };
 
 // Exact all-pairs cosine join: all pairs (i < j) with dot >= threshold.
-// Rows of `data` must be L2-normalized. threshold must be in (0, 1].
+// Rows of `data` must be L2-normalized. Throws std::invalid_argument
+// unless threshold lies in (0, 1].
 //
 // Both modes run in two phases (build the full index bound-split first,
 // then probe every vector against entries indexed before it), which lets a

@@ -1,11 +1,11 @@
 #include "candgen/ppjoin.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <limits>
-#include <numeric>
+#include <utility>
 
+#include "candgen/exact_join_impl.h"
 #include "candgen/prefix_filter_join.h"
 
 namespace bayeslsh {
@@ -69,12 +69,6 @@ int SuffixHammingLowerBound(std::span<const uint32_t> x,
 
 namespace {
 
-struct Posting {
-  uint32_t pos;     // Processing position of the indexed row.
-  uint32_t size;    // Its size (lazy size filter).
-  uint32_t offset;  // Token position within the indexed row.
-};
-
 uint32_t RequiredOverlap(uint32_t la, uint32_t lb, double threshold,
                          Measure measure) {
   if (measure == Measure::kJaccard) {
@@ -84,204 +78,106 @@ uint32_t RequiredOverlap(uint32_t la, uint32_t lb, double threshold,
   return CeilSafe(threshold * std::sqrt(static_cast<double>(la) * lb));
 }
 
-uint32_t PrefixLengthOf(uint32_t size, double threshold, Measure measure) {
-  if (size == 0) return 0;
-  const double frac = measure == Measure::kJaccard
-                          ? threshold
-                          : threshold * threshold;
-  const uint32_t need = CeilSafe(frac * size);
-  return need >= size ? 1u : size - need + 1u;
-}
-
-uint32_t MergeOverlap(const std::vector<uint32_t>& a,
-                      const std::vector<uint32_t>& b) {
-  uint32_t o = 0;
-  size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i] == b[j]) {
-      ++o;
-      ++i;
-      ++j;
-    } else if (a[i] < b[j]) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  return o;
-}
-
 }  // namespace
 
 std::vector<ScoredPair> PpjoinJoin(const Dataset& data, double threshold,
                                    Measure measure, bool use_suffix_filter,
                                    PpjoinStats* stats, ThreadPool* pool) {
-  assert(threshold > 0.0 && threshold <= 1.0);
-  assert(measure == Measure::kJaccard || measure == Measure::kBinaryCosine);
+  using namespace internal;
+  const double frac = SizeFraction(threshold, measure, "PpjoinJoin");
   const uint32_t n = data.num_vectors();
-  const uint32_t d = data.num_dims();
-
-  // Reorder: tokens by ascending frequency, rows by ascending size
-  // (identical to the prefix-filter join; kept local for self-containment).
-  const std::vector<uint32_t> freq = data.DimFrequencies();
-  std::vector<uint32_t> dims(d);
-  std::iota(dims.begin(), dims.end(), 0u);
-  std::sort(dims.begin(), dims.end(), [&](uint32_t a, uint32_t b) {
-    return freq[a] != freq[b] ? freq[a] < freq[b] : a < b;
-  });
-  std::vector<uint32_t> rank_of(d);
-  for (uint32_t i = 0; i < d; ++i) rank_of[dims[i]] = i;
-
-  std::vector<uint32_t> orig_id(n);
-  std::iota(orig_id.begin(), orig_id.end(), 0u);
-  std::sort(orig_id.begin(), orig_id.end(), [&](uint32_t a, uint32_t b) {
-    const uint32_t la = data.RowLength(a), lb = data.RowLength(b);
-    return la != lb ? la < lb : a < b;
-  });
-  std::vector<std::vector<uint32_t>> rows(n);
-  ParallelFor(pool, 0, n, [&](uint64_t p) {
-    const SparseVectorView v = data.Row(orig_id[p]);
-    rows[p].resize(v.size());
-    for (uint32_t k = 0; k < v.size(); ++k) rows[p][k] = rank_of[v.indices[k]];
-    std::sort(rows[p].begin(), rows[p].end());
-  });
-
-  // Phase 1: full prefix index in position order (see
-  // candgen/prefix_filter_join.cc for why probing entries with pos < p
-  // reproduces the interleaved formulation exactly).
-  std::vector<std::vector<Posting>> index(d);
-  for (uint32_t p = 0; p < n; ++p) {
-    const auto& x = rows[p];
-    const auto size_x = static_cast<uint32_t>(x.size());
-    const uint32_t px = PrefixLengthOf(size_x, threshold, measure);
-    for (uint32_t k = 0; k < px && k < size_x; ++k) {
-      index[x[k]].push_back({p, size_x, k});
-    }
-  }
+  const BinaryReordered r = ReorderBinary(data, pool);
+  const auto index = BuildPrefixIndex</*kOffset=*/true>(r, data.num_dims(),
+                                                        frac);
 
   constexpr int64_t kDead = std::numeric_limits<int64_t>::min();
 
   // Phase 2: probe, sharded over probe rows.
-  const uint32_t num_shards = pool != nullptr ? pool->num_threads() : 1u;
-  struct ProbeShard {
-    std::vector<ScoredPair> out;
-    PpjoinStats stats;
-  };
-  std::vector<ProbeShard> shards(num_shards);
-  auto probe = [&](uint32_t shard, uint64_t p_begin, uint64_t p_end) {
-    ProbeShard& sh = shards[shard];
-    PpjoinStats& local = sh.stats;
-    std::vector<ScoredPair>& out = sh.out;
+  auto probe = [&](uint32_t p_begin, uint32_t p_end,
+                   ProbeOutput<PpjoinStats>* out) {
+    PpjoinStats& local = out->stats;
     std::vector<int64_t> acc(n, 0);
     std::vector<uint32_t> stamp(n, UINT32_MAX);
     std::vector<uint32_t> touched;
-    std::vector<uint32_t> front(d, 0);
+    std::vector<uint32_t> front(data.num_dims(), 0);
 
-    for (uint32_t p = static_cast<uint32_t>(p_begin); p < p_end; ++p) {
-    const auto& x = rows[p];
-    const auto size_x = static_cast<uint32_t>(x.size());
-    const uint32_t px = PrefixLengthOf(size_x, threshold, measure);
-    const double frac = measure == Measure::kJaccard
-                            ? threshold
-                            : threshold * threshold;
-    const uint32_t minsize = CeilSafe(frac * size_x);
+    for (uint32_t p = p_begin; p < p_end; ++p) {
+      const auto& x = r.rows[p];
+      const auto size_x = static_cast<uint32_t>(x.size());
+      const uint32_t px = PrefixLength(size_x, frac);
+      const uint32_t minsize = MinSize(size_x, frac);
 
-    touched.clear();
-    for (uint32_t k = 0; k < px && k < size_x; ++k) {
-      const uint32_t w = x[k];
-      const auto& list = index[w];
-      uint32_t& f = front[w];
-      while (f < list.size() && list[f].size < minsize) ++f;
-      for (uint32_t e = f; e < list.size(); ++e) {
-        const Posting& pe = list[e];
-        const uint32_t q = pe.pos;
-        if (q >= p) break;  // Lists are sorted by position.
-        if (stamp[q] != p) {
-          stamp[q] = p;
-          acc[q] = 0;
-          touched.push_back(q);
-        }
-        if (acc[q] == kDead) continue;
-        const auto& y = rows[q];
-        const auto size_y = static_cast<uint32_t>(y.size());
-        const uint32_t alpha =
-            RequiredOverlap(size_x, size_y, threshold, measure);
-        // Positional filter: best possible total overlap from here on.
-        const int64_t ubound =
-            1 + std::min<int64_t>(size_x - k - 1, size_y - pe.offset - 1);
-        if (acc[q] + ubound < static_cast<int64_t>(alpha)) {
-          ++local.positional_pruned;
-          acc[q] = kDead;
-          continue;
-        }
-        if (acc[q] == 0) {
-          // First encounter: tokens before (k, offset) in either row cannot
-          // match the other (see header), so total overlap =
-          // 1 + overlap(suffixes).
-          ++local.encounters;
-          if (use_suffix_filter) {
-            const std::span<const uint32_t> xs(x.data() + k + 1,
-                                               size_x - k - 1);
-            const std::span<const uint32_t> ys(y.data() + pe.offset + 1,
-                                               size_y - pe.offset - 1);
-            const int need_suffix = static_cast<int>(alpha) - 1;
-            const int hmax = static_cast<int>(xs.size()) +
-                             static_cast<int>(ys.size()) - 2 * need_suffix;
-            if (hmax < 0 ||
-                SuffixHammingLowerBound(xs, ys, hmax) > hmax) {
-              ++local.suffix_pruned;
-              acc[q] = kDead;
-              continue;
+      touched.clear();
+      for (uint32_t k = 0; k < px && k < size_x; ++k) {
+        const uint32_t w = x[k];
+        const auto& list = index[w];
+        uint32_t& f = front[w];
+        while (f < list.size() && list[f].size < minsize) ++f;
+        for (uint32_t e = f; e < list.size(); ++e) {
+          const PrefixPosting<true>& pe = list[e];
+          const uint32_t q = pe.pos;
+          if (q >= p) break;  // Lists are sorted by position.
+          if (stamp[q] != p) {
+            stamp[q] = p;
+            acc[q] = 0;
+            touched.push_back(q);
+          }
+          if (acc[q] == kDead) continue;
+          const auto& y = r.rows[q];
+          const auto size_y = static_cast<uint32_t>(y.size());
+          const uint32_t alpha =
+              RequiredOverlap(size_x, size_y, threshold, measure);
+          // Positional filter: best possible total overlap from here on.
+          const int64_t ubound =
+              1 + std::min<int64_t>(size_x - k - 1, size_y - pe.offset - 1);
+          if (acc[q] + ubound < static_cast<int64_t>(alpha)) {
+            ++local.positional_pruned;
+            acc[q] = kDead;
+            continue;
+          }
+          if (acc[q] == 0) {
+            // First encounter: tokens before (k, offset) in either row
+            // cannot match the other (see header), so total overlap =
+            // 1 + overlap(suffixes).
+            ++local.encounters;
+            if (use_suffix_filter) {
+              const std::span<const uint32_t> xs(x.data() + k + 1,
+                                                 size_x - k - 1);
+              const std::span<const uint32_t> ys(y.data() + pe.offset + 1,
+                                                 size_y - pe.offset - 1);
+              const int need_suffix = static_cast<int>(alpha) - 1;
+              const int hmax = static_cast<int>(xs.size()) +
+                               static_cast<int>(ys.size()) - 2 * need_suffix;
+              if (hmax < 0 ||
+                  SuffixHammingLowerBound(xs, ys, hmax) > hmax) {
+                ++local.suffix_pruned;
+                acc[q] = kDead;
+                continue;
+              }
             }
           }
+          acc[q] += 1;
         }
-        acc[q] += 1;
       }
-    }
 
-    for (uint32_t q : touched) {
-      if (acc[q] == kDead || acc[q] <= 0) continue;
-      ++local.verified;
-      const auto& y = rows[q];
-      const uint32_t o = MergeOverlap(x, y);
-      const uint32_t size_y = static_cast<uint32_t>(y.size());
-      double s;
-      if (measure == Measure::kJaccard) {
-        const uint32_t uni = size_x + size_y - o;
-        s = uni == 0 ? 0.0 : static_cast<double>(o) / uni;
-      } else {
-        s = (size_x == 0 || size_y == 0)
-                ? 0.0
-                : o / std::sqrt(static_cast<double>(size_x) * size_y);
+      for (uint32_t q : touched) {
+        if (acc[q] == kDead || acc[q] <= 0) continue;
+        ++local.verified;
+        const auto& y = r.rows[q];
+        const double s =
+            SetSimilarity(MergeOverlap(x, y), size_x,
+                          static_cast<uint32_t>(y.size()), measure);
+        if (s >= threshold) out->AddPair(r.orig_id[q], r.orig_id[p], s);
       }
-      if (s >= threshold) {
-        const uint32_t a = orig_id[q], b = orig_id[p];
-        out.push_back(a < b ? ScoredPair{a, b, s} : ScoredPair{b, a, s});
-      }
-    }
     }
   };
-  if (pool != nullptr) {
-    pool->RunShards(n, probe);
-  } else {
-    probe(0, 0, n);
-  }
-
-  PpjoinStats local;
-  std::vector<ScoredPair> out;
-  for (ProbeShard& sh : shards) {
-    out.insert(out.end(), sh.out.begin(), sh.out.end());
-    local.encounters += sh.stats.encounters;
-    local.positional_pruned += sh.stats.positional_pruned;
-    local.suffix_pruned += sh.stats.suffix_pruned;
-    local.verified += sh.stats.verified;
-  }
-  std::sort(out.begin(), out.end(),
-            [](const ScoredPair& a, const ScoredPair& b) {
-              return a.a != b.a ? a.a < b.a : a.b < b.b;
-            });
-  if (stats != nullptr) *stats = local;
-  return out;
+  auto out = ProbeRows<PpjoinStats>(
+      pool, n, probe, &PpjoinStats::encounters,
+      &PpjoinStats::positional_pruned, &PpjoinStats::suffix_pruned,
+      &PpjoinStats::verified);
+  if (stats != nullptr) *stats = out.stats;
+  SortByIds(&out.pairs);
+  return std::move(out.pairs);
 }
 
 }  // namespace bayeslsh

@@ -16,6 +16,13 @@
 // if it exceeds H_max = |xs| + |ys| - 2 (α - 1), the pair is pruned without
 // an exact merge. Depth is capped (kSuffixFilterMaxDepth), trading filter
 // strength for probe cost, exactly as in the original paper.
+//
+// Everything but that probe body is the prefix-filter join's scaffolding
+// (candgen/exact_join_impl.h): the checked threshold, the reordering, the
+// prefix length and size filter, the exact overlap and similarity, and the
+// position-ordered prefix index, whose entries here also hold each token's
+// offset. Its probe loop runs through internal::ProbeRows, the one driver
+// of the three exact joins.
 
 #ifndef BAYESLSH_CANDGEN_PPJOIN_H_
 #define BAYESLSH_CANDGEN_PPJOIN_H_
@@ -40,10 +47,11 @@ struct PpjoinStats {
   uint64_t verified = 0;           // Exact merges performed.
 };
 
-// Exact join over index sets; `measure` must be kJaccard or kBinaryCosine,
-// threshold in (0, 1]. use_suffix_filter=false gives plain PPJoin,
-// true gives PPJoin+. With a pool, the probe loop shards over row ranges
-// (two-phase, as in candgen/prefix_filter_join.h) with identical output.
+// Exact join over index sets. Throws std::invalid_argument unless
+// `measure` is kJaccard or kBinaryCosine and threshold lies in (0, 1].
+// use_suffix_filter=false gives plain PPJoin, true gives PPJoin+. With a
+// pool, the probe loop shards over row ranges (two-phase, as in
+// candgen/prefix_filter_join.h) with identical output and counters.
 std::vector<ScoredPair> PpjoinJoin(const Dataset& data, double threshold,
                                    Measure measure,
                                    bool use_suffix_filter = true,
@@ -52,10 +60,9 @@ std::vector<ScoredPair> PpjoinJoin(const Dataset& data, double threshold,
 
 // Lower bound on the Hamming distance between two ascending token arrays,
 // by recursive probe partitioning (Algorithm "SuffixFilter" of the PPJoin+
-// paper). Guaranteed to never exceed... i.e. never to over-estimate beyond
-// hmax + small slack in a way that prunes a qualifying pair: whenever the
-// returned value is > hmax, the true Hamming distance is also > hmax.
-// Exposed for direct unit testing.
+// paper). It never prunes a qualifying pair: whenever the returned value
+// is > hmax, the true Hamming distance is also > hmax. Exposed for direct
+// unit testing.
 int SuffixHammingLowerBound(std::span<const uint32_t> x,
                             std::span<const uint32_t> y, int hmax,
                             int depth = 1);

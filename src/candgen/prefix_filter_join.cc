@@ -1,21 +1,26 @@
 #include "candgen/prefix_filter_join.h"
 
 #include <algorithm>
-#include <cassert>
-#include <cmath>
 #include <numeric>
+#include <stdexcept>
+#include <utility>
 
-#include "common/bit_ops.h"
+#include "candgen/exact_join_impl.h"
+#include "core/measure_table.h"
 
 namespace bayeslsh {
 
-namespace {
+namespace internal {
 
-// Rows re-tokenized by frequency rank and sorted by size.
-struct BinaryReordered {
-  std::vector<uint32_t> orig_id;             // By processing position.
-  std::vector<std::vector<uint32_t>> rows;   // Ranked tokens, ascending.
-};
+double SizeFraction(double threshold, Measure measure,
+                    const std::string& who) {
+  if (measure != Measure::kJaccard && measure != Measure::kBinaryCosine) {
+    throw std::invalid_argument(
+        who + ": the measure must be kJaccard or kBinaryCosine");
+  }
+  CheckThreshold(measure, threshold, who);
+  return measure == Measure::kJaccard ? threshold : threshold * threshold;
+}
 
 BinaryReordered ReorderBinary(const Dataset& data, ThreadPool* pool) {
   BinaryReordered r;
@@ -49,90 +54,28 @@ BinaryReordered ReorderBinary(const Dataset& data, ThreadPool* pool) {
   return r;
 }
 
-uint32_t PrefixLength(uint32_t size, double threshold, Measure measure) {
-  if (size == 0) return 0;
-  const double frac = measure == Measure::kJaccard
-                          ? threshold
-                          : threshold * threshold;  // Binary cosine.
-  const uint32_t need = CeilSafe(frac * size);
-  return need >= size ? 1u : size - need + 1u;
-}
+}  // namespace internal
 
-uint32_t MinSize(uint32_t probe_size, double threshold, Measure measure) {
-  const double frac = measure == Measure::kJaccard
-                          ? threshold
-                          : threshold * threshold;
-  return CeilSafe(frac * probe_size);
-}
+namespace {
 
-// Exact overlap by merge of two ascending token arrays.
-uint32_t MergeOverlap(const std::vector<uint32_t>& a,
-                      const std::vector<uint32_t>& b) {
-  uint32_t o = 0;
-  size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i] == b[j]) {
-      ++o;
-      ++i;
-      ++j;
-    } else if (a[i] < b[j]) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  return o;
-}
-
-double SetSimilarity(uint32_t overlap, uint32_t la, uint32_t lb,
-                     Measure measure) {
-  if (measure == Measure::kJaccard) {
-    const uint32_t uni = la + lb - overlap;
-    return uni == 0 ? 0.0 : static_cast<double>(overlap) / uni;
-  }
-  if (la == 0 || lb == 0) return 0.0;
-  return overlap / std::sqrt(static_cast<double>(la) * lb);
-}
-
-struct Posting {
-  uint32_t pos;   // Processing position.
-  uint32_t size;  // Row size (for the lazy size filter).
-};
-
-// Two-phase core (cf. AllPairsCore): phase 1 builds the full prefix index
-// in processing order, phase 2 probes each row against the entries indexed
-// before it (early break on the position-sorted posting lists) — identical
-// to the classical interleaved formulation, but shardable over probe rows.
-void PrefixFilterCore(const Dataset& data, double threshold, Measure measure,
-                      std::vector<ScoredPair>* out_matches,
-                      std::vector<uint64_t>* out_candidates,
-                      PrefixJoinStats* stats, ThreadPool* pool) {
-  assert(threshold > 0.0 && threshold <= 1.0);
-  assert(measure == Measure::kJaccard || measure == Measure::kBinaryCosine);
+// Both modes: verify == true runs the exact join, false collects candidate
+// keys (original ids).
+internal::ProbeOutput<PrefixJoinStats> PrefixFilterCore(const Dataset& data,
+                                                        double threshold,
+                                                        Measure measure,
+                                                        bool verify,
+                                                        ThreadPool* pool) {
+  using namespace internal;
+  const double frac = SizeFraction(
+      threshold, measure,
+      verify ? "PrefixFilterJoin" : "PrefixFilterCandidates");
   const uint32_t n = data.num_vectors();
-  BinaryReordered r = ReorderBinary(data, pool);
+  const BinaryReordered r = ReorderBinary(data, pool);
+  const auto index = BuildPrefixIndex<false>(r, data.num_dims(), frac);
 
-  // --- Phase 1: full prefix index, in position order. ---
-  std::vector<std::vector<Posting>> index(data.num_dims());
-  for (uint32_t p = 0; p < n; ++p) {
-    const auto& x = r.rows[p];
-    const auto size = static_cast<uint32_t>(x.size());
-    const uint32_t px = PrefixLength(size, threshold, measure);
-    for (uint32_t k = 0; k < px && k < size; ++k) {
-      index[x[k]].push_back({p, size});
-    }
-  }
-
-  // --- Phase 2: probe, sharded over probe rows. ---
-  const uint32_t num_shards = pool != nullptr ? pool->num_threads() : 1u;
-  struct ProbeShard {
-    std::vector<uint64_t> keys;
-    std::vector<ScoredPair> matches;
-    PrefixJoinStats stats;
-  };
-  std::vector<ProbeShard> shards(num_shards);
-  auto probe = [&](uint32_t shard, uint64_t p_begin, uint64_t p_end) {
-    ProbeShard& sh = shards[shard];
+  auto probe = [&](uint32_t p_begin, uint32_t p_end,
+                   ProbeOutput<PrefixJoinStats>* out) {
+    PrefixJoinStats& st = out->stats;
     std::vector<uint32_t> stamp(n, UINT32_MAX);
     std::vector<uint32_t> touched;
     // Worker-local lazy size-filter front pointers: rows are indexed in
@@ -140,11 +83,11 @@ void PrefixFilterCore(const Dataset& data, double threshold, Measure measure,
     // the shard, so undersized entries cluster at the front, as in the
     // interleaved formulation.
     std::vector<uint32_t> front(data.num_dims(), 0);
-    for (uint32_t p = static_cast<uint32_t>(p_begin); p < p_end; ++p) {
+    for (uint32_t p = p_begin; p < p_end; ++p) {
       const auto& x = r.rows[p];
       const auto size = static_cast<uint32_t>(x.size());
-      const uint32_t px = PrefixLength(size, threshold, measure);
-      const uint32_t minsize = MinSize(size, threshold, measure);
+      const uint32_t px = PrefixLength(size, frac);
+      const uint32_t minsize = MinSize(size, frac);
 
       touched.clear();
       for (uint32_t k = 0; k < px && k < size; ++k) {
@@ -153,7 +96,7 @@ void PrefixFilterCore(const Dataset& data, double threshold, Measure measure,
         uint32_t& f = front[w];
         while (f < list.size() && list[f].size < minsize) {
           ++f;
-          ++sh.stats.size_skipped;
+          ++st.size_skipped;
         }
         for (uint32_t e = f; e < list.size(); ++e) {
           const uint32_t q = list[e].pos;
@@ -164,50 +107,24 @@ void PrefixFilterCore(const Dataset& data, double threshold, Measure measure,
           }
         }
       }
-      sh.stats.candidates += touched.size();
+      st.candidates += touched.size();
 
-      if (out_candidates != nullptr) {
-        for (uint32_t q : touched) {
-          const uint32_t a = r.orig_id[q], b = r.orig_id[p];
-          sh.keys.push_back(a < b ? PairKey(a, b) : PairKey(b, a));
-        }
+      if (!verify) {
+        for (uint32_t q : touched) out->AddKey(r.orig_id[q], r.orig_id[p]);
+        continue;
       }
-      if (out_matches != nullptr) {
-        for (uint32_t q : touched) {
-          ++sh.stats.verified;
-          const uint32_t o = MergeOverlap(x, r.rows[q]);
-          const double s = SetSimilarity(
-              o, size, static_cast<uint32_t>(r.rows[q].size()), measure);
-          if (s >= threshold) {
-            const uint32_t a = r.orig_id[q], b = r.orig_id[p];
-            sh.matches.push_back(a < b ? ScoredPair{a, b, s}
-                                       : ScoredPair{b, a, s});
-          }
-        }
+      for (uint32_t q : touched) {
+        ++st.verified;
+        const uint32_t o = MergeOverlap(x, r.rows[q]);
+        const double s = SetSimilarity(
+            o, size, static_cast<uint32_t>(r.rows[q].size()), measure);
+        if (s >= threshold) out->AddPair(r.orig_id[q], r.orig_id[p], s);
       }
     }
   };
-  if (pool != nullptr) {
-    pool->RunShards(n, probe);
-  } else {
-    probe(0, 0, n);
-  }
-
-  PrefixJoinStats local;
-  for (ProbeShard& sh : shards) {
-    if (out_candidates != nullptr) {
-      out_candidates->insert(out_candidates->end(), sh.keys.begin(),
-                             sh.keys.end());
-    }
-    if (out_matches != nullptr) {
-      out_matches->insert(out_matches->end(), sh.matches.begin(),
-                          sh.matches.end());
-    }
-    local.candidates += sh.stats.candidates;
-    local.size_skipped += sh.stats.size_skipped;
-    local.verified += sh.stats.verified;
-  }
-  if (stats != nullptr) *stats = local;
+  return ProbeRows<PrefixJoinStats>(
+      pool, n, probe, &PrefixJoinStats::candidates,
+      &PrefixJoinStats::size_skipped, &PrefixJoinStats::verified);
 }
 
 }  // namespace
@@ -216,21 +133,19 @@ std::vector<ScoredPair> PrefixFilterJoin(const Dataset& data,
                                          double threshold, Measure measure,
                                          PrefixJoinStats* stats,
                                          ThreadPool* pool) {
-  std::vector<ScoredPair> matches;
-  PrefixFilterCore(data, threshold, measure, &matches, nullptr, stats, pool);
-  std::sort(matches.begin(), matches.end(),
-            [](const ScoredPair& a, const ScoredPair& b) {
-              return a.a != b.a ? a.a < b.a : a.b < b.b;
-            });
-  return matches;
+  auto out = PrefixFilterCore(data, threshold, measure, /*verify=*/true, pool);
+  if (stats != nullptr) *stats = out.stats;
+  SortByIds(&out.pairs);
+  return std::move(out.pairs);
 }
 
 CandidateList PrefixFilterCandidates(const Dataset& data, double threshold,
                                      Measure measure, PrefixJoinStats* stats,
                                      ThreadPool* pool) {
-  std::vector<uint64_t> keys;
-  PrefixFilterCore(data, threshold, measure, nullptr, &keys, stats, pool);
-  return DedupPairKeys(std::move(keys), pool);
+  auto out =
+      PrefixFilterCore(data, threshold, measure, /*verify=*/false, pool);
+  if (stats != nullptr) *stats = out.stats;
+  return DedupPairKeys(std::move(out.keys), pool);
 }
 
 }  // namespace bayeslsh

@@ -15,7 +15,11 @@
 // Survivors are verified by an exact merge.
 //
 // Like AllPairs, it offers an exact-join mode and a candidate-emit mode
-// (the feed for AP+BayesLSH on binary Jaccard data).
+// (the feed for AP+BayesLSH on binary Jaccard data). Its scaffolding (the
+// checked threshold, the reordering, the filter arithmetic, the exact
+// similarity and the prefix index; candgen/exact_join_impl.h, defined in
+// prefix_filter_join.cc) is also PPJoin's (candgen/ppjoin.h), which adds
+// only its own probe body.
 
 #ifndef BAYESLSH_CANDGEN_PREFIX_FILTER_JOIN_H_
 #define BAYESLSH_CANDGEN_PREFIX_FILTER_JOIN_H_
@@ -38,8 +42,9 @@ struct PrefixJoinStats {
   uint64_t verified = 0;        // Exact merges performed.
 };
 
-// Exact join over the index sets of `data` (values are ignored).
-// `measure` must be kJaccard or kBinaryCosine; threshold in (0, 1].
+// Exact join over the index sets of `data` (values are ignored). Throws
+// std::invalid_argument unless `measure` is kJaccard or kBinaryCosine and
+// threshold lies in (0, 1].
 //
 // Two-phase like AllPairs: the full prefix index is built first, then the
 // probe loop shards over row ranges (per-worker accumulators and size-

@@ -136,6 +136,45 @@ struct DynamicIndex::Impl {
     if (t.joinable()) t.join();
   }
 
+  // The two WaitForCompaction overloads' tail: joins `t`, the worker
+  // already taken from `worker`, then rethrows (and clears) the error a
+  // compaction left behind.
+  void JoinAndRethrow(std::thread t) {
+    if (t.joinable()) t.join();
+    std::lock_guard<std::mutex> lk(worker_mu);
+    if (compact_error != nullptr) {
+      std::rethrow_exception(std::exchange(compact_error, nullptr));
+    }
+  }
+
+  // The live rows, base then delta: the ascending logical-id order a
+  // from-scratch build over the live corpus would index, since every
+  // delta id exceeds every base id. Fills *ids (if not null) with their
+  // ids and *base_rows (if not null) with each one's physical base row,
+  // or SignatureAdoption::kFreshRow for a delta row.
+  static Dataset LiveRows(const Dataset& base_data,
+                          const std::vector<uint32_t>& base_row_ids,
+                          const Dataset& delta,
+                          const std::vector<uint32_t>& delta_row_ids,
+                          const std::unordered_set<uint32_t>& tombs,
+                          std::vector<uint32_t>* ids,
+                          std::vector<uint32_t>* base_rows) {
+    DatasetBuilder builder(base_data.num_dims());
+    const auto add = [&](uint32_t id, SparseVectorView row, uint32_t from) {
+      if (tombs.count(id) != 0) return;
+      builder.AddRow(RowEntries(row));
+      if (ids != nullptr) ids->push_back(id);
+      if (base_rows != nullptr) base_rows->push_back(from);
+    };
+    for (uint32_t r = 0; r < base_row_ids.size(); ++r) {
+      add(base_row_ids[r], base_data.Row(r), r);
+    }
+    for (uint32_t r = 0; r < delta_row_ids.size(); ++r) {
+      add(delta_row_ids[r], delta.Row(r), SignatureAdoption::kFreshRow);
+    }
+    return std::move(builder).Build();
+  }
+
   // The delta serves single-threaded: results are thread-count invariant
   // by the engine's determinism guarantee, the segment is small by
   // invariant, and a second worker pool per index (torn down and rebuilt
@@ -305,32 +344,18 @@ struct DynamicIndex::Impl {
       tomb_snap = tombstones;
     }
 
-    // Merged live corpus in ascending logical-id order (base ids are
-    // ascending and every delta id exceeds them) — what a from-scratch
-    // build over the live corpus would index. Surviving base rows donate
-    // their already-computed signatures; former delta rows hash fresh
-    // (their signatures live in the delta searcher's store, which grows
-    // under concurrent queries this thread is not locked against).
-    DatasetBuilder builder(num_dims);
+    // Merged live corpus. Surviving base rows donate their
+    // already-computed signatures; former delta rows hash fresh (their
+    // signatures live in the delta searcher's store, which grows under
+    // concurrent queries this thread is not locked against).
     std::vector<uint32_t> ids;
     SignatureAdoption adopt;
     adopt.source = old_base;
     ids.reserve(base_ids_snap.size() + delta_ids_snap.size());
     adopt.source_rows.reserve(ids.capacity());
-    for (uint32_t r = 0; r < base_ids_snap.size(); ++r) {
-      const uint32_t id = base_ids_snap[r];
-      if (tomb_snap.count(id) != 0) continue;
-      builder.AddRow(RowEntries(old_base->data().Row(r)));
-      ids.push_back(id);
-      adopt.source_rows.push_back(r);
-    }
-    for (uint32_t r = 0; r < delta_ids_snap.size(); ++r) {
-      const uint32_t id = delta_ids_snap[r];
-      if (tomb_snap.count(id) != 0) continue;
-      builder.AddRow(RowEntries(delta_snap.Row(r)));
-      ids.push_back(id);
-      adopt.source_rows.push_back(SignatureAdoption::kFreshRow);
-    }
+    Dataset live = LiveRows(old_base->data(), base_ids_snap, delta_snap,
+                            delta_ids_snap, tomb_snap, &ids,
+                            &adopt.source_rows);
 
     // Keep the old base's family, KLSH anchors included: adoption
     // requires it (signatures are functions of the family), and so does
@@ -340,8 +365,8 @@ struct DynamicIndex::Impl {
     build_cfg.banding.hashes_per_band = old_base->hashes_per_band();
     build_cfg.banding.num_bands = old_base->num_bands();
     build_cfg.num_threads = cfg.num_threads;
-    std::unique_ptr<PersistentIndex> new_base = PersistentIndex::Build(
-        std::move(builder).Build(), build_cfg, &adopt);
+    std::unique_ptr<PersistentIndex> new_base =
+        PersistentIndex::Build(std::move(live), build_cfg, &adopt);
     // The warm searcher copies every signature row, O(corpus) — build it
     // off-lock too, so the swap below stays pointer-cheap.
     auto new_searcher =
@@ -655,13 +680,7 @@ void DynamicIndex::WaitForCompaction() {
     std::lock_guard<std::mutex> lk(im.worker_mu);
     t = std::move(im.worker);
   }
-  if (t.joinable()) t.join();
-  std::lock_guard<std::mutex> lk(im.worker_mu);
-  if (im.compact_error != nullptr) {
-    std::exception_ptr err = im.compact_error;
-    im.compact_error = nullptr;
-    std::rethrow_exception(err);
-  }
+  im.JoinAndRethrow(std::move(t));
 }
 
 bool DynamicIndex::WaitForCompaction(double timeout_seconds) {
@@ -681,13 +700,7 @@ bool DynamicIndex::WaitForCompaction(double timeout_seconds) {
   }
   // The flag flips in the worker's final statement, so this join is
   // bounded — the thread is already past its body.
-  if (t.joinable()) t.join();
-  std::lock_guard<std::mutex> lk(im.worker_mu);
-  if (im.compact_error != nullptr) {
-    std::exception_ptr err = im.compact_error;
-    im.compact_error = nullptr;
-    std::rethrow_exception(err);
-  }
+  im.JoinAndRethrow(std::move(t));
   return true;
 }
 
@@ -897,23 +910,9 @@ bool DynamicIndex::SniffFile(const std::string& path) {
 Dataset DynamicIndex::LiveCorpus(std::vector<uint32_t>* ids) const {
   const Impl& im = *impl_;
   std::shared_lock<std::shared_mutex> lock(im.mu);
-  DatasetBuilder builder(im.num_dims);
   if (ids != nullptr) ids->clear();
-  // Base then delta is ascending logical-id order: every delta id
-  // exceeds every base id by the segment invariant.
-  for (uint32_t r = 0; r < im.base_ids.size(); ++r) {
-    const uint32_t id = im.base_ids[r];
-    if (im.tombstones.count(id) != 0) continue;
-    builder.AddRow(RowEntries(im.base->data().Row(r)));
-    if (ids != nullptr) ids->push_back(id);
-  }
-  for (uint32_t r = 0; r < im.delta_ids.size(); ++r) {
-    const uint32_t id = im.delta_ids[r];
-    if (im.tombstones.count(id) != 0) continue;
-    builder.AddRow(RowEntries(im.delta_data.Row(r)));
-    if (ids != nullptr) ids->push_back(id);
-  }
-  return std::move(builder).Build();
+  return Impl::LiveRows(im.base->data(), im.base_ids, im.delta_data,
+                        im.delta_ids, im.tombstones, ids, nullptr);
 }
 
 const MeasureSpec& DynamicIndex::spec() const { return impl_->spec; }

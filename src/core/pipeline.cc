@@ -1,6 +1,5 @@
 #include "core/pipeline.h"
 
-#include <algorithm>
 #include <cassert>
 #include <memory>
 #include <optional>
@@ -326,10 +325,7 @@ PipelineResult RunPipeline(const Dataset& data, const PipelineConfig& config) {
   }
   result.verify_seconds = verify_timer.Seconds();
 
-  std::sort(result.pairs.begin(), result.pairs.end(),
-            [](const ScoredPair& a, const ScoredPair& b) {
-              return a.a != b.a ? a.a < b.a : a.b < b.b;
-            });
+  SortByIds(&result.pairs);
   result.total_seconds = total_timer.Seconds();
   return result;
 }

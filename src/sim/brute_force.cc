@@ -6,6 +6,13 @@
 
 namespace bayeslsh {
 
+void SortByIds(std::vector<ScoredPair>* pairs) {
+  std::sort(pairs->begin(), pairs->end(),
+            [](const ScoredPair& x, const ScoredPair& y) {
+              return x.a != y.a ? x.a < y.a : x.b < y.b;
+            });
+}
+
 std::vector<ScoredPair> BruteForceJoin(const Dataset& data, double threshold,
                                        Measure measure) {
   std::vector<ScoredPair> out;

@@ -26,6 +26,10 @@ struct ScoredPair {
   friend bool operator==(const ScoredPair&, const ScoredPair&) = default;
 };
 
+// Sorts pairs by (a, b), the order every join returns. The oracles below
+// keep their own comparator, so a fault here cannot hide in both.
+void SortByIds(std::vector<ScoredPair>* pairs);
+
 // All pairs (i < j) with similarity >= threshold, in lexicographic order.
 std::vector<ScoredPair> BruteForceJoin(const Dataset& data, double threshold,
                                        Measure measure);

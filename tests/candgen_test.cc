@@ -8,7 +8,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
+#include <stdexcept>
 #include <tuple>
 
 #include <gtest/gtest.h>
@@ -220,6 +222,38 @@ TEST(PrefixFilterTest, CeilSafeIsConservative) {
   EXPECT_EQ(CeilSafe(-0.5), 0u);
   // 0.3 * 10 is 3.0000000000000004 in IEEE754 — must stay 3.
   EXPECT_EQ(CeilSafe(0.3 * 10), 3u);
+}
+
+TEST(ExactJoinArgsTest, BadThresholdOrMeasureThrows) {
+  // Unchecked, a NaN threshold reaches CeilSafe's float-to-unsigned cast
+  // (undefined behaviour) in a build without asserts, so every exact join
+  // checks its threshold, and the binary joins their measure, before any
+  // work.
+  const Dataset sets = SmallGraphBinary(3, 40);
+  const Dataset cosine = SmallTextWeighted(3);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double t : {nan, 0.0, 1.5}) {
+    EXPECT_THROW(AllPairsJoin(cosine, t), std::invalid_argument) << t;
+    EXPECT_THROW(AllPairsCandidates(cosine, t), std::invalid_argument) << t;
+    for (const Measure m : {Measure::kJaccard, Measure::kBinaryCosine}) {
+      EXPECT_THROW(PrefixFilterJoin(sets, t, m), std::invalid_argument) << t;
+      EXPECT_THROW(PrefixFilterCandidates(sets, t, m), std::invalid_argument)
+          << t;
+      EXPECT_THROW(PpjoinJoin(sets, t, m, true), std::invalid_argument) << t;
+      EXPECT_THROW(PpjoinJoin(sets, t, m, false), std::invalid_argument)
+          << t;
+    }
+  }
+  EXPECT_THROW(PrefixFilterJoin(sets, 0.5, Measure::kCosine),
+               std::invalid_argument);
+  EXPECT_THROW(PrefixFilterCandidates(sets, 0.5, Measure::kCosine),
+               std::invalid_argument);
+  EXPECT_THROW(PpjoinJoin(sets, 0.5, Measure::kCosine),
+               std::invalid_argument);
+  // The domain's closed end is a valid threshold.
+  EXPECT_NO_THROW(AllPairsJoin(cosine, 1.0));
+  EXPECT_NO_THROW(PrefixFilterJoin(sets, 1.0, Measure::kBinaryCosine));
+  EXPECT_NO_THROW(PpjoinJoin(sets, 1.0, Measure::kJaccard));
 }
 
 // ---------------------------------------------------------------------------

@@ -9,12 +9,15 @@
 #include <memory>
 #include <ostream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "candgen/allpairs.h"
 #include "candgen/multiprobe.h"
+#include "candgen/ppjoin.h"
+#include "candgen/prefix_filter_join.h"
 #include "common/prng.h"
 #include "common/thread_pool.h"
 #include "core/cosine_posterior.h"
@@ -500,6 +503,93 @@ TEST(MultiProbeThreadDeterminismTest, IdenticalAcrossThreadCounts) {
     EXPECT_EQ(base.raw_emitted, got.raw_emitted) << threads << " threads";
     EXPECT_EQ(serial_store.computed(), store.computed())
         << threads << " threads";
+  }
+}
+
+// The exact joins' counters as comparable tuples. PrefixJoinStats leaves
+// out size_skipped: per-shard size-filter fronts re-skip undersized
+// entries, so it overcounts under sharding (candgen/prefix_filter_join.h).
+auto Counters(const AllPairsStats& s) {
+  return std::tuple(s.candidates, s.ubound_pruned, s.exact_verified,
+                    s.indexed_entries);
+}
+auto Counters(const PrefixJoinStats& s) {
+  return std::tuple(s.candidates, s.verified);
+}
+auto Counters(const PpjoinStats& s) {
+  return std::tuple(s.encounters, s.positional_pruned, s.suffix_pruned,
+                    s.verified);
+}
+
+void ExpectSameCandidates(const CandidateList& base, const CandidateList& got,
+                          uint32_t threads) {
+  EXPECT_EQ(base.pairs, got.pairs) << threads << " threads";
+  EXPECT_EQ(base.raw_emitted, got.raw_emitted) << threads << " threads";
+}
+
+TEST(ExactJoinThreadDeterminismTest, IdenticalAcrossThreadCounts) {
+  // AllPairs, the prefix-filter join and PPJoin (suffix filter on and
+  // off) shard their probe loops over row ranges and append the shards'
+  // outputs in shard order: pairs, candidates, raw_emitted and counters
+  // must equal the inline run's at 2 and 8 threads.
+  const Dataset cosine = TextWeighted(41, 500);
+  const Dataset sets = GraphBinary(43, 500);
+  const double t = 0.5;
+  const Measure set_measures[] = {Measure::kJaccard, Measure::kBinaryCosine};
+
+  AllPairsStats ap_stats, apc_stats;
+  const auto ap = AllPairsJoin(cosine, t, &ap_stats);
+  const CandidateList apc = AllPairsCandidates(cosine, t, &apc_stats);
+  ASSERT_GT(ap.size(), 0u);
+  ASSERT_GT(apc.size(), ap.size());
+  PrefixJoinStats pf_stats[2], pfc_stats[2];
+  PpjoinStats pp_stats[2][2];
+  std::vector<ScoredPair> pf[2], pp[2][2];
+  CandidateList pfc[2];
+  for (int m = 0; m < 2; ++m) {
+    pf[m] = PrefixFilterJoin(sets, t, set_measures[m], &pf_stats[m]);
+    pfc[m] = PrefixFilterCandidates(sets, t, set_measures[m], &pfc_stats[m]);
+    ASSERT_GT(pf[m].size(), 0u);
+    for (int suffix = 0; suffix < 2; ++suffix) {
+      pp[m][suffix] = PpjoinJoin(sets, t, set_measures[m], suffix == 1,
+                                 &pp_stats[m][suffix]);
+      EXPECT_EQ(pf[m], pp[m][suffix]);
+    }
+  }
+
+  for (const uint32_t threads : {2u, 8u}) {
+    ThreadPool pool(threads);
+    AllPairsStats stats, cstats;
+    ExpectSamePairsInOrder(ap, AllPairsJoin(cosine, t, &stats, &pool),
+                           threads);
+    ExpectSameCandidates(apc, AllPairsCandidates(cosine, t, &cstats, &pool),
+                         threads);
+    EXPECT_EQ(Counters(ap_stats), Counters(stats)) << threads << " threads";
+    EXPECT_EQ(Counters(apc_stats), Counters(cstats))
+        << threads << " threads";
+    for (int m = 0; m < 2; ++m) {
+      PrefixJoinStats pstats, pcstats;
+      ExpectSamePairsInOrder(
+          pf[m], PrefixFilterJoin(sets, t, set_measures[m], &pstats, &pool),
+          threads);
+      ExpectSameCandidates(
+          pfc[m],
+          PrefixFilterCandidates(sets, t, set_measures[m], &pcstats, &pool),
+          threads);
+      EXPECT_EQ(Counters(pf_stats[m]), Counters(pstats))
+          << threads << " threads";
+      EXPECT_EQ(Counters(pfc_stats[m]), Counters(pcstats))
+          << threads << " threads";
+      for (int suffix = 0; suffix < 2; ++suffix) {
+        PpjoinStats ppstats;
+        ExpectSamePairsInOrder(pp[m][suffix],
+                               PpjoinJoin(sets, t, set_measures[m],
+                                          suffix == 1, &ppstats, &pool),
+                               threads);
+        EXPECT_EQ(Counters(pp_stats[m][suffix]), Counters(ppstats))
+            << threads << " threads, suffix filter " << suffix;
+      }
+    }
   }
 }
 

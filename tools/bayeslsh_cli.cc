@@ -324,6 +324,15 @@ struct Args {
   }
 };
 
+// Parses a whole token as a non-negative integer that fits 32 bits:
+// digits only, so a negative token cannot wrap into a valid-looking id
+// as it would through strtoull. Returns false otherwise.
+bool ParseUint32(const std::string& tok, uint32_t* out) {
+  const auto [end, ec] =
+      std::from_chars(tok.data(), tok.data() + tok.size(), *out);
+  return ec == std::errc() && end == tok.data() + tok.size();
+}
+
 // Parses --measure into *out by name over the measure table; returns
 // false (after printing an error) on an unknown name.
 bool ParseMeasure(const Args& args, Measure* out) {
@@ -868,19 +877,15 @@ bool ParseServeVector(const std::vector<std::string>& tokens, size_t first,
     const std::string& tok = tokens[i];
     const size_t colon = tok.find(':');
     const std::string dim_part = tok.substr(0, colon);
-    const bool digits =
-        !dim_part.empty() &&
-        dim_part.find_first_not_of("0123456789") == std::string::npos;
-    char* end = nullptr;
-    const unsigned long long dim =
-        digits ? std::strtoull(dim_part.c_str(), &end, 10) : 0;
-    if (!digits || *end != '\0' || dim > UINT32_MAX) {
+    uint32_t dim = 0;
+    if (!ParseUint32(dim_part, &dim)) {
       *error = "malformed entry '" + tok + "' (want dim:val or dim)";
       return false;
     }
     double val = 1.0;
     if (colon != std::string::npos) {
       const std::string val_part = tok.substr(colon + 1);
+      char* end = nullptr;
       val = std::strtod(val_part.c_str(), &end);
       if (val_part.empty() || *end != '\0') {
         *error = "malformed entry '" + tok + "' (want dim:val or dim)";
@@ -897,8 +902,7 @@ bool ParseServeVector(const std::vector<std::string>& tokens, size_t first,
                std::to_string(num_dims) + " dims)";
       return false;
     }
-    entries.emplace_back(static_cast<uint32_t>(dim),
-                         static_cast<float>(val));
+    entries.emplace_back(dim, static_cast<float>(val));
   }
   std::sort(entries.begin(), entries.end());
   for (size_t i = 1; i < entries.size(); ++i) {
@@ -1118,18 +1122,13 @@ int RunServe(const Args& args) {
           continue;
         }
         const std::string& tok = tokens[arg0 + 1];
-        const bool digits =
-            !tok.empty() &&
-            tok.find_first_not_of("0123456789") == std::string::npos;
-        char* end = nullptr;
-        const unsigned long long id =
-            digits ? std::strtoull(tok.c_str(), &end, 10) : 0;
-        if (!digits || *end != '\0' || id > UINT32_MAX) {
+        uint32_t id = 0;
+        if (!ParseUint32(tok, &id)) {
           std::printf("error: malformed id '%s'\n", tok.c_str());
-        } else if (sharded.Remove(static_cast<uint32_t>(id))) {
-          std::printf("removed %llu\n", id);
+        } else if (sharded.Remove(id)) {
+          std::printf("removed %u\n", id);
         } else {
-          std::printf("error: id %llu is not a live vector (never "
+          std::printf("error: id %u is not a live vector (never "
                       "assigned, or already removed)\n", id);
         }
       } else if (cmd == "stats") {
@@ -1235,29 +1234,21 @@ int RunAdd(const Args& args) {
 int RunRemove(const Args& args) {
   if (!args.Has("index") || !args.Has("ids")) return Usage();
   // Parse the comma-separated id list up front: a malformed list is a
-  // usage error, before any file is touched. Tokens must be pure digit
-  // runs — strtoull alone would silently wrap a negative token into a
-  // valid-looking id.
+  // usage error, before any file is touched.
   std::vector<uint32_t> ids;
   {
     const std::string list = args.Get("ids", "");
     size_t pos = 0;
     while (pos <= list.size()) {
       const size_t comma = std::min(list.find(',', pos), list.size());
-      const std::string tok = list.substr(pos, comma - pos);
-      const bool digits =
-          !tok.empty() &&
-          tok.find_first_not_of("0123456789") == std::string::npos;
-      char* end = nullptr;
-      const unsigned long long v =
-          digits ? std::strtoull(tok.c_str(), &end, 10) : 0;
-      if (!digits || *end != '\0' || v > UINT32_MAX) {
+      uint32_t v = 0;
+      if (!ParseUint32(list.substr(pos, comma - pos), &v)) {
         std::fprintf(stderr,
                      "error: --ids must be a comma-separated list of "
                      "non-negative integers (got '%s')\n", list.c_str());
         return 1;
       }
-      ids.push_back(static_cast<uint32_t>(v));
+      ids.push_back(v);
       pos = comma + 1;
     }
     // Dedup: "--ids 5,5" means remove id 5 once; without this the second
