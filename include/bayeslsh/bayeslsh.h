@@ -37,9 +37,7 @@
 ///
 /// **Top-k all-pairs** — `TopKAllPairs(data, TopKConfig)`
 /// (core/topk_search.h): the k most similar pairs above a floor, via
-/// adaptive threshold descent over the pipeline. The
-/// `TopKAllPairs(PersistentIndex&, ...)` overload warm-starts every
-/// descent iteration from a prebuilt index.
+/// adaptive threshold descent over the pipeline.
 ///
 /// **Query serving** — `QuerySearcher` (core/query_search.h): build (or
 /// load) an index over a fixed collection once, then answer per-query

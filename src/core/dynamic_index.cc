@@ -432,6 +432,41 @@ struct DynamicIndex::Impl {
     return out;
   }
 
+  // The segment fan-out behind Query and QueryBatch: serve(searcher,
+  // stats) answers all `slots` queries on one segment, one result per
+  // slot. The base is always served; an empty delta finds nothing, counts
+  // nothing and reports no more threads than the base, so skipping it
+  // saves a generation hashing and changes no stat. Each slot is merged
+  // across segments, then truncated to top_k (0 keeps every match).
+  // *stats receives the segment stats summed (threads_used maxed) plus
+  // the ghost candidates. Callers hold `mu` (shared suffices).
+  template <typename Serve>
+  std::vector<std::vector<QueryMatch>> FanOut(size_t slots,
+                                              const Serve& serve,
+                                              uint32_t top_k,
+                                              QueryStats* stats) const {
+    QueryStats base_stats, delta_stats;
+    std::vector<std::vector<QueryMatch>> results =
+        serve(*base_searcher, stats != nullptr ? &base_stats : nullptr);
+    const std::vector<std::vector<QueryMatch>> delta_results =
+        delta_data.num_vectors() == 0
+            ? std::vector<std::vector<QueryMatch>>(slots)
+            : serve(*delta_searcher,
+                    stats != nullptr ? &delta_stats : nullptr);
+    uint64_t ghosts = 0;
+    for (size_t i = 0; i < slots; ++i) {
+      results[i] = MergeSegments(results[i], delta_results[i],
+                                 stats != nullptr ? &ghosts : nullptr);
+      if (top_k != 0 && results[i].size() > top_k) results[i].resize(top_k);
+    }
+    if (stats != nullptr) {
+      *stats = base_stats;
+      stats->MergeFrom(delta_stats);
+      stats->ghost_candidates += ghosts;
+    }
+    return results;
+  }
+
   // The manifest integrity fingerprint: a Mix64 chain over the header
   // counts, every id in every map, the embedded base's own fingerprint,
   // and the delta rows' full CSR content — the end marker checked on
@@ -584,27 +619,15 @@ std::vector<QueryMatch> DynamicIndex::Query(const SparseVectorView& q,
                                             QueryStats* stats) const {
   const Impl& im = *impl_;
   std::shared_lock<std::shared_mutex> lock(im.mu);
-  QueryStats base_stats, delta_stats;
-  const std::vector<QueryMatch> base_matches =
-      im.base_searcher->Query(q, stats != nullptr ? &base_stats : nullptr);
-  // An empty delta finds nothing and reports zero counters with
-  // threads_used 1, never above the base's, so skipping it saves a
-  // generation hashing and changes no stat. The base is always queried:
-  // an empty base's QueryBatch still reports its pool width.
-  const std::vector<QueryMatch> delta_matches =
-      im.delta_data.num_vectors() == 0
-          ? std::vector<QueryMatch>{}
-          : im.delta_searcher->Query(
-                q, stats != nullptr ? &delta_stats : nullptr);
-  uint64_t ghosts = 0;
-  std::vector<QueryMatch> merged = im.MergeSegments(
-      base_matches, delta_matches, stats != nullptr ? &ghosts : nullptr);
-  if (stats != nullptr) {
-    *stats = base_stats;
-    stats->MergeFrom(delta_stats);  // Segment stats sum, threads_used maxes.
-    stats->ghost_candidates += ghosts;
-  }
-  return merged;
+  auto results = im.FanOut(
+      1,
+      [&q](const QuerySearcher& segment, QueryStats* segment_stats) {
+        std::vector<std::vector<QueryMatch>> one(1);
+        one[0] = segment.Query(q, segment_stats);
+        return one;
+      },
+      /*top_k=*/0, stats);
+  return std::move(results[0]);
 }
 
 std::vector<QueryMatch> DynamicIndex::QueryTopK(const SparseVectorView& q,
@@ -622,29 +645,14 @@ std::vector<std::vector<QueryMatch>> DynamicIndex::QueryBatch(
     uint32_t top_k) const {
   const Impl& im = *impl_;
   std::shared_lock<std::shared_mutex> lock(im.mu);
-  QueryStats base_stats, delta_stats;
-  const auto base_results = im.base_searcher->QueryBatch(
-      queries, stats != nullptr ? &base_stats : nullptr, /*top_k=*/0);
-  // Skips an empty delta, as Query does.
-  const auto delta_results =
-      im.delta_data.num_vectors() == 0
-          ? std::vector<std::vector<QueryMatch>>(queries.size())
-          : im.delta_searcher->QueryBatch(
-                queries, stats != nullptr ? &delta_stats : nullptr,
-                /*top_k=*/0);
-  uint64_t ghosts = 0;
-  std::vector<std::vector<QueryMatch>> results(queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    results[i] = im.MergeSegments(base_results[i], delta_results[i],
-                                  stats != nullptr ? &ghosts : nullptr);
-    if (top_k != 0 && results[i].size() > top_k) results[i].resize(top_k);
-  }
-  if (stats != nullptr) {
-    *stats = base_stats;
-    stats->MergeFrom(delta_stats);  // Segment stats sum, threads_used maxes.
-    stats->ghost_candidates += ghosts;
-  }
-  return results;
+  // Segments answer in full: truncating before the merge could let a
+  // tombstoned row displace a live one.
+  return im.FanOut(
+      queries.size(),
+      [queries](const QuerySearcher& segment, QueryStats* segment_stats) {
+        return segment.QueryBatch(queries, segment_stats, /*top_k=*/0);
+      },
+      top_k, stats);
 }
 
 void DynamicIndex::Compact() { impl_->CompactLsm(); }

@@ -13,7 +13,6 @@
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/classical.h"
-#include "core/index_io.h"
 #include "core/parallel_verify.h"
 #include "euclidean/distance_posterior.h"
 #include "stats/beta_distribution.h"
@@ -84,48 +83,6 @@ BetaDistribution FitJaccardPrior(const PairScorer& exact,
   if (strength <= kMaxPriorStrength) return fit;
   const double scale = kMaxPriorStrength / strength;
   return BetaDistribution(fit.alpha() * scale, fit.beta() * scale);
-}
-
-// Checks warm-start compatibility once per run and returns the index when
-// adoption is applicable for this measure (see the warm_index field docs).
-const PersistentIndex* ResolveWarmIndex(const PipelineConfig& config,
-                                        const Dataset& data,
-                                        const MeasureFamily& family) {
-  const PersistentIndex* warm = config.warm_index;
-  if (warm == nullptr) return nullptr;
-  if (warm->measure() != config.measure) {
-    throw std::invalid_argument(
-        "PipelineConfig: warm_index measure does not match the run");
-  }
-  if (warm->seed() != config.seed) {
-    throw std::invalid_argument(
-        "PipelineConfig: warm_index seed does not match the run (adopted "
-        "signatures would disagree with freshly hashed ones)");
-  }
-  if (warm->data().num_vectors() != data.num_vectors() ||
-      warm->data().num_dims() != data.num_dims() ||
-      warm->data().nnz() != data.nnz()) {
-    throw std::invalid_argument(
-        "PipelineConfig: warm_index covers a different collection (vector "
-        "count, dimensionality or non-zero count differs)");
-  }
-  // The rest of the hash family: the kernel and anchors for KLSH, and for
-  // Euclidean the radius, which sets the p-stable bucket width.
-  if (family.kernel() != nullptr &&
-      !family.SameKlshFamily(warm->spec())) {
-    throw std::invalid_argument(
-        "PipelineConfig: warm_index KLSH kernel or anchors differ from the "
-        "run's");
-  }
-  if (family.traits().distance &&
-      warm->build_threshold() != config.threshold) {
-    throw std::invalid_argument(
-        "PipelineConfig: warm_index radius differs from the run's (the "
-        "radius sets the p-stable bucket width)");
-  }
-  // Binary cosine hashes the normalized view; indexes hash raw rows.
-  if (config.measure == Measure::kBinaryCosine) return nullptr;
-  return warm;
 }
 
 }  // namespace
@@ -245,7 +202,6 @@ PipelineResult RunPipeline(const Dataset& data, const PipelineConfig& config) {
 
   // --- Phase 2: verification. ---
   WallTimer verify_timer;
-  const PersistentIndex* warm = ResolveWarmIndex(config, data, family);
 
   // Exact scores serve exact verification, the Lite survivors and the
   // Jaccard prior fit. The scorer is built only for those runs: the kernel
@@ -284,28 +240,12 @@ PipelineResult RunPipeline(const Dataset& data, const PipelineConfig& config) {
       }
     };
     const HashStream ver = family.Verification();
-    // Warm start (see PipelineConfig::warm_index): adopt prefetched
-    // verification signatures after the store is constructed. Indexes hash
-    // with the exact implicit Gaussian source; a run whose cache supplies
-    // quantized tables draws slightly different hashes, so adoption must
-    // cold-start there to keep warm == cold results; so must a run over a
-    // b-bit index, whose packed rows are not the full-width signatures a
-    // join verifies with. CopyRowsFrom never touches the tally, so
-    // verify_hashes_computed keeps reporting only the hashing this run
-    // actually performed.
-    const bool adopt =
-        warm != nullptr && warm->bbit() == 0 &&
-        (ver.gauss == nullptr ||
-         dynamic_cast<const ImplicitGaussianSource*>(ver.gauss.get()) !=
-             nullptr);
     if (ver.bits != nullptr) {
       BitSignatureStore store(cosine_data, ver.bits);
-      if (adopt) store.CopyRowsFrom(warm->store());
       result.pairs = verify(CosinePosterior(t), &store);
       result.verify_hashes_computed = store.computed();
     } else {
       IntSignatureStore store(&data, ver.ints);
-      if (adopt) store.CopyRowsFrom(warm->store());
       if (traits.distance) {
         result.pairs = verify(
             EuclideanPosterior::MakeForRadius(t, family.pstable_width()),

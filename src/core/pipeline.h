@@ -53,8 +53,6 @@
 
 namespace bayeslsh {
 
-class PersistentIndex;  // core/index_io.h
-
 enum class GeneratorKind { kAllPairs, kLsh };
 enum class VerifierKind { kExact, kMle, kBayesLsh, kBayesLshLite };
 
@@ -93,7 +91,7 @@ struct PipelineConfig {
   // kKernelCosine only: the kernel the measure is defined against and the
   // KLSH hash-family shape, as in QuerySearchConfig. klsh.seed is ignored;
   // the anchors are sampled from the data with the master seed, exactly as
-  // PersistentIndex::Build samples them.
+  // an index build samples them.
   KernelSpec kernel;
   KlshParams klsh;
 
@@ -110,23 +108,6 @@ struct PipelineConfig {
   // keyed by derived seed, letting a benchmark reuse quantized tables
   // across pipeline runs. May be null.
   GaussianSourceCache* gaussian_cache = nullptr;
-
-  // Optional warm start from a persistent index (core/index_io.h): the
-  // BayesLSH / Lite / MLE verifiers adopt copies of the index's prefetched
-  // verification signatures instead of hashing from scratch. Results are
-  // identical with or without (signatures are pure functions of
-  // (seed, row)); only the verify_hashes_computed tally drops. The index
-  // must cover the same collection (vector/dimension/non-zero counts),
-  // measure and seed, and hash with the run's family — the kernel and
-  // anchors for kKernelCosine, the radius for kEuclidean — a mismatch
-  // throws std::invalid_argument. Adoption is skipped (cold start, same
-  // results) for kBinaryCosine — the pipeline hashes the normalized view
-  // while indexes hash the raw binary rows — for indexes whose signature
-  // kind differs from the verifier's store (a b-bit index feeding a
-  // full-width minwise verifier), and for cosine and Euclidean runs whose
-  // gaussian_cache supplies quantized tables (indexes hash with the exact
-  // implicit source).
-  const PersistentIndex* warm_index = nullptr;
 };
 
 struct PipelineResult {

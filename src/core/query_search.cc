@@ -615,9 +615,12 @@ std::vector<std::vector<QueryMatch>> QuerySearcher::QueryBatch(
   ThreadPool* pool = im.pool.get();
   const uint32_t workers = pool != nullptr ? pool->num_threads() : 1;
   // A batch waits for exclusive use of the pool rather than degrading, so
-  // (unlike Query's try-lock fallback) the worker count is the thread
-  // count actually used.
-  if (stats != nullptr) stats->threads_used = workers;
+  // (unlike Query's try-lock fallback) every worker with a query runs:
+  // RunShards leaves all but queries.size() shards empty.
+  if (stats != nullptr) {
+    stats->threads_used = static_cast<uint32_t>(
+        std::min<uint64_t>(workers, queries.size()));
+  }
   std::vector<QueryStats> worker_stats(workers);
 
   // Serves every query, sharded over queries with exclusive use of the

@@ -150,9 +150,10 @@ struct QueryStats {
   // 1 whenever verification ran serially: a single-thread searcher, a
   // candidate list too small to shard, or a Query() that found the worker
   // pool busy (the try-lock fallback) all report 1 even when num_threads
-  // asked for more. Merging two stats takes the
-  // max, so an aggregate answers "what was the widest parallelism any
-  // part of this serve reached".
+  // asked for more. A QueryBatch() reports one thread per query up to the
+  // pool width, since each query runs on one worker. Merging two stats
+  // takes the max, so an aggregate answers "what was the widest
+  // parallelism any part of this serve reached".
   uint32_t threads_used = 0;
 
   // Folds another accumulator into this one: counters add, threads_used
@@ -230,10 +231,12 @@ class QuerySearcher {
   // identical to a serial Query() loop, for any thread count. top_k != 0
   // truncates each query's matches as QueryTopK would. *stats, when
   // given, receives the per-query stats summed in query order — exactly
-  // the totals a serial Query() loop would accumulate. Empty queries get
-  // empty results. Concurrent QueryBatch calls serialize on the worker
-  // pool; Query() calls arriving while a batch is in flight verify
-  // sequentially instead of waiting for the pool.
+  // the totals a serial Query() loop would accumulate — and threads_used
+  // = min(num_threads, queries.size()) (1 for an empty batch), the
+  // workers that got a query. Empty queries get empty results. Concurrent
+  // QueryBatch calls serialize on the worker pool; Query() calls arriving
+  // while a batch is in flight verify sequentially instead of waiting for
+  // the pool.
   std::vector<std::vector<QueryMatch>> QueryBatch(
       std::span<const SparseVectorView> queries,
       QueryStats* stats = nullptr, uint32_t top_k = 0) const;

@@ -6,7 +6,6 @@
 
 #include "common/thread_pool.h"
 #include "common/timer.h"
-#include "core/index_io.h"
 #include "sim/similarity.h"
 
 namespace bayeslsh {
@@ -51,8 +50,6 @@ std::vector<ScoredPair> TopKAllPairs(const Dataset& data,
   run.banding = config.banding;
   run.seed = config.seed;
   run.num_threads = config.num_threads;
-  run.gaussian_cache = config.gaussian_cache;
-  run.warm_index = config.warm_index;
 
   std::vector<ScoredPair> survivors;
   double t = config.start_threshold;
@@ -96,14 +93,6 @@ std::vector<ScoredPair> TopKAllPairs(const Dataset& data,
   local.total_seconds = timer.Seconds();
   if (stats != nullptr) *stats = local;
   return exact;
-}
-
-std::vector<ScoredPair> TopKAllPairs(const PersistentIndex& index,
-                                     const TopKConfig& config,
-                                     TopKStats* stats) {
-  TopKConfig warm = config;
-  warm.warm_index = &index;
-  return TopKAllPairs(index.data(), warm, stats);
 }
 
 }  // namespace bayeslsh

@@ -53,17 +53,6 @@ struct TopKConfig {
   // Worker threads for the underlying pipeline runs and the final exact
   // re-verification (as in PipelineConfig: 0 = hardware, 1 = sequential).
   uint32_t num_threads = 1;
-
-  // Optional shared Gaussian tables (see PipelineConfig); reused across
-  // the descent iterations when provided.
-  GaussianSourceCache* gaussian_cache = nullptr;
-
-  // Optional warm start from a persistent index (core/index_io.h): every
-  // descent iteration adopts the index's prefetched verification
-  // signatures (see PipelineConfig::warm_index for the compatibility
-  // rules). Results are identical with or without. The
-  // TopKAllPairs(PersistentIndex&, ...) overload sets this automatically.
-  const PersistentIndex* warm_index = nullptr;
 };
 
 struct TopKStats {
@@ -82,14 +71,6 @@ struct TopKStats {
 // 0 < floor_threshold < 1, start_threshold >= floor_threshold and
 // 0 < decay < 1.
 std::vector<ScoredPair> TopKAllPairs(const Dataset& data,
-                                     const TopKConfig& config,
-                                     TopKStats* stats = nullptr);
-
-// Warm-start variant: runs the descent over the index's own collection,
-// adopting its verification signatures in every iteration. config.measure
-// and config.seed must match the index (std::invalid_argument otherwise,
-// from the underlying pipeline runs).
-std::vector<ScoredPair> TopKAllPairs(const PersistentIndex& index,
                                      const TopKConfig& config,
                                      TopKStats* stats = nullptr);
 

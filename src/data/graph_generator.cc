@@ -1,8 +1,8 @@
 #include "data/graph_generator.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
+#include <stdexcept>
 #include <vector>
 
 #include "common/prng.h"
@@ -59,9 +59,15 @@ void EnsureMinDegree(std::vector<DimId>& nbrs, uint32_t min_degree,
 }  // namespace
 
 Dataset GenerateGraphAdjacency(const GraphConfig& config) {
-  assert(static_cast<uint64_t>(config.num_communities) *
-             config.community_size <=
-         config.num_nodes);
+  if (config.community_size == 0 ||
+      static_cast<uint64_t>(config.num_communities) *
+              config.community_size >
+          config.num_nodes) {
+    throw std::invalid_argument(
+        "GraphConfig: community_size must be at least 1 and the planted "
+        "communities (num_communities * community_size) must fit in "
+        "num_nodes");
+  }
   Xoshiro256StarStar rng(config.seed);
   const ZipfSampler zipf(config.num_nodes, config.target_zipf_exponent);
 

@@ -39,6 +39,8 @@ struct GraphConfig {
 
 // Returns the adjacency Dataset (binary values; one row per node). Rows
 // 0 .. num_communities*community_size-1 are the planted communities.
+// Throws std::invalid_argument when community_size is 0 or the planted
+// rows exceed num_nodes.
 Dataset GenerateGraphAdjacency(const GraphConfig& config);
 
 }  // namespace bayeslsh

@@ -1,8 +1,8 @@
 #include "data/text_generator.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
+#include <stdexcept>
 #include <vector>
 
 #include "common/prng.h"
@@ -51,9 +51,13 @@ void AddBagOfWords(DatasetBuilder& builder, std::vector<DimId> tokens) {
 }  // namespace
 
 Dataset GenerateTextCorpus(const TextCorpusConfig& config) {
-  assert(config.cluster_size >= 1);
-  assert(static_cast<uint64_t>(config.num_clusters) * config.cluster_size <=
-         config.num_docs);
+  if (config.cluster_size == 0 ||
+      static_cast<uint64_t>(config.num_clusters) * config.cluster_size >
+          config.num_docs) {
+    throw std::invalid_argument(
+        "TextCorpusConfig: cluster_size must be at least 1 and the planted "
+        "clusters (num_clusters * cluster_size) must fit in num_docs");
+  }
   Xoshiro256StarStar rng(config.seed);
   const ZipfSampler zipf(config.vocab_size, config.zipf_exponent);
   DatasetBuilder builder(config.vocab_size);

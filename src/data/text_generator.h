@@ -41,7 +41,8 @@ struct TextCorpusConfig {
 
 // Returns a Dataset of raw term counts (row = document, value = term count).
 // Rows 0 .. num_clusters*cluster_size-1 are the planted clusters (grouped
-// consecutively); the rest is background.
+// consecutively); the rest is background. Throws std::invalid_argument
+// when cluster_size is 0 or the planted rows exceed num_docs.
 Dataset GenerateTextCorpus(const TextCorpusConfig& config);
 
 }  // namespace bayeslsh

@@ -4,25 +4,13 @@
 #include <bit>
 #include <cassert>
 #include <cmath>
-#include <cstring>
-#include <string>
 
 #include "common/mix64x4.h"
 #include "common/prng.h"
 #include "common/simd_ops.h"
 #include "lsh/inverse_normal_cdf.h"
-#include "vec/binary_io.h"
 
 namespace bayeslsh {
-
-namespace {
-
-// Standalone-file magic for serialized quantized-Gaussian tables; the 'E'
-// doubles as the endianness canary (see vec/io.cc).
-constexpr char kGaussianTableMagic[8] = {'B', 'L', 'S', 'H',
-                                         'G', 'Q', '1', 'E'};
-
-}  // namespace
 
 double GaussianSource::Component(uint32_t hash_index, DimId dim) const {
   double buf[kSrpChunkBits];
@@ -196,66 +184,6 @@ uint64_t QuantizedGaussianStore::table_bytes() const {
     }
   }
   return bytes;
-}
-
-void QuantizedGaussianStore::SaveTables(std::ostream& out) const {
-  out.write(kGaussianTableMagic, sizeof(kGaussianTableMagic));
-  WritePod(out, base_.seed());
-  WritePod(out, num_dims_);
-  WritePod(out, stored_chunks_);
-  std::vector<uint32_t> materialized;
-  for (uint32_t c = 0; c < stored_chunks_; ++c) {
-    if (slabs_[c].load(std::memory_order_acquire) != nullptr) {
-      materialized.push_back(c);
-    }
-  }
-  WritePod(out, static_cast<uint32_t>(materialized.size()));
-  WritePodVec(out, materialized);
-  const size_t slab_values = static_cast<size_t>(num_dims_) * kSrpChunkBits;
-  for (const uint32_t c : materialized) {
-    // The acquire load above ordered the slab contents; slabs are
-    // immutable once published.
-    const uint16_t* slab = slabs_[c].load(std::memory_order_relaxed);
-    out.write(reinterpret_cast<const char*>(slab),
-              static_cast<std::streamsize>(slab_values * sizeof(uint16_t)));
-  }
-  if (!out) throw IoError("SaveTables: stream write failed");
-}
-
-void QuantizedGaussianStore::LoadTables(std::istream& in) {
-  char magic[sizeof(kGaussianTableMagic)];
-  in.read(magic, sizeof(magic));
-  if (!in || std::memcmp(magic, kGaussianTableMagic, sizeof(magic)) != 0) {
-    throw IoError("LoadTables: bad magic (not a Gaussian table cache, or "
-                  "written on an incompatible platform)");
-  }
-  const auto seed = ReadPod<uint64_t>(in, "LoadTables: seed");
-  const auto dims = ReadPod<uint32_t>(in, "LoadTables: num_dims");
-  const auto chunks = ReadPod<uint32_t>(in, "LoadTables: stored_chunks");
-  if (seed != base_.seed() || dims != num_dims_ ||
-      chunks != stored_chunks_) {
-    throw IoError(
-        "LoadTables: table cache was built for a different "
-        "(seed, num_dims, stored_hashes) configuration");
-  }
-  const auto count = ReadPod<uint32_t>(in, "LoadTables: slab count");
-  std::vector<uint32_t> materialized;
-  ReadPodVec(in, &materialized, count, "LoadTables: slab ids");
-  const size_t slab_values = static_cast<size_t>(num_dims_) * kSrpChunkBits;
-  std::vector<uint16_t> scratch;
-  for (const uint32_t c : materialized) {
-    if (c >= stored_chunks_) {
-      throw IoError("LoadTables: slab id " + std::to_string(c) +
-                    " out of range");
-    }
-    ReadPodVec(in, &scratch, slab_values, "LoadTables: slab data");
-    std::lock_guard<std::mutex> lock(build_mu_);
-    if (slabs_[c].load(std::memory_order_relaxed) != nullptr) continue;
-    auto slab = std::make_unique<uint16_t[]>(slab_values);
-    std::memcpy(slab.get(), scratch.data(),
-                slab_values * sizeof(uint16_t));
-    slabs_[c].store(slab.release(), std::memory_order_release);
-  }
 }
 
 std::shared_ptr<const GaussianSource> GaussianSourceCache::Get(uint64_t seed) {

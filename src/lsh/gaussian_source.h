@@ -26,7 +26,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -89,17 +88,6 @@ class QuantizedGaussianStore : public GaussianSource {
   uint64_t seed() const { return base_.seed(); }
   // Bytes currently held by materialized slabs (instrumentation).
   uint64_t table_bytes() const;
-
-  // Serializes the identifying (seed, num_dims, stored_hashes) triple plus
-  // every slab materialized so far (docs/FORMATS.md, "Gaussian table
-  // cache"), so a later run adopts the quantized tables instead of
-  // re-deriving and re-quantizing them. LoadTables validates the triple
-  // against this store — the slabs are a pure function of it — and throws
-  // IoError on mismatch or corruption; already-materialized chunks are
-  // kept (they are bit-identical by construction). Thread-safe against
-  // concurrent FillChunk readers, like lazy materialization.
-  void SaveTables(std::ostream& out) const;
-  void LoadTables(std::istream& in);
 
  private:
   // Slab for chunk c: num_dims_ * kSrpChunkBits quantized values, laid out

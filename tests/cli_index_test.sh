@@ -109,12 +109,23 @@ check_one_error_line "garbage index" err.txt
 check_rc "missing index file" 2 $?
 check_one_error_line "missing index file" err.txt
 
-# Query file over a different vocabulary (dimensionality mismatch).
+# Query file over a different vocabulary (dimensionality mismatch). The
+# graph has exactly --vectors rows: generate caps its planted communities.
 "$CLI" generate --kind graph --vectors 50 --output other.txt --seed 9 \
   2>/dev/null
+check_rc "generate a 50-node graph" 0 $?
+[ "$(sed -n 2p other.txt)" = "50 50" ] || { echo "FAIL: 50-node graph header is '$(sed -n 2p other.txt)', not '50 50'" >&2; fails=$((fails + 1)); }
 "$CLI" query --index corpus.idx --query-file other.txt 2>err.txt
 check_rc "query file dimensionality mismatch" 2 $?
 check_one_error_line "query file dimensionality mismatch" err.txt
+
+# A corpus of no vectors is a usage error, and no file is written.
+for kind in text graph; do
+  "$CLI" generate --kind "$kind" --vectors 0 --output none.txt 2>err.txt
+  check_rc "generate --kind $kind --vectors 0" 1 $?
+  check_one_error_line "generate --kind $kind --vectors 0" err.txt
+  [ ! -e none.txt ] || { echo "FAIL: generate --kind $kind --vectors 0 wrote a file" >&2; fails=$((fails + 1)); }
+done
 
 # An empty query workload is a data error, not a silent no-op: exit 2
 # with one diagnostic, like the corrupt-index cases.

@@ -6,6 +6,7 @@
 // sharded-verification overflow protocol. The whole suite runs under the
 // ThreadSanitizer CI job (its name matches the job's -R regex).
 
+#include <span>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -363,6 +364,12 @@ TEST(ConcurrentServeTest, ThreadsUsedReportsSerialPathsAsOne) {
   QueryStats batch_stats;
   sharded.QueryBatch(queries, &batch_stats);
   EXPECT_EQ(batch_stats.threads_used, 4u);
+  // A batch runs each query on one worker, so fewer queries than threads
+  // leave the other workers idle.
+  for (const size_t n : {size_t{1}, size_t{2}}) {
+    sharded.QueryBatch(std::span(queries).first(n), &batch_stats);
+    EXPECT_EQ(batch_stats.threads_used, n) << n << "-query batch";
+  }
 
   // b-bit verification shards a query on the same candidate-count
   // boundary, and QueryBatch shards over queries.

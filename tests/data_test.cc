@@ -2,6 +2,7 @@
 // configurations.
 
 #include <cmath>
+#include <stdexcept>
 
 #include <gtest/gtest.h>
 
@@ -161,6 +162,23 @@ TEST(TextGeneratorTest, MutationSweepPopulatesSimilarityBands) {
   EXPECT_GE(populated, 4) << "similarity bands too sparse";
 }
 
+TEST(TextGeneratorTest, RejectsPlantedClustersThatDoNotFit) {
+  TextCorpusConfig cfg;
+  cfg.num_docs = 40;
+  cfg.vocab_size = 500;
+  cfg.num_clusters = 10;  // 10 clusters of 4 fill the corpus exactly.
+  EXPECT_EQ(GenerateTextCorpus(cfg).num_vectors(), 40u);
+  cfg.num_clusters = 11;
+  EXPECT_THROW(GenerateTextCorpus(cfg), std::invalid_argument);
+  cfg.num_clusters = 1;
+  cfg.cluster_size = 0;
+  EXPECT_THROW(GenerateTextCorpus(cfg), std::invalid_argument);
+  // Even an empty corpus cannot hold one planted document.
+  cfg.num_docs = 0;
+  cfg.cluster_size = 1;
+  EXPECT_THROW(GenerateTextCorpus(cfg), std::invalid_argument);
+}
+
 // ---------------------------------------------------------------------------
 // Graph generator
 // ---------------------------------------------------------------------------
@@ -231,6 +249,16 @@ TEST(GraphGeneratorTest, DeterministicPerSeed) {
   const Dataset a = GenerateGraphAdjacency(cfg);
   const Dataset b = GenerateGraphAdjacency(cfg);
   EXPECT_EQ(a.indices(), b.indices());
+}
+
+TEST(GraphGeneratorTest, RejectsPlantedCommunitiesThatDoNotFit) {
+  GraphConfig cfg;
+  cfg.num_nodes = 500;  // The default 200 communities of 4 need 800.
+  EXPECT_THROW(GenerateGraphAdjacency(cfg), std::invalid_argument);
+  cfg.num_communities = 125;  // Fills the graph exactly.
+  EXPECT_EQ(GenerateGraphAdjacency(cfg).num_vectors(), 500u);
+  cfg.community_size = 0;
+  EXPECT_THROW(GenerateGraphAdjacency(cfg), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,8 +1,7 @@
 // Tests for the persistent index subsystem (core/index_io.h and the
-// Save/Load APIs it orchestrates): store/table round trips, loaded-vs-fresh
-// query determinism for every hasher kind and thread count, pipeline and
-// top-k warm starts, and rejection of corrupt, truncated, version-bumped
-// and config-mismatched index files.
+// Save/Load APIs it orchestrates): store round trips, loaded-vs-fresh
+// query determinism for every hasher kind and thread count, and rejection
+// of corrupt, truncated, version-bumped and config-mismatched index files.
 
 #include <cstdint>
 #include <cstdio>
@@ -20,7 +19,6 @@
 #include "core/pipeline.h"
 #include "core/query_search.h"
 #include "core/sharded_index.h"
-#include "core/topk_search.h"
 #include "data/graph_generator.h"
 #include "data/text_generator.h"
 #include "lsh/bbit_minwise.h"
@@ -136,37 +134,6 @@ TEST(SignatureStoreSerialization, RowCountMismatchRejected) {
   store.Save(ss);
   IntSignatureStore target(&other, MinwiseHasher(1));
   EXPECT_THROW(target.Load(ss), IoError);
-}
-
-TEST(GaussianTableSerialization, SlabRoundTrip) {
-  QuantizedGaussianStore store(99, 50, 256);
-  double chunk[kSrpChunkBits];
-  store.FillChunk(7, 1, chunk);  // Materializes slab 1.
-  store.FillChunk(9, 3, chunk);  // Materializes slab 3.
-
-  std::stringstream ss;
-  store.SaveTables(ss);
-  QuantizedGaussianStore loaded(99, 50, 256);
-  loaded.LoadTables(ss);
-  EXPECT_EQ(loaded.table_bytes(), store.table_bytes());
-  double a[kSrpChunkBits], b[kSrpChunkBits];
-  for (uint32_t dim = 0; dim < 50; ++dim) {
-    for (uint32_t c : {1u, 3u}) {
-      store.FillChunk(dim, c, a);
-      loaded.FillChunk(dim, c, b);
-      for (uint32_t j = 0; j < kSrpChunkBits; ++j) ASSERT_EQ(a[j], b[j]);
-    }
-  }
-}
-
-TEST(GaussianTableSerialization, ConfigMismatchRejected) {
-  QuantizedGaussianStore store(99, 50, 256);
-  double chunk[kSrpChunkBits];
-  store.FillChunk(0, 0, chunk);
-  std::stringstream ss;
-  store.SaveTables(ss);
-  QuantizedGaussianStore other_seed(100, 50, 256);
-  EXPECT_THROW(other_seed.LoadTables(ss), IoError);
 }
 
 // --- loaded-vs-fresh query determinism, all hasher kinds x threads ---
@@ -354,139 +321,6 @@ TEST(ShardedServe, UnbandableShapeRejected) {
       EXPECT_THROW(ShardedIndex(data, build, scfg), std::invalid_argument)
           << MeasureName(m) << " k=" << banding.hashes_per_band;
     }
-  }
-}
-
-// --- pipeline / top-k warm start ---
-
-TEST(PipelineWarmStart, WarmRunsIdenticalAndHashLess) {
-  const Dataset data = TextWeighted(41);
-  IndexBuildConfig icfg;
-  icfg.measure = Measure::kCosine;
-  icfg.threshold = 0.6;
-  icfg.seed = 42;
-  icfg.prefetch_hashes = 128;
-  const auto index = PersistentIndex::Build(data, icfg);
-
-  PipelineConfig cfg;
-  cfg.measure = Measure::kCosine;
-  cfg.generator = GeneratorKind::kLsh;
-  cfg.verifier = VerifierKind::kBayesLsh;
-  cfg.threshold = 0.6;
-  cfg.seed = 42;
-  const PipelineResult cold = RunPipeline(data, cfg);
-  cfg.warm_index = index.get();
-  const PipelineResult warm = RunPipeline(data, cfg);
-
-  EXPECT_EQ(warm.pairs.size(), cold.pairs.size());
-  for (size_t i = 0; i < cold.pairs.size(); ++i) {
-    EXPECT_EQ(warm.pairs[i].a, cold.pairs[i].a);
-    EXPECT_EQ(warm.pairs[i].b, cold.pairs[i].b);
-    EXPECT_DOUBLE_EQ(warm.pairs[i].sim, cold.pairs[i].sim);
-  }
-  EXPECT_LT(warm.verify_hashes_computed, cold.verify_hashes_computed);
-}
-
-TEST(PipelineWarmStart, JaccardWarmRunsIdentical) {
-  const Dataset data = GraphBinary(42);
-  IndexBuildConfig icfg;
-  icfg.measure = Measure::kJaccard;
-  icfg.threshold = 0.4;
-  icfg.seed = 42;
-  icfg.prefetch_hashes = 64;
-  const auto index = PersistentIndex::Build(data, icfg);
-
-  PipelineConfig cfg;
-  cfg.measure = Measure::kJaccard;
-  cfg.generator = GeneratorKind::kLsh;
-  cfg.verifier = VerifierKind::kBayesLshLite;
-  cfg.threshold = 0.4;
-  cfg.seed = 42;
-  const PipelineResult cold = RunPipeline(data, cfg);
-  cfg.warm_index = index.get();
-  const PipelineResult warm = RunPipeline(data, cfg);
-  ASSERT_EQ(warm.pairs.size(), cold.pairs.size());
-  for (size_t i = 0; i < cold.pairs.size(); ++i) {
-    EXPECT_EQ(warm.pairs[i].a, cold.pairs[i].a);
-    EXPECT_EQ(warm.pairs[i].b, cold.pairs[i].b);
-    EXPECT_DOUBLE_EQ(warm.pairs[i].sim, cold.pairs[i].sim);
-  }
-  EXPECT_LE(warm.verify_hashes_computed, cold.verify_hashes_computed);
-}
-
-// A run whose Gaussian cache supplies quantized tables hashes slightly
-// different bits than the index's exact implicit source; adoption must
-// cold-start there so warm == cold still holds.
-TEST(PipelineWarmStart, QuantizedCacheRunsStayIdentical) {
-  const Dataset data = TextWeighted(45, 200);
-  IndexBuildConfig icfg;
-  icfg.measure = Measure::kCosine;
-  icfg.threshold = 0.6;
-  icfg.seed = 42;
-  const auto index = PersistentIndex::Build(data, icfg);
-
-  GaussianSourceCache quantized(data.num_dims(), 2048);
-  PipelineConfig cfg;
-  cfg.measure = Measure::kCosine;
-  cfg.generator = GeneratorKind::kLsh;
-  cfg.verifier = VerifierKind::kBayesLsh;
-  cfg.threshold = 0.6;
-  cfg.seed = 42;
-  cfg.gaussian_cache = &quantized;
-  const PipelineResult cold = RunPipeline(data, cfg);
-  cfg.warm_index = index.get();
-  const PipelineResult warm = RunPipeline(data, cfg);
-  ASSERT_EQ(warm.pairs.size(), cold.pairs.size());
-  for (size_t i = 0; i < cold.pairs.size(); ++i) {
-    EXPECT_EQ(warm.pairs[i].a, cold.pairs[i].a);
-    EXPECT_EQ(warm.pairs[i].b, cold.pairs[i].b);
-    EXPECT_DOUBLE_EQ(warm.pairs[i].sim, cold.pairs[i].sim);
-  }
-}
-
-TEST(PipelineWarmStart, MismatchedIndexRejected) {
-  const Dataset data = TextWeighted(43, 120);
-  IndexBuildConfig icfg;
-  icfg.measure = Measure::kCosine;
-  icfg.threshold = 0.6;
-  icfg.seed = 1;
-  const auto index = PersistentIndex::Build(data, icfg);
-
-  PipelineConfig cfg;
-  cfg.measure = Measure::kCosine;
-  cfg.generator = GeneratorKind::kLsh;
-  cfg.threshold = 0.6;
-  cfg.seed = 2;  // Different master seed: adopted signatures would lie.
-  cfg.warm_index = index.get();
-  EXPECT_THROW(RunPipeline(data, cfg), std::invalid_argument);
-
-  cfg.seed = 1;
-  cfg.measure = Measure::kJaccard;
-  EXPECT_THROW(RunPipeline(GraphBinary(43, 120), cfg),
-               std::invalid_argument);
-}
-
-TEST(TopKWarmStart, WarmTopKIdenticalToCold) {
-  const Dataset data = TextWeighted(44);
-  IndexBuildConfig icfg;
-  icfg.measure = Measure::kCosine;
-  icfg.threshold = 0.5;
-  icfg.seed = 42;
-  icfg.prefetch_hashes = 128;
-  const auto index = PersistentIndex::Build(data, icfg);
-
-  TopKConfig cfg;
-  cfg.measure = Measure::kCosine;
-  cfg.generator = GeneratorKind::kLsh;
-  cfg.k = 25;
-  cfg.seed = 42;
-  const auto cold = TopKAllPairs(data, cfg);
-  const auto warm = TopKAllPairs(*index, cfg);
-  ASSERT_EQ(warm.size(), cold.size());
-  for (size_t i = 0; i < cold.size(); ++i) {
-    EXPECT_EQ(warm[i].a, cold[i].a);
-    EXPECT_EQ(warm[i].b, cold[i].b);
-    EXPECT_DOUBLE_EQ(warm[i].sim, cold[i].sim);
   }
 }
 

@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/index_io.h"
 #include "core/metrics.h"
 #include "core/pipeline.h"
 #include "data/graph_generator.h"
@@ -432,95 +431,6 @@ TEST(PipelineValidationTest, UnsupportedGeneratorOrVerifierThrows) {
                                             GeneratorKind::kLsh,
                                             VerifierKind::kMle, 0.5)),
                std::invalid_argument);
-}
-
-// ---------------------------------------------------------------------------
-// Warm start for the serving-stack measures
-// ---------------------------------------------------------------------------
-
-class PipelineWarmIndexTest : public ::testing::TestWithParam<Measure> {};
-
-TEST_P(PipelineWarmIndexTest, IdenticalWithAndWithoutWarmIndex) {
-  const Measure measure = GetParam();
-  // Thresholds with matches on unit-norm weighted text; the Euclidean one
-  // is a radius.
-  const double t = measure == Measure::kWeightedJaccard ? 0.4
-                   : measure == Measure::kKernelCosine  ? 0.7
-                                                        : 0.8;
-  const Dataset data = TextWeighted(63, 300);
-  IndexBuildConfig icfg;
-  icfg.measure = measure;
-  icfg.threshold = t;
-  icfg.seed = 42;
-  icfg.klsh.num_anchors = 64;
-  icfg.prefetch_hashes = 128;
-  const auto index = PersistentIndex::Build(data, icfg);
-
-  for (const VerifierKind v :
-       {VerifierKind::kMle, VerifierKind::kBayesLsh,
-        VerifierKind::kBayesLshLite}) {
-    if (v == VerifierKind::kMle && measure == Measure::kEuclidean) continue;
-    for (const uint32_t threads : {1u, 8u}) {
-      PipelineConfig cfg = MakeConfig(measure, GeneratorKind::kLsh, v, t);
-      cfg.klsh.num_anchors = 64;
-      cfg.num_threads = threads;
-      const PipelineResult cold = RunPipeline(data, cfg);
-      cfg.warm_index = index.get();
-      const PipelineResult warm = RunPipeline(data, cfg);
-      EXPECT_EQ(warm.pairs, cold.pairs)
-          << warm.algorithm << ", " << threads << " threads";
-      EXPECT_FALSE(cold.pairs.empty());
-      // The saving is asserted on the exact 1-thread tally: at 8 threads
-      // its overflow part depends on scheduling (a deep row is re-hashed
-      // once per worker that extends it), so warm can exceed cold there.
-      if (threads == 1) {
-        EXPECT_LT(warm.verify_hashes_computed, cold.verify_hashes_computed)
-            << warm.algorithm;
-      }
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    ServingMeasures, PipelineWarmIndexTest,
-    ::testing::Values(Measure::kWeightedJaccard, Measure::kKernelCosine,
-                      Measure::kEuclidean),
-    [](const ::testing::TestParamInfo<Measure>& info) {
-      return MeasureName(info.param);
-    });
-
-TEST(PipelineWarmFamilyTest, DifferentHashFamilyRefused) {
-  const Dataset data = TextWeighted(64, 150);
-  // KLSH: the kernel and the anchors are part of the family.
-  IndexBuildConfig kcfg;
-  kcfg.measure = Measure::kKernelCosine;
-  kcfg.threshold = 0.7;
-  kcfg.kernel = {.tag = KernelTag::kRbf, .gamma = 0.5};
-  kcfg.klsh.num_anchors = 32;
-  const auto klsh_index = PersistentIndex::Build(data, kcfg);
-  PipelineConfig cfg = MakeConfig(Measure::kKernelCosine, GeneratorKind::kLsh,
-                                  VerifierKind::kBayesLsh, 0.7);
-  cfg.kernel = kcfg.kernel;
-  cfg.klsh.num_anchors = 32;
-  cfg.warm_index = klsh_index.get();
-  EXPECT_NO_THROW(RunPipeline(data, cfg));
-  cfg.kernel.gamma = 0.25;
-  EXPECT_THROW(RunPipeline(data, cfg), std::invalid_argument);
-  cfg.kernel.gamma = 0.5;
-  cfg.klsh.num_anchors = 16;
-  EXPECT_THROW(RunPipeline(data, cfg), std::invalid_argument);
-
-  // Euclidean: the radius sets the p-stable bucket width.
-  IndexBuildConfig ecfg;
-  ecfg.measure = Measure::kEuclidean;
-  ecfg.threshold = 0.8;
-  const auto euclidean_index = PersistentIndex::Build(data, ecfg);
-  cfg = MakeConfig(Measure::kEuclidean, GeneratorKind::kLsh,
-                   VerifierKind::kBayesLshLite, 0.8);
-  cfg.warm_index = euclidean_index.get();
-  EXPECT_NO_THROW(RunPipeline(data, cfg));
-  cfg.threshold = 0.9;
-  EXPECT_THROW(RunPipeline(data, cfg), std::invalid_argument);
 }
 
 }  // namespace

@@ -1335,19 +1335,28 @@ int RunGenerate(const Args& args) {
   const std::string kind = args.Get("kind", "text");
   const uint32_t vectors = args.GetNumber<uint32_t>("vectors", 2000);
   const uint64_t seed = args.GetNumber<uint64_t>("seed", 42);
+  if (vectors == 0) {
+    std::fprintf(stderr, "error: --vectors must be at least 1\n");
+    return 1;
+  }
 
+  // The planted clusters or communities are capped so that their rows fit
+  // in --vectors; the rest is background.
   Dataset data;
   if (kind == "text") {
     TextCorpusConfig cfg;
     cfg.num_docs = vectors;
     cfg.vocab_size = std::max<uint32_t>(1000, vectors * 4);
     cfg.avg_doc_len = 60;
-    cfg.num_clusters = std::max<uint32_t>(1, vectors / 20);
+    cfg.num_clusters = std::min(std::max<uint32_t>(1, vectors / 20),
+                                vectors / cfg.cluster_size);
     cfg.seed = seed;
     data = GenerateTextCorpus(cfg);
   } else if (kind == "graph") {
     GraphConfig cfg;
     cfg.num_nodes = vectors;
+    cfg.num_communities =
+        std::min(cfg.num_communities, vectors / cfg.community_size);
     cfg.seed = seed;
     data = GenerateGraphAdjacency(cfg);
   } else {
