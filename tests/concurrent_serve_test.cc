@@ -403,6 +403,25 @@ TEST(ConcurrentServeTest, ThreadsUsedReportsSerialPathsAsOne) {
   EXPECT_EQ(bstats.threads_used, 4u);
 }
 
+// A batch gives each query to one worker, so it reports one thread per
+// query up to the pool width, on both sides of that width, and 1 for an
+// empty batch.
+TEST(ConcurrentServeTest, BatchThreadsUsedIsOnePerQueryUpToPoolWidth) {
+  const Dataset data = TextWeighted(24, 300);
+  QuerySearchConfig cfg;
+  cfg.measure = Measure::kCosine;
+  cfg.threshold = 0.6;
+  cfg.num_threads = 4;
+  const QuerySearcher searcher(&data, cfg);
+  const std::vector<SparseVectorView> queries = QueryViews(data, 6);
+  const uint32_t expect[] = {1, 1, 2, 3, 4, 4, 4};
+  for (size_t n = 0; n <= queries.size(); ++n) {
+    QueryStats stats;
+    searcher.QueryBatch(std::span(queries).first(n), &stats);
+    EXPECT_EQ(stats.threads_used, expect[n]) << n << "-query batch";
+  }
+}
+
 // While a batch holds the worker pool, concurrent Query() calls take the
 // try-lock serial fallback — and must report 1 thread, not the
 // configured 4. The batch itself always reports its worker count.

@@ -179,6 +179,48 @@ TEST(TextGeneratorTest, RejectsPlantedClustersThatDoNotFit) {
   EXPECT_THROW(GenerateTextCorpus(cfg), std::invalid_argument);
 }
 
+// At the boundary the fit check admits, every document is planted: no
+// background row is left, and every cluster, the last one included, is
+// still a group of near-duplicates.
+TEST(TextGeneratorTest, ClustersFillingEveryDocStayPlanted) {
+  TextCorpusConfig cfg;
+  cfg.num_docs = 120;
+  cfg.vocab_size = 3000;
+  cfg.avg_doc_len = 60;
+  cfg.num_clusters = 30;
+  cfg.cluster_size = 4;
+  cfg.mutation_max = 0.3;
+  cfg.seed = 17;
+  const Dataset d =
+      L2NormalizeRows(TfIdfTransform(GenerateTextCorpus(cfg)));
+  ASSERT_EQ(d.num_vectors(), 120u);
+  for (uint32_t c = 0; c < 30; ++c) {
+    const uint32_t base = c * 4;
+    double within = 0.0;
+    for (uint32_t m = 1; m < 4; ++m) {
+      within += SparseDot(d.Row(base), d.Row(base + m));
+    }
+    EXPECT_GT(within / 3, 0.5) << "cluster " << c;
+  }
+}
+
+// A corpus with no planted cluster is all background: what `generate`
+// writes when --vectors is smaller than one cluster.
+TEST(TextGeneratorTest, ZeroClustersWritesBackgroundOnly) {
+  TextCorpusConfig cfg;
+  cfg.vocab_size = 1000;
+  cfg.num_clusters = 0;
+  cfg.seed = 18;
+  for (const uint32_t docs : {0u, 1u, 3u}) {
+    cfg.num_docs = docs;
+    const Dataset d = GenerateTextCorpus(cfg);
+    ASSERT_EQ(d.num_vectors(), docs);
+    for (uint32_t i = 0; i < docs; ++i) {
+      EXPECT_GE(d.RowLength(i), 1u) << docs << " docs, row " << i;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Graph generator
 // ---------------------------------------------------------------------------
@@ -259,6 +301,32 @@ TEST(GraphGeneratorTest, RejectsPlantedCommunitiesThatDoNotFit) {
   EXPECT_EQ(GenerateGraphAdjacency(cfg).num_vectors(), 500u);
   cfg.community_size = 0;
   EXPECT_THROW(GenerateGraphAdjacency(cfg), std::invalid_argument);
+}
+
+// The graph twin of ClustersFillingEveryDocStayPlanted: with every node
+// planted, each community, the last one included, keeps its overlap and
+// every row its minimum degree.
+TEST(GraphGeneratorTest, CommunitiesFillingEveryNodeStayPlanted) {
+  GraphConfig cfg;
+  cfg.num_nodes = 120;
+  cfg.avg_degree = 20;
+  cfg.num_communities = 30;
+  cfg.community_size = 4;
+  cfg.rewire_max = 0.3;
+  cfg.seed = 19;
+  const Dataset d = GenerateGraphAdjacency(cfg);
+  ASSERT_EQ(d.num_vectors(), 120u);
+  for (uint32_t i = 0; i < d.num_vectors(); ++i) {
+    EXPECT_GE(d.RowLength(i), cfg.min_degree);
+  }
+  for (uint32_t c = 0; c < 30; ++c) {
+    const uint32_t base = c * 4;
+    double within = 0.0;
+    for (uint32_t m = 1; m < 4; ++m) {
+      within += JaccardSimilarity(d.Row(base), d.Row(base + m));
+    }
+    EXPECT_GT(within / 3, 0.4) << "community " << c;
+  }
 }
 
 // ---------------------------------------------------------------------------

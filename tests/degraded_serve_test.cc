@@ -24,6 +24,7 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <thread>
 #include <tuple>
@@ -488,6 +489,34 @@ TEST(ShardedServe, MoreShardsThanRowsServesEmptyShards) {
   const uint32_t id = sharded.Add(corpus.Row(0));
   EXPECT_EQ(id, 30u);
   EXPECT_TRUE(sharded.Contains(id));
+}
+
+// Every shard serves a fan-out as one batch, so its threads_used counts
+// the queries it was sent, up to its pool width: a single Query uses one
+// thread per shard however wide each shard's pool is.
+TEST(ShardedServe, ThreadsUsedCountsQueriesUpToPoolWidth) {
+  const ServeCase c{"srp_cosine", Measure::kCosine, 0, 0.6};
+  const Dataset corpus = MakeCorpus(c, 13, kRows);
+  ShardedIndexConfig scfg;
+  scfg.num_shards = kShards;
+  scfg.num_threads = 4;
+  ShardedIndex sharded(corpus, BuildConfigFor(c, 1), scfg);
+  std::vector<SparseVectorView> queries;
+  for (uint32_t q = 0; q < 8; ++q) queries.push_back(corpus.Row(q));
+
+  QueryStats query_stats, topk_stats;
+  sharded.Query(queries[0], &query_stats);
+  sharded.QueryTopK(queries[0], 3, &topk_stats);
+  EXPECT_EQ(query_stats.threads_used, 1u);
+  EXPECT_EQ(topk_stats.threads_used, 1u);
+  EXPECT_EQ(query_stats.shards_answered, kShards);
+  for (const size_t n : {size_t{1}, size_t{2}, size_t{3}, size_t{4},
+                         size_t{8}}) {
+    QueryStats stats;
+    sharded.QueryBatch(std::span(queries).first(n), &stats);
+    EXPECT_EQ(stats.threads_used, std::min<size_t>(n, 4)) << n << " queries";
+    EXPECT_EQ(stats.shards_answered, kShards) << n << " queries";
+  }
 }
 
 TEST(ShardedServe, ZeroShardsRejected) {

@@ -8,10 +8,12 @@
 // round-trip and corruption rejection, and concurrent serving (the
 // DynamicIndex* tests run under TSan in CI).
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -382,6 +384,78 @@ TEST_F(DynamicIndexEdge, EmptyDeltaServesLikeBaseSearcher) {
     EXPECT_TRUE(has(dyn.QueryBatch(one, nullptr, 0)[0], id))
         << "threads=" << threads;
   }
+}
+
+// With rows tombstoned in both segments, a batch reports what a serial
+// Query loop would: the same matches, and counters (ghosts included)
+// summed over queries and segments, at 1 and 4 threads. Its threads_used
+// counts one worker per query, up to the pool width.
+TEST_F(DynamicIndexEdge, BatchStatsSumPerQueryStats) {
+  std::vector<SparseVectorView> queries;
+  for (uint32_t qid = 0; qid < 12; ++qid) queries.push_back(corpus_.Row(qid));
+  for (const uint32_t threads : {1u, 4u}) {
+    DynamicIndexConfig dcfg;
+    dcfg.num_threads = threads;
+    DynamicIndex dyn(PersistentIndex::Build(base_bytes_, cfg_build()), dcfg);
+    // Delta twins of the queried rows: every query matches in both
+    // segments, so the removals below leave ghosts in each.
+    for (const SparseVectorView& q : queries) dyn.Add(q);
+    for (const uint32_t id : {1u, 4u, kBaseRows + 2, kBaseRows + 7}) {
+      ASSERT_TRUE(dyn.Remove(id));
+    }
+
+    QueryStats sum;
+    std::vector<std::vector<QueryMatch>> serial;
+    for (const SparseVectorView& q : queries) {
+      QueryStats one;
+      serial.push_back(dyn.Query(q, &one));
+      sum.MergeFrom(one);
+    }
+    QueryStats batch;
+    EXPECT_EQ(dyn.QueryBatch(queries, &batch, 0), serial)
+        << "threads=" << threads;
+    EXPECT_GE(sum.ghost_candidates, 4u) << "threads=" << threads;
+    EXPECT_EQ(batch.candidates, sum.candidates) << "threads=" << threads;
+    EXPECT_EQ(batch.pruned, sum.pruned) << "threads=" << threads;
+    EXPECT_EQ(batch.hashes_compared, sum.hashes_compared)
+        << "threads=" << threads;
+    EXPECT_EQ(batch.ghost_candidates, sum.ghost_candidates)
+        << "threads=" << threads;
+    EXPECT_EQ(batch.threads_used, threads);
+    for (const size_t n : {size_t{1}, size_t{2}, size_t{3}}) {
+      dyn.QueryBatch(std::span(queries).first(n), &batch, 0);
+      EXPECT_EQ(batch.threads_used, std::min<size_t>(n, threads))
+          << n << "-query batch, threads=" << threads;
+    }
+  }
+}
+
+// A batch truncates to top_k only after the segments are merged and the
+// tombstoned rows dropped. Each probed row and its delta twin are
+// removed, so a slot truncated per segment first would keep at most one
+// live base match; merged first, it keeps the first top_k live matches,
+// as QueryTopK does.
+TEST_F(DynamicIndexEdge, BatchTopKTruncatesAfterDroppingTombstones) {
+  // One row per planted cluster of four: its cluster mates are its live
+  // base matches, and no other twin is near it.
+  std::vector<SparseVectorView> queries;
+  for (uint32_t row = 0; row < 40; row += 4) {
+    queries.push_back(corpus_.Row(row));
+    const uint32_t twin = dyn_->Add(corpus_.Row(row));
+    ASSERT_TRUE(dyn_->Remove(row));
+    ASSERT_TRUE(dyn_->Remove(twin));
+  }
+  const auto batch = dyn_->QueryBatch(queries, nullptr, /*top_k=*/2);
+  ASSERT_EQ(batch.size(), queries.size());
+  uint32_t full = 0;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    EXPECT_EQ(batch[i], dyn_->QueryTopK(queries[i], 2)) << "query " << i;
+    for (const QueryMatch& m : batch[i]) {
+      EXPECT_TRUE(dyn_->Contains(m.id)) << "query " << i << " id " << m.id;
+    }
+    if (batch[i].size() == 2) ++full;
+  }
+  EXPECT_GT(full, 0u) << "no query kept two live matches; vacuous";
 }
 
 TEST_F(DynamicIndexEdge, RemoveOfNonexistentIdIsRejected) {

@@ -2,10 +2,12 @@
 // realistic (small) workloads, checking the paper's quality guarantees,
 // naming, determinism and instrumentation.
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <set>
 #include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -13,6 +15,7 @@
 #include "core/pipeline.h"
 #include "data/graph_generator.h"
 #include "data/text_generator.h"
+#include "lsh/gaussian_source.h"
 #include "sim/brute_force.h"
 #include "vec/transforms.h"
 
@@ -291,6 +294,62 @@ TEST(PipelineGaussianCacheTest, SharedCacheGivesIdenticalResults) {
     EXPECT_EQ(r1.pairs[i].sim, r3.pairs[i].sim);
   }
 }
+
+// The measures that hash through Gaussians (SRP, p-stable) can draw them
+// from a shared cache of quantized tables, as the benchmarks do. A slab
+// is materialized by whichever worker first needs it and is reused by
+// every later run; neither may change a pair. So fresh tables at 1, 4
+// and 8 threads, and reruns over the tables each run left behind, all
+// agree pair for pair.
+class PipelineGaussianTablesTest : public ::testing::TestWithParam<Measure> {
+};
+
+TEST_P(PipelineGaussianTablesTest, SharedTablesIdenticalAcrossThreadCounts) {
+  const Measure measure = GetParam();
+  const Dataset data = measure == Measure::kBinaryCosine
+                           ? GraphBinary(65, 400)
+                           : TextWeighted(65, 400);
+  // The Euclidean threshold is a radius.
+  const double t = measure == Measure::kEuclidean ? 0.8 : 0.6;
+  for (const VerifierKind v :
+       {VerifierKind::kBayesLsh, VerifierKind::kBayesLshLite}) {
+    PipelineConfig cfg = MakeConfig(measure, GeneratorKind::kLsh, v, t);
+    GaussianSourceCache base_cache(data.num_dims(), 1024);
+    cfg.gaussian_cache = &base_cache;
+    const PipelineResult base = RunPipeline(data, cfg);
+    EXPECT_FALSE(base.pairs.empty()) << base.algorithm;
+    for (const uint32_t threads : {1u, 4u, 8u}) {
+      GaussianSourceCache cache(data.num_dims(), 1024);
+      cfg.gaussian_cache = &cache;
+      cfg.num_threads = threads;
+      const PipelineResult fresh = RunPipeline(data, cfg);
+      // Both streams drew from quantized tables, not implicit Gaussians.
+      for (const uint64_t seed : {GenerationSeed(42), VerificationSeed(42)}) {
+        const auto* store =
+            dynamic_cast<const QuantizedGaussianStore*>(cache.Get(seed).get());
+        ASSERT_NE(store, nullptr);
+        EXPECT_GT(store->table_bytes(), 0u) << base.algorithm;
+      }
+      const PipelineResult rerun = RunPipeline(data, cfg);
+      for (const PipelineResult* r : {&fresh, &rerun}) {
+        EXPECT_EQ(r->pairs, base.pairs)
+            << base.algorithm << ", " << threads << " threads";
+        EXPECT_EQ(r->candidates, base.candidates)
+            << base.algorithm << ", " << threads << " threads";
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    GaussianMeasures, PipelineGaussianTablesTest,
+    ::testing::Values(Measure::kCosine, Measure::kBinaryCosine,
+                      Measure::kEuclidean),
+    [](const ::testing::TestParamInfo<Measure>& info) {
+      std::string name = MeasureName(info.param);
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name;
+    });
 
 TEST(PipelineSeedsTest, DerivedSeedsDiffer) {
   EXPECT_NE(GenerationSeed(42), VerificationSeed(42));
