@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <ostream>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -144,6 +145,24 @@ struct QualityCase {
 
 class PipelineQualityTest : public ::testing::TestWithParam<QualityCase> {};
 
+// Stable test names and printed parameters: a QualityCase printed as raw
+// bytes would show its uninitialized padding, which changes from build to
+// build.
+std::string QualityLabel(const QualityCase& c) {
+  std::string measure = MeasureName(c.measure);
+  std::replace(measure.begin(), measure.end(), '-', '_');
+  static const char* const kVerifiers[] = {"Exact", "Mle", "BayesLsh",
+                                           "BayesLshLite"};
+  return measure +
+         (c.generator == GeneratorKind::kLsh ? "_Lsh_" : "_AllPairs_") +
+         kVerifiers[static_cast<int>(c.verifier)] + "_t" +
+         std::to_string(std::lround(c.threshold * 100));
+}
+
+void PrintTo(const QualityCase& c, std::ostream* os) {
+  *os << QualityLabel(c);
+}
+
 TEST_P(PipelineQualityTest, RecallAboveNinety) {
   const QualityCase c = GetParam();
   const Dataset data = c.measure == Measure::kCosine
@@ -180,7 +199,10 @@ INSTANTIATE_TEST_SUITE_P(
         QualityCase{Measure::kBinaryCosine, GeneratorKind::kAllPairs,
                     VerifierKind::kBayesLsh, 0.7},
         QualityCase{Measure::kBinaryCosine, GeneratorKind::kLsh,
-                    VerifierKind::kBayesLshLite, 0.6}));
+                    VerifierKind::kBayesLshLite, 0.6}),
+    [](const ::testing::TestParamInfo<QualityCase>& info) {
+      return QualityLabel(info.param);
+    });
 
 TEST(PipelineAccuracyTest, BayesLshEstimatesMeetDeltaGamma) {
   const Dataset data = TextWeighted(5, 800);
