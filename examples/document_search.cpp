@@ -52,7 +52,7 @@ int main() {
 
   // Show one query in detail.
   const uint32_t probe = 42;
-  const auto matches = searcher.QueryTopK(docs.Row(probe), 5);
+  const auto matches = searcher.Query(docs.Row(probe), nullptr, 5);
   std::printf("top-5 for document %u:\n", probe);
   std::printf("%8s %12s %12s\n", "doc", "estimate", "exact");
   for (const QueryMatch& m : matches) {

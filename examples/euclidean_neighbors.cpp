@@ -57,7 +57,7 @@ int main() {
   //    candidate the posterior does not prune gets an exact distance.
   for (const uint32_t probe : {100u, 2500u, 4900u}) {
     QueryStats stats;
-    const auto top = index.QueryTopK(embeddings.Row(probe), 5, &stats);
+    const auto top = index.Query(embeddings.Row(probe), &stats, 5);
     std::printf(
         "probe %4u: %llu candidates, %llu pruned, %llu exact distances\n",
         probe, static_cast<unsigned long long>(stats.candidates),

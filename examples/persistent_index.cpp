@@ -69,8 +69,8 @@ int main() {
   uint64_t total_matches = 0;
   for (uint32_t qid = 0; qid < 200; ++qid) {
     const SparseVectorView q = docs.Row(qid);
-    const auto warm = served.QueryTopK(q, 5);
-    const auto cold = fresh.QueryTopK(q, 5);
+    const auto warm = served.Query(q, nullptr, 5);
+    const auto cold = fresh.Query(q, nullptr, 5);
     if (warm != cold) {
       std::printf("DETERMINISM VIOLATION at query %u\n", qid);
       return EXIT_FAILURE;

@@ -74,9 +74,10 @@
 /// index when healthy), and degrades gracefully: per-query deadlines
 /// return flagged partial results, per-shard circuit breakers skip dead
 /// shards and probe for recovery, and `ShardFaultInjector` drives every
-/// degraded path in tests. The admission-control primitives (token
-/// bucket, bounded in-flight depth, `core/serve_control.h`) back the
-/// CLI's long-lived `serve` front-end.
+/// degraded path in tests. `Query(q, stats, top_k)` is the one query
+/// call on every serving layer (`top_k` 0 keeps every match). The
+/// admission-control primitives (per-client token buckets,
+/// `core/serve_control.h`) back the CLI's long-lived `serve` front-end.
 ///
 /// **Data** — `Dataset` / `DatasetBuilder` (vec/dataset.h) hold the CSR
 /// collection; `ReadDatasetAutoFile` / `WriteDataset[Binary]File`

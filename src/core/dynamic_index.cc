@@ -436,8 +436,10 @@ struct DynamicIndex::Impl {
   // stats) answers all `slots` queries on one segment, one result per
   // slot. The base is always served; an empty delta finds nothing, counts
   // nothing and reports no more threads than the base, so skipping it
-  // saves a generation hashing and changes no stat. Each slot is merged
-  // across segments, then truncated to top_k (0 keeps every match).
+  // saves a generation hashing and changes no stat. Segments answer in
+  // full and each slot is merged across them, then truncated to top_k
+  // (0 keeps every match): truncating before the merge could let a
+  // tombstoned row displace a live one.
   // *stats receives the segment stats summed (threads_used maxed) plus
   // the ghost candidates. Callers hold `mu` (shared suffices).
   template <typename Serve>
@@ -616,7 +618,8 @@ bool DynamicIndex::Contains(uint32_t id) const {
 }
 
 std::vector<QueryMatch> DynamicIndex::Query(const SparseVectorView& q,
-                                            QueryStats* stats) const {
+                                            QueryStats* stats,
+                                            uint32_t top_k) const {
   const Impl& im = *impl_;
   std::shared_lock<std::shared_mutex> lock(im.mu);
   auto results = im.FanOut(
@@ -626,18 +629,8 @@ std::vector<QueryMatch> DynamicIndex::Query(const SparseVectorView& q,
         one[0] = segment.Query(q, segment_stats);
         return one;
       },
-      /*top_k=*/0, stats);
+      top_k, stats);
   return std::move(results[0]);
-}
-
-std::vector<QueryMatch> DynamicIndex::QueryTopK(const SparseVectorView& q,
-                                                uint32_t k,
-                                                QueryStats* stats) const {
-  // Merge before truncation: a tombstoned row must not displace a live
-  // one from the top k.
-  std::vector<QueryMatch> all = Query(q, stats);
-  if (all.size() > k) all.resize(k);
-  return all;
 }
 
 std::vector<std::vector<QueryMatch>> DynamicIndex::QueryBatch(
@@ -645,8 +638,6 @@ std::vector<std::vector<QueryMatch>> DynamicIndex::QueryBatch(
     uint32_t top_k) const {
   const Impl& im = *impl_;
   std::shared_lock<std::shared_mutex> lock(im.mu);
-  // Segments answer in full: truncating before the merge could let a
-  // tombstoned row displace a live one.
   return im.FanOut(
       queries.size(),
       [queries](const QuerySearcher& segment, QueryStats* segment_stats) {

@@ -182,22 +182,19 @@ class DynamicIndex {
   // Merge-on-query serving: all live rows x with s(x, q) >= threshold,
   // sorted by decreasing similarity (ties by ascending logical id) —
   // pair-for-pair what a from-scratch rebuild over the live corpus would
-  // return. stats, when given, receives the summed segment stats (see the
-  // header comment on read amplification; threads_used is the max over
-  // segments). Safe to call concurrently from any number of threads.
+  // return. top_k != 0 keeps the first top_k live matches: segments
+  // answer in full and the cut follows the merge, so a tombstoned base
+  // row can never displace a live delta row from the top k. stats, when
+  // given, receives the summed segment stats (see the header comment on
+  // read amplification; threads_used is the max over segments). Safe to
+  // call concurrently from any number of threads.
   std::vector<QueryMatch> Query(const SparseVectorView& q,
-                                QueryStats* stats = nullptr) const;
-
-  // The k best live matches; merged across segments BEFORE truncation, so
-  // a tombstoned base row can never displace a live delta row from the
-  // top k.
-  std::vector<QueryMatch> QueryTopK(const SparseVectorView& q, uint32_t k,
-                                    QueryStats* stats = nullptr) const;
+                                QueryStats* stats = nullptr,
+                                uint32_t top_k = 0) const;
 
   // Batched serving: slot i answers queries[i], each merged across
-  // segments exactly as Query() does; top_k != 0 truncates per query
-  // after the merge. Results are identical to a serial Query() loop for
-  // any thread count.
+  // segments and cut to top_k exactly as Query() does. Results are
+  // identical to a serial Query() loop for any thread count.
   std::vector<std::vector<QueryMatch>> QueryBatch(
       std::span<const SparseVectorView> queries,
       QueryStats* stats = nullptr, uint32_t top_k = 0) const;

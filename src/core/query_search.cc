@@ -545,7 +545,8 @@ uint64_t QuerySearcher::hashes_computed() const {
 }
 
 std::vector<QueryMatch> QuerySearcher::Query(const SparseVectorView& q,
-                                             QueryStats* stats) const {
+                                             QueryStats* stats,
+                                             uint32_t top_k) const {
   Impl& im = *impl_;
   // threads_used starts at the serial answer; only the sharded path
   // overwrites it — so a busy-pool try-lock fallback reports the truth,
@@ -599,6 +600,7 @@ std::vector<QueryMatch> QuerySearcher::Query(const SparseVectorView& q,
       qs.hashes_compared = vs.hashes_compared;
     });
     SortMatches(&out);
+    if (top_k != 0 && out.size() > top_k) out.resize(top_k);
   }
   if (stats != nullptr) *stats = qs;
   return out;
@@ -653,14 +655,6 @@ std::vector<std::vector<QueryMatch>> QuerySearcher::QueryBatch(
     for (const QueryStats& ws : worker_stats) stats->MergeFrom(ws);
   }
   return results;
-}
-
-std::vector<QueryMatch> QuerySearcher::QueryTopK(const SparseVectorView& q,
-                                                 uint32_t k,
-                                                 QueryStats* stats) const {
-  std::vector<QueryMatch> all = Query(q, stats);
-  if (all.size() > k) all.resize(k);
-  return all;
 }
 
 }  // namespace bayeslsh

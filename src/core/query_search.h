@@ -7,8 +7,9 @@
 // buckets, and its candidates are verified with BayesLSH — so the paper's
 // pruning machinery amortizes across queries exactly as it does across
 // pairs in the self-join. Supports threshold queries and top-k (top-k is
-// implemented as a threshold query with a similarity-ordered cut, the
-// standard adaptation).
+// a threshold query with a similarity-ordered cut, the standard
+// adaptation: every query call takes it as a top_k parameter, 0 keeping
+// every match).
 //
 // Queries do not mutate the index and may use vectors not present in the
 // collection. With num_threads > 1 the searcher owns a worker pool: the
@@ -17,7 +18,7 @@
 // (results identical to single-threaded for any thread count).
 //
 // Concurrency model (docs/ARCHITECTURE.md, "Freeze & serve"):
-// Query()/QueryTopK()/QueryBatch() are safe to call concurrently from any
+// Query()/QueryBatch() are safe to call concurrently from any
 // number of threads, on one shared searcher. On a *frozen* searcher (see
 // Freeze()) the signature store is immutable and concurrent queries read
 // it lock-free — the intended serving mode. On an unfrozen searcher the
@@ -135,16 +136,14 @@ struct QueryStats {
 
   // Sharded-serving robustness counters (core/sharded_index.h). A plain
   // QuerySearcher / DynamicIndex never sets these; ShardedIndex adds, per
-  // fan-out call: shards_total += K, shards_answered += the shards whose
-  // sub-results made it into the merge, deadline_expired += 1 when the
-  // query's deadline cut the fan-out short (a *partial* answer), and the
-  // serve front-end adds rejected_overload += 1 per admission rejection.
+  // query: shards_total += K, shards_answered += the shards whose
+  // sub-results made it into the merge, and deadline_expired += 1 when
+  // the query's deadline cut the fan-out short (a *partial* answer).
   // shards_answered < shards_total is the degradation signal: the result
   // is exact over the answered shards and silent about the rest.
   uint64_t shards_total = 0;
   uint64_t shards_answered = 0;
   uint64_t deadline_expired = 0;
-  uint64_t rejected_overload = 0;
 
   // Worker threads the call *actually* used — not the configured count.
   // 1 whenever verification ran serially: a single-thread searcher, a
@@ -167,7 +166,6 @@ struct QueryStats {
     shards_total += other.shards_total;
     shards_answered += other.shards_answered;
     deadline_expired += other.deadline_expired;
-    rejected_overload += other.rejected_overload;
     threads_used = std::max(threads_used, other.threads_used);
   }
 
@@ -214,22 +212,20 @@ class QuerySearcher {
   QuerySearcher& operator=(const QuerySearcher&) = delete;
 
   // All collection rows x with s(x, q) >= threshold (subject to the
-  // BayesLSH guarantees), sorted by decreasing similarity. Safe to call
-  // concurrently (see the class comment); on a frozen searcher the call
-  // performs zero signature-store mutations.
+  // BayesLSH guarantees), sorted by decreasing similarity, ties by id;
+  // top_k != 0 keeps the first top_k of them. Safe to call concurrently
+  // (see the class comment); on a frozen searcher the call performs zero
+  // signature-store mutations.
   std::vector<QueryMatch> Query(const SparseVectorView& q,
-                                QueryStats* stats = nullptr) const;
-
-  // The k most similar rows among those reaching the threshold; ties by id.
-  std::vector<QueryMatch> QueryTopK(const SparseVectorView& q, uint32_t k,
-                                    QueryStats* stats = nullptr) const;
+                                QueryStats* stats = nullptr,
+                                uint32_t top_k = 0) const;
 
   // Batched multi-client serving: answers queries[i] into slot i of the
   // result, sharding over *queries* (one pool shard, inference cache and
   // stats accumulator per worker, merged in query order). Each query runs
   // the same verify loop as Query(), so results are pair-for-pair
-  // identical to a serial Query() loop, for any thread count. top_k != 0
-  // truncates each query's matches as QueryTopK would. *stats, when
+  // identical to a serial Query() loop, for any thread count; top_k
+  // truncates each query's matches as it does Query()'s. *stats, when
   // given, receives the per-query stats summed in query order — exactly
   // the totals a serial Query() loop would accumulate — and threads_used
   // = min(num_threads, queries.size()) (1 for an empty batch), the

@@ -47,65 +47,18 @@ double TokenBucket::tokens(double now_seconds) const {
 AdmissionController::AdmissionController(const AdmissionConfig& cfg)
     : cfg_(cfg) {}
 
-AdmissionController::Ticket::Ticket(Ticket&& other) noexcept
-    : controller_(other.controller_) {
-  other.controller_ = nullptr;
-}
-
-AdmissionController::Ticket& AdmissionController::Ticket::operator=(
-    Ticket&& other) noexcept {
-  if (this != &other) {
-    Release();
-    controller_ = other.controller_;
-    other.controller_ = nullptr;
-  }
-  return *this;
-}
-
-AdmissionController::Ticket::~Ticket() { Release(); }
-
-void AdmissionController::Ticket::Release() {
-  if (controller_ != nullptr) {
-    controller_->ReleaseSlot();
-    controller_ = nullptr;
-  }
-}
-
-AdmissionController::Ticket AdmissionController::TryAdmit(
-    std::string_view client, double now_seconds) {
+bool AdmissionController::TryAdmit(std::string_view client,
+                                   double now_seconds) {
+  if (cfg_.tokens_per_second <= 0.0) return true;
   std::lock_guard<std::mutex> lock(mu_);
-  // Check the cheap server-wide bound first: a slot denial must not burn
-  // the client's token (the client did nothing wrong).
-  if (cfg_.max_in_flight > 0 && in_flight_ >= cfg_.max_in_flight) {
-    ++rejected_;
-    return Ticket{};
-  }
-  if (cfg_.tokens_per_second > 0.0) {
-    auto [it, inserted] = buckets_.try_emplace(
-        std::string(client), cfg_.tokens_per_second, cfg_.burst, now_seconds);
-    if (!it->second.TryAcquire(now_seconds)) {
-      ++rejected_;
-      return Ticket{};
-    }
-  }
-  ++in_flight_;
-  ++admitted_;
-  return Ticket{this};
-}
-
-void AdmissionController::ReleaseSlot() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (in_flight_ > 0) --in_flight_;
-}
-
-uint32_t AdmissionController::in_flight() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return in_flight_;
-}
-
-uint64_t AdmissionController::admitted_total() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return admitted_;
+  TokenBucket& bucket =
+      buckets_
+          .try_emplace(std::string(client), cfg_.tokens_per_second,
+                       cfg_.burst, now_seconds)
+          .first->second;
+  if (bucket.TryAcquire(now_seconds)) return true;
+  ++rejected_;
+  return false;
 }
 
 uint64_t AdmissionController::rejected_total() const {

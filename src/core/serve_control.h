@@ -8,10 +8,9 @@
 //   Overload.   A client flooding the queue turns every other client's
 //               latency unbounded. The TokenBucket + AdmissionController
 //               pair turns overload into an *immediate*, cheap
-//               RejectedOverload instead: each client has a token bucket
-//               (rate + burst), and the server has one bounded in-flight
-//               depth. A request that cannot get both a token and a slot
-//               is rejected before it touches any shard.
+//               rejection instead: each client has a token bucket
+//               (rate + burst), and a request that cannot get a token is
+//               rejected before it touches any shard.
 //
 //   Slow/dead shards.  One wedged shard must degrade answers, not hang
 //               the server. Each shard gets a CircuitBreaker: consecutive
@@ -96,16 +95,10 @@ struct AdmissionConfig {
   // of max(rate, 1).
   double tokens_per_second = 0.0;
   double burst = 0.0;
-
-  // Server-wide bound on concurrently admitted (in-flight) requests —
-  // the queue-depth limit that keeps an overloaded server's latency
-  // bounded. 0 = unlimited.
-  uint32_t max_in_flight = 0;
 };
 
-// Per-client token buckets behind one server-wide in-flight bound.
-// Admission is all-or-nothing and immediate: a request that cannot get
-// both a token and a slot is rejected now, never queued behind a flood.
+// Per-client token buckets. Admission is immediate: a request whose
+// client has no token is rejected now, never queued behind a flood.
 class AdmissionController {
  public:
   explicit AdmissionController(const AdmissionConfig& cfg);
@@ -113,46 +106,16 @@ class AdmissionController {
   AdmissionController(const AdmissionController&) = delete;
   AdmissionController& operator=(const AdmissionController&) = delete;
 
-  // RAII admission: holds one in-flight slot until destruction (or
-  // Release()). A default-constructed / rejected ticket holds nothing.
-  class Ticket {
-   public:
-    Ticket() = default;
-    Ticket(Ticket&& other) noexcept;
-    Ticket& operator=(Ticket&& other) noexcept;
-    ~Ticket();
+  // Admits `client` at `now_seconds` (true), consuming one of its
+  // tokens, or rejects it (false) and counts the rejection.
+  bool TryAdmit(std::string_view client, double now_seconds);
 
-    Ticket(const Ticket&) = delete;
-    Ticket& operator=(const Ticket&) = delete;
-
-    bool admitted() const { return controller_ != nullptr; }
-    void Release();
-
-   private:
-    friend class AdmissionController;
-    explicit Ticket(AdmissionController* controller)
-        : controller_(controller) {}
-    AdmissionController* controller_ = nullptr;
-  };
-
-  // Admits or rejects `client` at `now_seconds`. On rejection the
-  // returned ticket reports !admitted() and nothing was consumed (a
-  // request denied an in-flight slot does not burn its token — the
-  // client is not at fault for server-wide pressure).
-  Ticket TryAdmit(std::string_view client, double now_seconds);
-
-  uint32_t in_flight() const;
-  uint64_t admitted_total() const;
   uint64_t rejected_total() const;
 
  private:
-  void ReleaseSlot();
-
   AdmissionConfig cfg_;
   mutable std::mutex mu_;
   std::unordered_map<std::string, TokenBucket> buckets_;
-  uint32_t in_flight_ = 0;
-  uint64_t admitted_ = 0;
   uint64_t rejected_ = 0;
 };
 

@@ -1,6 +1,7 @@
 #include "core/sharded_index.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <deque>
@@ -9,7 +10,6 @@
 #include <mutex>
 #include <shared_mutex>
 #include <stdexcept>
-#include <string>
 #include <thread>
 #include <utility>
 
@@ -27,31 +27,14 @@ using SteadyClock = std::chrono::steady_clock;
 // from the same master seed.
 constexpr uint64_t kShardSalt = 0x73686172644c5348ULL;  // "shardLSH"
 
-// The router's owned copy of a fan-out's query batch: sub-requests may
-// outlive the caller's views (an abandoned request sits in a shard queue
-// until its executor drains it), so every shard shares one owned copy.
-struct OwnedQueries {
-  std::vector<std::vector<DimId>> indices;
-  std::vector<std::vector<float>> values;
-  std::vector<SparseVectorView> views;  // into indices/values, built last
+// The router's owned copy of a fan-out's query: sub-requests may outlive
+// the caller's view (an abandoned request sits in a shard queue until its
+// executor drains it), so every shard shares one owned copy.
+struct OwnedQuery {
+  std::vector<DimId> indices;
+  std::vector<float> values;
 
-  static std::shared_ptr<const OwnedQueries> Copy(
-      std::span<const SparseVectorView> queries) {
-    auto owned = std::make_shared<OwnedQueries>();
-    owned->indices.reserve(queries.size());
-    owned->values.reserve(queries.size());
-    for (const SparseVectorView& q : queries) {
-      owned->indices.emplace_back(q.indices.begin(), q.indices.end());
-      owned->values.emplace_back(q.values.begin(), q.values.end());
-    }
-    owned->views.reserve(queries.size());
-    for (size_t i = 0; i < queries.size(); ++i) {
-      owned->views.push_back(SparseVectorView{
-          {owned->indices[i].data(), owned->indices[i].size()},
-          {owned->values[i].data(), owned->values[i].size()}});
-    }
-    return owned;
-  }
+  SparseVectorView view() const { return {indices, values}; }
 };
 
 // One shard's answer slot: the router waits on cv with a deadline and
@@ -61,14 +44,13 @@ struct SubResult {
   std::condition_variable cv;
   bool done = false;
   bool failed = false;
-  std::string error;
-  std::vector<std::vector<QueryMatch>> results;  // shard-LOCAL ids
+  std::vector<QueryMatch> matches;  // shard-LOCAL ids
   QueryStats stats;
   std::atomic<bool> abandoned{false};
 };
 
 struct SubRequest {
-  std::shared_ptr<const OwnedQueries> queries;
+  std::shared_ptr<const OwnedQuery> query;
   uint32_t top_k = 0;
   std::shared_ptr<SubResult> result;
 };
@@ -127,22 +109,20 @@ struct ShardedIndex::Impl {
       }
       if (req.result->abandoned.load(std::memory_order_acquire)) continue;
       bool failed = false;
-      std::string error;
-      std::vector<std::vector<QueryMatch>> results;
+      std::vector<QueryMatch> matches;
       QueryStats stats;
       try {
         injector->BeforeShardQuery(s);
-        results = shard.dyn->QueryBatch(req.queries->views, &stats,
-                                        req.top_k);
-      } catch (const std::exception& e) {
+        // A shard's best top_k hold every match of the merged best top_k
+        // it owns: local ids ascend with global ids, so ties cut alike.
+        matches = shard.dyn->Query(req.query->view(), &stats, req.top_k);
+      } catch (const std::exception&) {
         failed = true;
-        error = e.what();
       }
       {
         std::lock_guard<std::mutex> lock(req.result->mu);
         req.result->failed = failed;
-        req.result->error = std::move(error);
-        req.result->results = std::move(results);
+        req.result->matches = std::move(matches);
         req.result->stats = stats;
         req.result->done = true;
       }
@@ -150,12 +130,11 @@ struct ShardedIndex::Impl {
     }
   }
 
-  // The fan-out/collect/merge core behind Query/QueryTopK/QueryBatch.
-  // Returns one result list per query slot, in GLOBAL ids, merged over
-  // every shard that answered within the budget.
-  std::vector<std::vector<QueryMatch>> FanOut(
-      std::span<const SparseVectorView> queries, uint32_t top_k,
-      const ServeOptions& opts, QueryStats* stats) const {
+  // The fan-out/collect/merge core behind Query: the matches in GLOBAL
+  // ids, merged over every shard that answered within the budget.
+  std::vector<QueryMatch> FanOut(const SparseVectorView& q, uint32_t top_k,
+                                 const ServeOptions& opts,
+                                 QueryStats* stats) const {
     const uint32_t K = static_cast<uint32_t>(shards.size());
     const auto start = SteadyClock::now();
     const bool has_deadline = opts.deadline_seconds > 0;
@@ -169,7 +148,9 @@ struct ShardedIndex::Impl {
 
     // Dispatch to every shard whose breaker admits the request. Shards
     // skipped here simply don't contribute (no outcome to record).
-    auto owned = OwnedQueries::Copy(queries);
+    auto owned = std::make_shared<const OwnedQuery>(
+        OwnedQuery{{q.indices.begin(), q.indices.end()},
+                   {q.values.begin(), q.values.end()}});
     struct Pending {
       uint32_t shard;
       std::shared_ptr<SubResult> res;
@@ -193,8 +174,7 @@ struct ShardedIndex::Impl {
     // already-answered shards are still harvested, the rest abandoned.
     uint32_t answered = 0;
     bool deadline_hit = false;
-    std::vector<std::pair<uint32_t, std::vector<std::vector<QueryMatch>>>>
-        collected;
+    std::vector<std::pair<uint32_t, std::vector<QueryMatch>>> collected;
     collected.reserve(pending.size());
     for (Pending& p : pending) {
       Shard& shard = *shards[p.shard];
@@ -220,7 +200,7 @@ struct ShardedIndex::Impl {
           shard.breaker->RecordSuccess();
           ++answered;
           if (stats != nullptr) stats->MergeFrom(p.res->stats);
-          collected.emplace_back(p.shard, std::move(p.res->results));
+          collected.emplace_back(p.shard, std::move(p.res->matches));
         }
         continue;
       }
@@ -239,25 +219,20 @@ struct ShardedIndex::Impl {
     }
 
     // Merge: map shard-local ids to global ids under the router lock,
-    // concatenate per query slot, re-sort with the one ordering rule,
-    // truncate to top_k.
-    std::vector<std::vector<QueryMatch>> merged(queries.size());
+    // concatenate, re-sort with the one ordering rule, truncate to top_k.
+    std::vector<QueryMatch> merged;
     {
       std::shared_lock<std::shared_mutex> lock(mu);
-      for (auto& [s, shard_results] : collected) {
+      for (const auto& [s, matches] : collected) {
         const std::vector<uint32_t>& globals = shards[s]->globals;
-        for (size_t qi = 0; qi < shard_results.size(); ++qi) {
-          for (QueryMatch m : shard_results[qi]) {
-            m.id = globals[m.id];
-            merged[qi].push_back(m);
-          }
+        for (QueryMatch m : matches) {
+          m.id = globals[m.id];
+          merged.push_back(m);
         }
       }
     }
-    for (auto& list : merged) {
-      SortMatches(&list);
-      if (top_k != 0 && list.size() > top_k) list.resize(top_k);
-    }
+    SortMatches(&merged);
+    if (top_k != 0 && merged.size() > top_k) merged.resize(top_k);
 
     if (stats != nullptr) {
       stats->shards_total += K;
@@ -412,25 +387,9 @@ bool ShardedIndex::Contains(uint32_t id) const {
 }
 
 std::vector<QueryMatch> ShardedIndex::Query(const SparseVectorView& q,
-                                            QueryStats* stats,
+                                            QueryStats* stats, uint32_t top_k,
                                             const ServeOptions& opts) const {
-  auto merged = impl_->FanOut({&q, 1}, /*top_k=*/0, opts, stats);
-  return std::move(merged[0]);
-}
-
-std::vector<QueryMatch> ShardedIndex::QueryTopK(const SparseVectorView& q,
-                                                uint32_t k, QueryStats* stats,
-                                                const ServeOptions& opts) const {
-  if (k == 0) return {};
-  auto merged = impl_->FanOut({&q, 1}, k, opts, stats);
-  return std::move(merged[0]);
-}
-
-std::vector<std::vector<QueryMatch>> ShardedIndex::QueryBatch(
-    std::span<const SparseVectorView> queries, QueryStats* stats,
-    uint32_t top_k, const ServeOptions& opts) const {
-  if (queries.empty()) return {};
-  return impl_->FanOut(queries, top_k, opts, stats);
+  return impl_->FanOut(q, top_k, opts, stats);
 }
 
 void ShardedIndex::WaitForCompaction() {

@@ -1,13 +1,13 @@
 // Sharded serving front-end: K DynamicIndex shards behind one query
 // router, with graceful degradation as a first-class contract.
 //
-// `QueryBatch` shards one batch inside one process; the
-// millions-of-users shape (ROADMAP) is a hash-partitioned corpus across
-// K independent index shards behind a router that fans out each query,
-// merges top-k across shards, and *degrades* instead of hanging when a
-// shard is slow or dead:
+// A searcher's worker pool shards one query or one batch inside one
+// process; the millions-of-users shape (ROADMAP) is a hash-partitioned
+// corpus across K independent index shards behind a router that fans out
+// each query, merges top-k across shards, and *degrades* instead of
+// hanging when a shard is slow or dead:
 //
-//            Add(v) / Remove(id)            Query(q) / QueryTopK / Batch
+//            Add(v) / Remove(id)             Query(q, stats, top_k)
 //                  |                                     |
 //            ShardOfId(seed,id,K)                   fan-out to K
 //                  |                            (skip open breakers)
@@ -51,17 +51,22 @@
 //     to full service.
 //   - A wedged shard hangs only its own executor thread; the router
 //     times out, degrades the answer, and keeps serving.
-// Admission control (per-client token buckets + bounded in-flight depth)
-// lives one level up, in the serve front-end (tools/bayeslsh_cli.cc
-// `serve`), because "client" is a protocol notion; the primitives are in
-// core/serve_control.h.
+// Admission control (per-client token buckets) lives one level up, in
+// the serve front-end (tools/bayeslsh_cli.cc `serve`), because "client"
+// is a protocol notion; the primitives are in core/serve_control.h.
+//
+// Threads: each shard executor answers its sub-query through
+// DynamicIndex::Query, so with num_threads > 1 a shard whose candidate
+// list is large enough shards that query's verification over its own
+// worker pool (QueryStats::threads_used reports it), and the K shards do
+// so concurrently. Answers are identical at every thread count.
 //
 // Concurrency: the constructor builds the K shards concurrently, one
 // builder thread per shard, joins them all, rethrows the first failure
 // (lowest shard number) if any build threw, and only then starts the
-// shard executors. Query/QueryTopK/QueryBatch are safe from any number of
-// threads (the router fan-out state is per-call; shard executors are
-// internally synchronized). Add/Remove serialize against each other and
+// shard executors. Query is safe from any number of threads (the router
+// fan-out state is per-call; shard executors are internally
+// synchronized). Add/Remove serialize against each other and
 // against the id map reads inside queries via a shared_mutex, exactly as
 // in DynamicIndex. The destructor shuts down the fault injector (waking
 // wedged executors) and joins all executor threads.
@@ -71,7 +76,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "core/dynamic_index.h"
@@ -152,27 +156,14 @@ class ShardedIndex {
   // Fan-out threshold query: all live rows x with s(x, q) >= threshold
   // across answered shards, merged (sim desc, ties by ascending logical
   // id) — identical to a single unsharded index when all K shards
-  // answer. stats (when given) receives the merged shard stats plus the
-  // robustness counters (QueryStats: shards_total/shards_answered/
-  // deadline_expired).
+  // answer. top_k != 0 keeps the k best; the cut follows the merge, so
+  // shard boundaries can never displace a better match. stats (when
+  // given) receives the merged shard stats plus the robustness counters
+  // (QueryStats: shards_total/shards_answered/deadline_expired).
   std::vector<QueryMatch> Query(const SparseVectorView& q,
                                 QueryStats* stats = nullptr,
+                                uint32_t top_k = 0,
                                 const ServeOptions& opts = {}) const;
-
-  // The k best live matches across answered shards; merged BEFORE
-  // truncation, so shard boundaries can never displace a better match.
-  std::vector<QueryMatch> QueryTopK(const SparseVectorView& q, uint32_t k,
-                                    QueryStats* stats = nullptr,
-                                    const ServeOptions& opts = {}) const;
-
-  // Batched serving: slot i answers queries[i]. One fan-out round-trip
-  // per shard for the whole batch (each shard's executor runs its own
-  // QueryBatch), so the deadline and breaker accounting apply once per
-  // shard, not once per query. top_k != 0 truncates per query after the
-  // merge.
-  std::vector<std::vector<QueryMatch>> QueryBatch(
-      std::span<const SparseVectorView> queries, QueryStats* stats = nullptr,
-      uint32_t top_k = 0, const ServeOptions& opts = {}) const;
 
   // Drains every shard's background compaction. The bounded overload
   // returns false if any shard's compaction was still running when its

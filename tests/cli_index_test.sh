@@ -334,7 +334,7 @@ grep -q '"ghost_candidates": 0' ghost_err.txt || { echo "FAIL: ghosts survived c
 
 # The qps report carries the robustness counters; unsharded serving
 # reports them as 0 (one report shape for every serving mode).
-for key in deadline_expired shards_answered rejected_overload; do
+for key in deadline_expired shards_answered; do
   grep -q "\"$key\": 0" dyn_err.txt || { echo "FAIL: qps report lacks $key" >&2; fails=$((fails + 1)); }
 done
 
@@ -639,6 +639,15 @@ refused "index query-only flag" --top-k index --input corpus.txt \
   --output refused.idx --top-k 3
 [ -e refused.idx ] && { echo "FAIL: a refused index command wrote a file" >&2; fails=$((fails + 1)); }
 refused "serve write-only flag" --wal serve --index corpus.idx --wal w.log
+# serve refuses a control value it would otherwise reinterpret (a negative
+# time, rate or burst; zero breaker failures) before it loads the index,
+# so the garbage index never gets to exit 2.
+for bad in "--deadline-ms -5" "--shard-timeout-ms -1" "--breaker-open-ms -100" \
+           "--drain-timeout-ms -3" "--rate -2" "--burst -4" \
+           "--breaker-failures 0" "--shards 0"; do
+  # shellcheck disable=SC2086  # $bad is a flag and its value.
+  refused "serve $bad" "${bad%% *}" serve --index garbage.idx $bad
+done
 refused "stats stray token" extra stats --input corpus.txt extra
 # A value flag given no value (last, or followed by another flag) is
 # refused, not read as a switch that runs with the default.

@@ -316,8 +316,8 @@ TEST(ConcurrentServeTest, BatchTopKTruncatesLikeQueryTopK) {
   const std::vector<SparseVectorView> queries = QueryViews(data, 12);
   const auto results = searcher.QueryBatch(queries, nullptr, /*top_k=*/2);
   for (size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(results[i], searcher.QueryTopK(queries[i], 2)) << "query "
-                                                             << i;
+    EXPECT_EQ(results[i], searcher.Query(queries[i], nullptr, 2))
+        << "query " << i;
   }
 }
 

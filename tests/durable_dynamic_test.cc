@@ -521,7 +521,7 @@ TEST(GhostCandidatesTest, CountsTombstoneSuppressedMatchesExactly) {
 
   // Top-k counts ghosts before truncation (the merge happens first).
   QueryStats st;
-  (void)dyn.QueryTopK(q, 1, &st);
+  (void)dyn.Query(q, &st, 1);
   EXPECT_EQ(st.ghost_candidates, 2u);
 
   // A batch sums per-query ghosts in query order.

@@ -123,9 +123,9 @@ QuerySearchConfig RebuildConfig(const DynCase& c, uint32_t threads) {
   return qcfg;
 }
 
-// Asserts that dyn's Query, QueryTopK and QueryBatch over `queries` are
-// pair-for-pair identical to a from-scratch QuerySearcher over the live
-// corpus (`live_rows` of `corpus`, in logical-id order).
+// Asserts that dyn's Query (with and without top_k) and QueryBatch over
+// `queries` are pair-for-pair identical to a from-scratch QuerySearcher
+// over the live corpus (`live_rows` of `corpus`, in logical-id order).
 void ExpectRebuildIdentical(const DynamicIndex& dyn, const DynCase& c,
                             uint32_t threads, const Dataset& corpus,
                             const std::vector<uint32_t>& live_rows,
@@ -146,7 +146,8 @@ void ExpectRebuildIdentical(const DynamicIndex& dyn, const DynCase& c,
     EXPECT_EQ(batched[qid], expect) << where << " batch qid=" << qid;
     std::vector<QueryMatch> expect_top = expect;
     if (expect_top.size() > 3) expect_top.resize(3);
-    EXPECT_EQ(dyn.QueryTopK(q, 3), expect_top) << where << " qid=" << qid;
+    EXPECT_EQ(dyn.Query(q, nullptr, 3), expect_top)
+        << where << " qid=" << qid;
     total_matches += expect.size();
   }
   EXPECT_GT(total_matches, 0u) << where << ": vacuous comparison";
@@ -434,7 +435,7 @@ TEST_F(DynamicIndexEdge, BatchStatsSumPerQueryStats) {
 // tombstoned rows dropped. Each probed row and its delta twin are
 // removed, so a slot truncated per segment first would keep at most one
 // live base match; merged first, it keeps the first top_k live matches,
-// as QueryTopK does.
+// as Query's top_k does.
 TEST_F(DynamicIndexEdge, BatchTopKTruncatesAfterDroppingTombstones) {
   // One row per planted cluster of four: its cluster mates are its live
   // base matches, and no other twin is near it.
@@ -449,7 +450,8 @@ TEST_F(DynamicIndexEdge, BatchTopKTruncatesAfterDroppingTombstones) {
   ASSERT_EQ(batch.size(), queries.size());
   uint32_t full = 0;
   for (size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(batch[i], dyn_->QueryTopK(queries[i], 2)) << "query " << i;
+    EXPECT_EQ(batch[i], dyn_->Query(queries[i], nullptr, 2))
+        << "query " << i;
     for (const QueryMatch& m : batch[i]) {
       EXPECT_TRUE(dyn_->Contains(m.id)) << "query " << i << " id " << m.id;
     }

@@ -445,7 +445,7 @@ TEST(EuclideanQuerySearcherTest, TopKReturnsClosestOfRadiusSet) {
   const QuerySearcher searcher(&data, RadiusSearch(2.0));
   const SparseVectorView query = data.Row(3);  // A member point.
   const auto all = searcher.Query(query);
-  const auto top3 = searcher.QueryTopK(query, 3);
+  const auto top3 = searcher.Query(query, nullptr, 3);
   ASSERT_GE(all.size(), 3u);
   ASSERT_EQ(top3.size(), 3u);
   for (size_t i = 0; i < 3; ++i) EXPECT_EQ(top3[i], all[i]);

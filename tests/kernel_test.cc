@@ -697,7 +697,7 @@ TEST(KlshQueryTest, TopKTruncatesThresholdResults) {
   const QuerySearcher searcher(&w.data, KernelSearch(0.5, 60, true));
   const SparseVectorView q = w.data.Row(7);
   const auto all = searcher.Query(q);
-  const auto top3 = searcher.QueryTopK(q, 3);
+  const auto top3 = searcher.Query(q, nullptr, 3);
   ASSERT_GE(all.size(), 3u);
   ASSERT_EQ(top3.size(), 3u);
   for (size_t i = 0; i < 3; ++i) EXPECT_EQ(top3[i], all[i]);

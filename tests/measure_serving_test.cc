@@ -4,10 +4,11 @@
 // search. The load-bearing guarantees, each asserted at 1 and 8 threads:
 //
 //   - Warm identity: a QuerySearcher warm-started from a saved-and-
-//     reloaded index answers Query/QueryTopK/QueryBatch pair-for-pair
-//     identically to one built fresh from the same config — including
-//     after Freeze(). For KLSH this additionally pins that the anchor
-//     rows persisted in the file reproduce the build's hash family.
+//     reloaded index answers Query (with and without top_k) and
+//     QueryBatch pair-for-pair identically to one built fresh from the
+//     same config — including after Freeze(). For KLSH this
+//     additionally pins that the anchor rows persisted in the file
+//     reproduce the build's hash family.
 //   - Sharded identity: a K-shard ShardedIndex equals the unsharded
 //     DynamicIndex oracle over the same corpus byte-for-byte. For KLSH
 //     the shards must share one full-corpus anchor sample; per-shard
@@ -149,8 +150,8 @@ TEST_P(MeasureServing, WarmLoadedEqualsFreshBuild) {
   for (uint32_t i = 0; i < queries.size(); ++i) {
     ExpectSameMatches(fresh.Query(queries[i]), warm.Query(queries[i]),
                       "warm vs fresh", i);
-    ExpectSameMatches(fresh.QueryTopK(queries[i], 5),
-                      warm.QueryTopK(queries[i], 5), "warm top-k", i);
+    ExpectSameMatches(fresh.Query(queries[i], nullptr, 5),
+                      warm.Query(queries[i], nullptr, 5), "warm top-k", i);
   }
 
   // The batched engine and the frozen store serve the same answers.
@@ -193,15 +194,9 @@ TEST_P(MeasureServing, ShardedEqualsUnsharded) {
     ExpectSameMatches(sharded.Query(queries[i], &stats),
                       oracle.Query(queries[i]), "sharded vs unsharded", i);
     EXPECT_EQ(stats.shards_answered, scfg.num_shards);
-    ExpectSameMatches(sharded.QueryTopK(queries[i], 5),
-                      oracle.QueryTopK(queries[i], 5), "sharded top-k", i);
-  }
-
-  const auto sharded_batch = sharded.QueryBatch(queries);
-  const auto oracle_batch = oracle.QueryBatch(queries);
-  ASSERT_EQ(sharded_batch.size(), oracle_batch.size());
-  for (uint32_t i = 0; i < sharded_batch.size(); ++i) {
-    ExpectSameMatches(sharded_batch[i], oracle_batch[i], "sharded batch", i);
+    ExpectSameMatches(sharded.Query(queries[i], nullptr, 5),
+                      oracle.Query(queries[i], nullptr, 5), "sharded top-k",
+                      i);
   }
 }
 

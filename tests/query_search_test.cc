@@ -174,7 +174,7 @@ TEST(QuerySearcherTest, TopKTruncatesAndOrders) {
   const QuerySearcher searcher(&data, cfg);
   const auto all = searcher.Query(data.Row(0));
   ASSERT_GE(all.size(), 3u);
-  const auto top2 = searcher.QueryTopK(data.Row(0), 2);
+  const auto top2 = searcher.Query(data.Row(0), nullptr, 2);
   ASSERT_EQ(top2.size(), 2u);
   EXPECT_EQ(top2[0].id, all[0].id);
   EXPECT_EQ(top2[1].id, all[1].id);

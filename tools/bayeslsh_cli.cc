@@ -52,9 +52,8 @@
 //       query/add/remove/stats/quit, optionally tagged "@client". Reads
 //       degrade instead of hanging (per-query deadlines, per-shard
 //       circuit breakers) and overload is rejected immediately
-//       (per-client token buckets + a bounded in-flight depth). The
-//       served state is in-memory only; shutdown drains background
-//       compaction with a bounded wait.
+//       (per-client token buckets). The served state is in-memory only;
+//       shutdown drains background compaction with a bounded wait.
 //
 //   bayeslsh generate --kind text|graph --vectors N --output data.txt
 //            [--seed S]
@@ -182,7 +181,6 @@ int Usage() {
       "                      partial answer, flagged — 0 = none)\n"
       "  --rate R --burst B (per-client admission token bucket;\n"
       "                      0 = unlimited)\n"
-      "  --max-in-flight Q  (server-wide in-flight bound; 0 = unlimited)\n"
       "  --breaker-failures N --breaker-open-ms M\n"
       "                     (per-shard circuit breaker: N consecutive\n"
       "                      failures open it for M ms; default 3/1000)\n"
@@ -239,8 +237,8 @@ const CommandFlags* FlagsOf(const std::string& cmd) {
         {"exact", "normalize", "batch", "freeze", "mmap", "qps-report"}}},
       {"serve",
        {{"index", "shards", "threshold", "top-k", "threads", "deadline-ms",
-         "rate", "burst", "max-in-flight", "breaker-failures",
-         "breaker-open-ms", "shard-timeout-ms", "drain-timeout-ms"},
+         "rate", "burst", "breaker-failures", "breaker-open-ms",
+         "shard-timeout-ms", "drain-timeout-ms"},
         {"exact", "normalize", "mmap"}}},
       {"add",
        {{"index", "input", "output", "threads", "wal", "compact-delta-rows",
@@ -556,27 +554,25 @@ int RunIndex(const Args& args) {
 
 // Cross-query accumulation of the per-call QueryStats, for the honest
 // --qps-report: widest thread count any query actually reached, plus the
-// summed robustness counters (ghosts, expired deadlines, answered shards,
-// admission rejections — the last three stay 0 for unsharded serving).
+// summed robustness counters (ghosts, expired deadlines, answered shards
+// — the last two stay 0 for unsharded serving).
 struct ServeTally {
   uint64_t matches = 0;
   uint32_t threads_used = 1;
   uint64_t ghosts = 0;
   uint64_t deadline_expired = 0;
   uint64_t shards_answered = 0;
-  uint64_t rejected_overload = 0;
 
   void Absorb(const QueryStats& stats) {
     threads_used = std::max(threads_used, stats.threads_used);
     ghosts += stats.ghost_candidates;
     deadline_expired += stats.deadline_expired;
     shards_answered += stats.shards_answered;
-    rejected_overload += stats.rejected_overload;
   }
 };
 
 // Serves every row of `queries` through `searcher` — a QuerySearcher or a
-// DynamicIndex, which share the Query/QueryTopK/QueryBatch surface —
+// DynamicIndex, which share the Query/QueryBatch surface —
 // writing one "qid id sim" line per match. Stats are per-call (each
 // Query overwrites them), so the tally sums across calls. `sim_scale` is
 // -1.0 for Euclidean indexes (the engine ranks by negated distance;
@@ -605,8 +601,7 @@ void ServeQueries(const Searcher& searcher, const Dataset& queries,
     for (uint32_t qid = 0; qid < queries.num_vectors(); ++qid) {
       const SparseVectorView q = queries.Row(qid);
       const std::vector<QueryMatch> matches =
-          top_k != 0 ? searcher.QueryTopK(q, top_k, &stats)
-                     : searcher.Query(q, &stats);
+          searcher.Query(q, &stats, top_k);
       tally->Absorb(stats);
       for (const QueryMatch& m : matches) {
         out << qid << ' ' << m.id << ' ' << m.sim * sim_scale << '\n';
@@ -814,16 +809,15 @@ int RunQuery(const Args& args) {
       // "ghost_candidates" counts verified matches suppressed because
       // their logical id is tombstoned — the LSM read amplification a
       // compaction would reclaim; always 0 for a plain index.
-      // The robustness counters (deadline_expired, shards_answered,
-      // rejected_overload) are summed from the same QueryStats the
-      // sharded serving layer fills; unsharded serving reports them as 0
-      // so one report shape covers every serving mode.
+      // The robustness counters (deadline_expired, shards_answered) are
+      // summed from the same QueryStats the sharded serving layer fills;
+      // unsharded serving reports them as 0 so one report shape covers
+      // every serving mode.
       std::fprintf(
           stderr,
           "{\"queries\": %u, \"matches\": %llu, \"threads\": %u, "
           "\"threads_used\": %u, \"ghost_candidates\": %llu, "
           "\"deadline_expired\": %llu, \"shards_answered\": %llu, "
-          "\"rejected_overload\": %llu, "
           "\"batch\": %s, \"frozen\": %s, "
           "\"dynamic\": %s, \"load_seconds\": %.6f, "
           "\"construct_seconds\": %.6f, \"serve_seconds\": %.6f, "
@@ -834,7 +828,6 @@ int RunQuery(const Args& args) {
           static_cast<unsigned long long>(tally.ghosts),
           static_cast<unsigned long long>(tally.deadline_expired),
           static_cast<unsigned long long>(tally.shards_answered),
-          static_cast<unsigned long long>(tally.rejected_overload),
           args.Has("batch") ? "true" : "false",
           !dynamic && searcher->frozen() ? "true" : "false",
           dynamic ? "true" : "false", load_s, construct_s, serve_s,
@@ -950,10 +943,45 @@ const char* BreakerStateName(BreakerState s) {
 int RunServe(const Args& args) {
   if (!args.Has("index")) return Usage();
   const uint32_t num_threads = ParseThreads(args);
-  const auto num_shards = args.GetNumber<uint32_t>("shards", 2);
-  if (num_shards == 0) {
-    std::fprintf(stderr, "error: --shards must be at least 1\n");
-    return 1;
+  ShardedIndexConfig scfg;
+  scfg.num_shards = args.GetNumber<uint32_t>("shards", 2);
+  scfg.threshold = args.GetDouble("threshold", 0.0);
+  scfg.exact_verification = args.Has("exact");
+  scfg.num_threads = num_threads;
+  scfg.breaker.failure_threshold =
+      args.GetNumber<uint32_t>("breaker-failures", 3);
+  scfg.breaker.open_seconds =
+      args.GetDouble("breaker-open-ms", 1000.0) / 1000.0;
+  scfg.shard_timeout_seconds =
+      args.GetDouble("shard-timeout-ms", 0.0) / 1000.0;
+
+  AdmissionConfig acfg;
+  acfg.tokens_per_second = args.GetDouble("rate", 0.0);
+  acfg.burst = args.GetDouble("burst", 0.0);
+
+  ServeOptions opts;
+  opts.deadline_seconds = args.GetDouble("deadline-ms", 0.0) / 1000.0;
+  const auto top_k = args.GetNumber<uint32_t>("top-k", 0);
+  const double drain_s = args.GetDouble("drain-timeout-ms", 5000.0) / 1000.0;
+
+  // Bad control values are refused before the index loads, not
+  // reinterpreted: the library would read a negative time, rate or burst
+  // as some other setting (no deadline, unlimited, the default burst),
+  // and zero breaker failures as one.
+  for (const char* flag : {"shards", "breaker-failures"}) {
+    if (args.GetNumber<uint32_t>(flag, 1) == 0) {
+      std::fprintf(stderr, "error: --%s must be at least 1\n", flag);
+      return 1;
+    }
+  }
+  for (const char* flag : {"deadline-ms", "shard-timeout-ms",
+                           "breaker-open-ms", "drain-timeout-ms", "rate",
+                           "burst"}) {
+    if (args.GetDouble(flag, 0.0) < 0.0) {
+      std::fprintf(stderr, "error: --%s must not be negative (got %s)\n",
+                   flag, args.Get(flag, "").c_str());
+      return 1;
+    }
   }
 
   // Load either index kind and lift out (corpus, build config): the
@@ -1002,29 +1030,6 @@ int RunServe(const Args& args) {
   // threshold" sentinel.
   if (!CheckThresholdFlag(args, build.measure)) return 1;
   const MeasureTraits& traits = TraitsOf(build.measure);
-
-  ShardedIndexConfig scfg;
-  scfg.num_shards = num_shards;
-  scfg.threshold = args.GetDouble("threshold", 0.0);
-  scfg.exact_verification = args.Has("exact");
-  scfg.num_threads = num_threads;
-  scfg.breaker.failure_threshold =
-      args.GetNumber<uint32_t>("breaker-failures", 3);
-  scfg.breaker.open_seconds =
-      args.GetDouble("breaker-open-ms", 1000.0) / 1000.0;
-  scfg.shard_timeout_seconds =
-      args.GetDouble("shard-timeout-ms", 0.0) / 1000.0;
-
-  AdmissionConfig acfg;
-  acfg.tokens_per_second = args.GetDouble("rate", 0.0);
-  acfg.burst = args.GetDouble("burst", 0.0);
-  acfg.max_in_flight =
-      args.GetNumber<uint32_t>("max-in-flight", 0);
-
-  ServeOptions opts;
-  opts.deadline_seconds = args.GetDouble("deadline-ms", 0.0) / 1000.0;
-  const auto top_k = args.GetNumber<uint32_t>("top-k", 0);
-  const double drain_s = args.GetDouble("drain-timeout-ms", 5000.0) / 1000.0;
   const bool normalize = args.Has("normalize") && traits.unit_rows;
   const double sim_scale = traits.distance ? -1.0 : 1.0;
 
@@ -1077,12 +1082,10 @@ int RunServe(const Args& args) {
           continue;
         }
         if (normalize) NormalizeServeVector(&values);
-        // Admission gates reads only: a request that cannot get both a
-        // token and an in-flight slot is answered "rejected overload"
-        // now, never queued behind a flood.
-        AdmissionController::Ticket ticket =
-            admission.TryAdmit(client, sharded.Now());
-        if (!ticket.admitted()) {
+        // Admission gates reads only: a request whose client has no
+        // token is answered "rejected overload" now, never queued behind
+        // a flood.
+        if (!admission.TryAdmit(client, sharded.Now())) {
           ++rejected_total;
           std::printf("rejected overload\n");
           std::fflush(stdout);
@@ -1091,8 +1094,7 @@ int RunServe(const Args& args) {
         const SparseVectorView q{indices, values};
         QueryStats stats;
         const std::vector<QueryMatch> matches =
-            top_k != 0 ? sharded.QueryTopK(q, top_k, &stats, opts)
-                       : sharded.Query(q, &stats, opts);
+            sharded.Query(q, &stats, top_k, opts);
         ++queries_served;
         matches_total += matches.size();
         deadline_total += stats.deadline_expired;

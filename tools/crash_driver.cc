@@ -264,7 +264,7 @@ bool QueriesMatch(const DynamicIndex& got, const DynamicIndex& want,
   for (const uint32_t row : QueryBattery()) {
     const SparseVectorView q = pool.Row(row);
     if (got.Query(q) != want.Query(q) ||
-        got.QueryTopK(q, 5) != want.QueryTopK(q, 5)) {
+        got.Query(q, nullptr, 5) != want.Query(q, nullptr, 5)) {
       std::fprintf(stderr,
                    "FAIL(%s): query on pool row %u diverges from the "
                    "from-scratch oracle\n",
