@@ -27,6 +27,19 @@ using SteadyClock = std::chrono::steady_clock;
 // from the same master seed.
 constexpr uint64_t kShardSalt = 0x73686172644c5348ULL;  // "shardLSH"
 
+// The time point a budget of `seconds` after `from`. Only a positive
+// budget bounds anything, so any other maps to `from`; one past a
+// century saturates there, since a budget beyond the clock's integer
+// ticks (about 292 years of nanoseconds) would overflow the cast and read
+// as long expired.
+SteadyClock::time_point After(SteadyClock::time_point from, double seconds) {
+  constexpr double kCenturySeconds = 100 * 365.25 * 24 * 3600;
+  if (!(seconds > 0)) return from;
+  return from + std::chrono::duration_cast<SteadyClock::duration>(
+                    std::chrono::duration<double>(
+                        std::min(seconds, kCenturySeconds)));
+}
+
 // The router's owned copy of a fan-out's query: sub-requests may outlive
 // the caller's view (an abandoned request sits in a shard queue until its
 // executor drains it), so every shard shares one owned copy.
@@ -139,12 +152,8 @@ struct ShardedIndex::Impl {
     const auto start = SteadyClock::now();
     const bool has_deadline = opts.deadline_seconds > 0;
     const bool has_shard_to = cfg.shard_timeout_seconds > 0;
-    const auto deadline_tp =
-        start + std::chrono::duration_cast<SteadyClock::duration>(
-                    std::chrono::duration<double>(opts.deadline_seconds));
-    const auto shard_to_tp =
-        start + std::chrono::duration_cast<SteadyClock::duration>(
-                    std::chrono::duration<double>(cfg.shard_timeout_seconds));
+    const auto deadline_tp = After(start, opts.deadline_seconds);
+    const auto shard_to_tp = After(start, cfg.shard_timeout_seconds);
 
     // Dispatch to every shard whose breaker admits the request. Shards
     // skipped here simply don't contribute (no outcome to record).
@@ -399,9 +408,7 @@ void ShardedIndex::WaitForCompaction() {
 bool ShardedIndex::WaitForCompaction(double timeout_seconds) {
   // One wall-clock budget across all shards: each shard gets whatever
   // remains, so a single wedged compaction bounds the whole drain.
-  const auto deadline =
-      SteadyClock::now() + std::chrono::duration_cast<SteadyClock::duration>(
-                               std::chrono::duration<double>(timeout_seconds));
+  const auto deadline = After(SteadyClock::now(), timeout_seconds);
   bool all_drained = true;
   for (auto& shard : impl_->shards) {
     const double remaining =

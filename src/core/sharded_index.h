@@ -103,7 +103,9 @@ struct ShardedIndexConfig {
   // Upper bound on waiting for any single shard's sub-result, even
   // without a query deadline; a shard exceeding it counts a breaker
   // failure and the query degrades. 0 = wait forever (a wedged shard
-  // then only degrades queries that carry their own deadline).
+  // then only degrades queries that carry their own deadline). This
+  // timeout, a query deadline and a drain timeout each count as a
+  // century when longer.
   double shard_timeout_seconds = 0.0;
 };
 

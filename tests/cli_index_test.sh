@@ -362,6 +362,16 @@ cmp -s serve_matches.txt serve_oracle.txt || { echo "FAIL: sharded serve answers
 grep -q '"queries": 1' serve_out.txt || { echo "FAIL: serve stats did not count the query" >&2; fails=$((fails + 1)); }
 grep -q '"breakers": \["closed", "closed", "closed", "closed"\]' serve_out.txt || { echo "FAIL: serve stats lack per-shard breaker states" >&2; fails=$((fails + 1)); }
 
+# A time budget past the steady clock's range (1e13 ms is about 317
+# years) bounds nothing: the transcript is the unbounded one, not an
+# expired deadline or a timed-out shard.
+printf '@alice query %s\nstats\nquit\n' "$row" \
+  | "$CLI" serve --index serve.idx --shards 4 --normalize --top-k 5 \
+    --deadline-ms 1e13 --shard-timeout-ms 1e13 --drain-timeout-ms 1e13 \
+    >serve_huge.txt 2>/dev/null
+check_rc "serve with huge time budgets" 0 $?
+cmp -s serve_huge.txt serve_out.txt || { echo "FAIL: a huge time budget changed the serve transcript" >&2; fails=$((fails + 1)); }
+
 # Routed mutations: the next dense id is 200; a double remove and an
 # unknown id answer in-band errors without killing the server.
 printf 'add %s\nremove 200\nremove 200\nremove 99999\nquit\n' "$row" \
@@ -640,10 +650,11 @@ refused "index query-only flag" --top-k index --input corpus.txt \
 [ -e refused.idx ] && { echo "FAIL: a refused index command wrote a file" >&2; fails=$((fails + 1)); }
 refused "serve write-only flag" --wal serve --index corpus.idx --wal w.log
 # serve refuses a control value it would otherwise reinterpret (a negative
-# time, rate or burst; zero breaker failures) before it loads the index,
-# so the garbage index never gets to exit 2.
+# time, rate or burst; zero breaker failures) or a bucket below one token,
+# which would reject every query, before it loads the index, so the
+# garbage index never gets to exit 2.
 for bad in "--deadline-ms -5" "--shard-timeout-ms -1" "--breaker-open-ms -100" \
-           "--drain-timeout-ms -3" "--rate -2" "--burst -4" \
+           "--drain-timeout-ms -3" "--rate -2" "--burst -4" "--burst 0.5" \
            "--breaker-failures 0" "--shards 0"; do
   # shellcheck disable=SC2086  # $bad is a flag and its value.
   refused "serve $bad" "${bad%% *}" serve --index garbage.idx $bad

@@ -300,7 +300,9 @@ TEST_P(ShardedServeIdentity, HealthyShardedEqualsUnsharded) {
   std::vector<SparseVectorView> queries;
   for (uint32_t q = 0; q < kRows; q += 13) queries.push_back(corpus.Row(q));
 
-  // Every match, and the top 5, byte-identical per query.
+  // Every match, and the top 5, byte-identical per query. A deadline
+  // past the steady clock's range (1e10 s) bounds nothing.
+  const ServeOptions huge{.deadline_seconds = 1e10};
   for (const SparseVectorView& q : queries) {
     QueryStats stats;
     EXPECT_EQ(sharded.Query(q, &stats), oracle->Query(q));
@@ -308,6 +310,9 @@ TEST_P(ShardedServeIdentity, HealthyShardedEqualsUnsharded) {
     EXPECT_EQ(stats.shards_answered, kShards);
     EXPECT_EQ(stats.deadline_expired, 0u);
     EXPECT_EQ(sharded.Query(q, nullptr, 5), oracle->Query(q, nullptr, 5));
+    QueryStats huge_stats;
+    EXPECT_EQ(sharded.Query(q, &huge_stats, 0, huge), oracle->Query(q));
+    EXPECT_EQ(huge_stats.deadline_expired, 0u);
   }
 }
 

@@ -967,7 +967,8 @@ int RunServe(const Args& args) {
   // Bad control values are refused before the index loads, not
   // reinterpreted: the library would read a negative time, rate or burst
   // as some other setting (no deadline, unlimited, the default burst),
-  // and zero breaker failures as one.
+  // and zero breaker failures as one. A bucket below one token would
+  // reject every query.
   for (const char* flag : {"shards", "breaker-failures"}) {
     if (args.GetNumber<uint32_t>(flag, 1) == 0) {
       std::fprintf(stderr, "error: --%s must be at least 1\n", flag);
@@ -975,13 +976,19 @@ int RunServe(const Args& args) {
     }
   }
   for (const char* flag : {"deadline-ms", "shard-timeout-ms",
-                           "breaker-open-ms", "drain-timeout-ms", "rate",
-                           "burst"}) {
+                           "breaker-open-ms", "drain-timeout-ms", "rate"}) {
     if (args.GetDouble(flag, 0.0) < 0.0) {
       std::fprintf(stderr, "error: --%s must not be negative (got %s)\n",
                    flag, args.Get(flag, "").c_str());
       return 1;
     }
+  }
+  if (acfg.burst != 0.0 && acfg.burst < 1.0) {
+    std::fprintf(stderr,
+                 "error: --burst must be 0 (the default) or at least 1 "
+                 "(got %s)\n",
+                 args.Get("burst", "").c_str());
+    return 1;
   }
 
   // Load either index kind and lift out (corpus, build config): the
